@@ -15,22 +15,14 @@ from .analysis import (
 from .circuit import (
     BatteryModel,
     CircuitState,
-    ConductionPath,
     ConverterParams,
     GateCommand,
-    StateDerivative,
-    battery_emf,
-    battery_terminal_voltage,
-    derivatives,
-    inductor_voltage,
-    resolve_topology,
 )
 from .control import (
     CcCvPhase,
     ControllerConfig,
     ControllerState,
     Mode,
-    desired_current_envelope,
     initial_controller_state,
     pwm_gate,
     regulate,

@@ -12,8 +12,6 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 
-from .control import desired_current_envelope
-
 
 @dataclass(frozen=True)
 class RegulationRow:
@@ -78,8 +76,11 @@ def _check_ripple_args(v_bus, v_batt, l_p, d, f_s) -> None:
 
 
 def current_envelope(i_star: float, delta_i: float) -> tuple[float, float]:
-    """Predicted (min, max) of the inductor current around its average."""
-    return desired_current_envelope(i_star, delta_i)
+    """Predicted (min, max) of the inductor current around its average for
+    a given peak-to-peak ripple."""
+    if delta_i < 0.0:
+        raise ValueError(f"ripple must be non-negative, got {delta_i}")
+    return (i_star - 0.5 * delta_i, i_star + 0.5 * delta_i)
 
 
 def line_regulation(rows: list[RegulationRow]) -> LineRegulationResult:

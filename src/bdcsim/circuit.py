@@ -8,21 +8,20 @@ inductor current is positive when it flows from the bus node toward the
 battery, so positive i_l charges the battery and the boost (discharging)
 direction runs i_l negative.
 
-Everything in this module is a pure function over value types; the time
-stepping lives in :mod:`bdcsim.sim`.
+This module holds the value types only; the plant law and the time
+stepping live in :mod:`bdcsim.sim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 
 @dataclass(frozen=True)
 class ConverterParams:
     """Fixed electrical parameters of the power stage."""
 
-    v_bus_nominal: float      # V, PV-side DC bus nominal voltage
+    v_bus_nominal: float      # V, nominal PV-side bus voltage (inert: nothing reads it)
     l_p: float                # H, filtering inductor
     c_bus: float              # F, DC bus capacitor
     c_o: float                # F, output capacitor on the load rail
@@ -89,117 +88,8 @@ class CircuitState:
 
 @dataclass(frozen=True)
 class GateCommand:
-    """Commanded switch states.  Both gates on is a controller bug and is
-    rejected by :func:`resolve_topology`, never silently conducted."""
+    """Commanded switch states.  Both gates on (shoot-through) is never
+    commanded: :func:`bdcsim.control.pwm_gate` drives at most one leg."""
 
     s1_on: bool
     s2_on: bool
-
-
-class ConductionPath(Enum):
-    """The single device carrying the inductor current, or NONE when the
-    current sits clamped at zero with both switches off (discontinuous
-    conduction)."""
-
-    S1 = "S1"
-    S2 = "S2"
-    D1 = "D1"
-    D2 = "D2"
-    NONE = "none"
-
-    @property
-    def through_high_side(self) -> bool:
-        """True when the inductor branch is connected to the bus node."""
-        return self in (ConductionPath.S1, ConductionPath.D1)
-
-
-@dataclass(frozen=True)
-class StateDerivative:
-    d_i_l: float              # A/s
-    d_v_c_bus: float          # V/s
-    d_v_c_o: float            # V/s
-    d_soc: float              # 1/s
-
-
-def battery_emf(battery: BatteryModel, soc: float) -> float:
-    """Open-circuit EMF at the given state of charge (linear interpolation)."""
-    return battery.v_emf_empty + (battery.v_emf_full - battery.v_emf_empty) * soc
-
-
-def battery_terminal_voltage(battery: BatteryModel, i_batt: float,
-                             soc: float | None = None) -> float:
-    """Terminal voltage under current i_batt (positive current charges, which
-    raises the terminal voltage).  Uses the model's stored soc unless a live
-    value is supplied."""
-    if soc is None:
-        soc = battery.soc
-    return battery_emf(battery, soc) + battery.r_int * i_batt
-
-
-def resolve_topology(gates: GateCommand, state: CircuitState,
-                     params: ConverterParams, battery: BatteryModel) -> ConductionPath:
-    """Resolve which device carries the inductor current.
-
-    An on-gate wins outright (the MOSFET channel conducts either direction).
-    With both gates off, the freewheeling body diode matching the current
-    sign conducts: D2 for positive current, D1 for negative.  Zero current
-    with both gates off is the discontinuous-conduction idle.
-    """
-    if gates.s1_on and gates.s2_on:
-        raise ValueError("shoot-through command: S1 and S2 must never both be on")
-    if gates.s1_on:
-        return ConductionPath.S1
-    if gates.s2_on:
-        return ConductionPath.S2
-    if state.i_l > 0.0:
-        return ConductionPath.D2
-    if state.i_l < 0.0:
-        return ConductionPath.D1
-    return ConductionPath.NONE
-
-
-def inductor_voltage(path: ConductionPath, state: CircuitState,
-                     params: ConverterParams, battery: BatteryModel) -> float:
-    """Voltage across the filtering inductor for the resolved path.
-
-    With ideal devices this is v_bus - v_batt on the high-side paths (S1, D1)
-    and -v_batt on the low-side paths (S2, D2); conduction drops shift the
-    switch-node voltage when r_on or v_f are nonzero.  An open branch (NONE)
-    sees zero volts by definition of the current clamp.
-    """
-    if path is ConductionPath.NONE:
-        return 0.0
-    v_batt = battery_terminal_voltage(battery, state.i_l, soc=state.soc)
-    if path is ConductionPath.S1:
-        v_sw = state.v_c_bus - params.r_on * state.i_l
-    elif path is ConductionPath.D1:
-        # i_l < 0 here: the diode drop speeds up the recovery of the
-        # negative current toward zero.
-        v_sw = state.v_c_bus + params.v_f
-    elif path is ConductionPath.S2:
-        v_sw = -params.r_on * state.i_l
-    else:  # D2, i_l > 0
-        v_sw = -params.v_f
-    return v_sw - v_batt
-
-
-def derivatives(state: CircuitState, path: ConductionPath,
-                params: ConverterParams, battery: BatteryModel,
-                source_current: float) -> StateDerivative:
-    """Time derivatives of the state vector for one conduction topology.
-
-    The bus node collects the source current and loses the inductor branch
-    current whenever the high side conducts (a negative branch current in
-    the discharging direction therefore charges the bus).  The load rail is
-    fed from the bus through the interconnect and drained by the resistive
-    load; the bus equation carries the matching interconnect term.
-    """
-    v_l = inductor_voltage(path, state, params, battery)
-    i_branch = state.i_l if path.through_high_side else 0.0
-    i_link = (state.v_c_bus - state.v_c_o) / params.r_link
-    return StateDerivative(
-        d_i_l=v_l / params.l_p,
-        d_v_c_bus=(source_current - i_branch - i_link) / params.c_bus,
-        d_v_c_o=(i_link - state.v_c_o / params.r_load) / params.c_o,
-        d_soc=state.i_l / battery.capacity,
-    )

@@ -37,7 +37,7 @@ class ControllerConfig:
 
     v_ref_load: float = 24.0      # V, regulated load-rail target
     i_charge_ref: float = 3.0     # A, constant-current charging setpoint
-    i_discharge_ref: float = 2.4  # A, nominal discharge current magnitude (reporting)
+    i_discharge_ref: float = 2.4  # A, nominal discharge current (inert: nothing reads it)
     v_float: float = 13.8         # V, battery voltage handing CC over to CV / rest
     v_bus_low: float = 12.6       # V, below this the source is insufficient
     v_bus_high: float = 20.4      # V, above this the source is sufficient
@@ -168,11 +168,3 @@ def _increment(error: float, deadband: float, step: float) -> float:
     if error < -deadband:
         return -step
     return 0.0
-
-
-def desired_current_envelope(i_star: float, ripple: float) -> tuple[float, float]:
-    """Predicted (min, max) of the inductor current around its commanded
-    average for a given peak-to-peak ripple."""
-    if ripple < 0.0:
-        raise ValueError(f"ripple must be non-negative, got {ripple}")
-    return (i_star - 0.5 * ripple, i_star + 0.5 * ripple)

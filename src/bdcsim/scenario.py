@@ -24,6 +24,8 @@ ordered by `until`.
 
 from __future__ import annotations
 
+import math
+
 from .circuit import BatteryModel, CircuitState, ConverterParams
 from .control import ControllerConfig, Mode
 from .design import DesignSpec
@@ -59,15 +61,20 @@ class ScenarioParseError(ValueError):
 
 
 def parse_quantity(token: str) -> float:
-    """Parse a number with an optional SI suffix multiplier ('50n' -> 5e-8)."""
-    token = token.strip()
-    if not token:
+    """Parse a finite number with an optional SI suffix multiplier
+    ('50n' -> 5e-8); inf and NaN are rejected."""
+    raw = token.strip()
+    if not raw:
         raise ValueError("empty value")
+    token = raw
     multiplier = 1.0
     if token[-1] in _SUFFIXES:
         multiplier = _SUFFIXES[token[-1]]
         token = token[:-1]
-    return float(token) * multiplier
+    value = float(token) * multiplier
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {raw!r}")
+    return value
 
 
 def _tokenize(text: str):
@@ -220,6 +227,11 @@ def parse_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
                       if "fixed_duty" in values["sim"] else None)
         initial_duty = (values["sim"]["initial_duty"][0]
                         if "initial_duty" in values["sim"] else None)
+        record_decimation = number("sim", "record_decimation", 10)
+        if record_decimation != int(record_decimation):
+            raise ScenarioParseError(
+                f"record_decimation must be a whole number, got {record_decimation}",
+                line=values["sim"]["record_decimation"][1])
 
         return Scenario(
             params=params,
@@ -228,7 +240,7 @@ def parse_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
             source=source,
             t_end=number("sim", "t_end"),
             dt=number("sim", "dt"),
-            record_decimation=int(number("sim", "record_decimation", 10)),
+            record_decimation=int(record_decimation),
             i_limit=number("sim", "i_limit", 100.0),
             v_limit=number("sim", "v_limit", 200.0),
             fixed_duty=fixed_duty,

@@ -18,6 +18,7 @@ profile voltage (panel-side sensing), not the converter-held bus.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +29,6 @@ from .control import (
     ControllerState,
     Mode,
     initial_controller_state,
-    pwm_gate,
     regulate,
     select_mode,
 )
@@ -56,10 +56,6 @@ class SourceSegment:
     v_start: float            # V at the start of the segment
     v_end: float              # V at `until` (equal to v_start for a hold)
 
-    @property
-    def is_ramp(self) -> bool:
-        return self.v_start != self.v_end
-
 
 @dataclass(frozen=True)
 class SourceProfile:
@@ -81,15 +77,21 @@ class SourceProfile:
         return cls(segments=(SourceSegment(until=until, v_start=volts, v_end=volts),))
 
     def voltage(self, t: float) -> float:
+        return self.evaluate(t)[0]
+
+    def evaluate(self, t: float) -> tuple[float, float]:
+        """Voltage at time t and the time until which it stays the same: the
+        segment end for a hold, t itself on a ramp, infinity after the last
+        segment."""
         t_seg_start = 0.0
         for seg in self.segments:
             if t < seg.until:
-                if seg.is_ramp:
-                    frac = (t - t_seg_start) / (seg.until - t_seg_start)
-                    return seg.v_start + (seg.v_end - seg.v_start) * frac
-                return seg.v_start
+                if seg.v_start == seg.v_end:
+                    return seg.v_start, seg.until
+                frac = (t - t_seg_start) / (seg.until - t_seg_start)
+                return seg.v_start + (seg.v_end - seg.v_start) * frac, t
             t_seg_start = seg.until
-        return self.segments[-1].v_end
+        return self.segments[-1].v_end, math.inf
 
 
 @dataclass(frozen=True)
@@ -239,84 +241,6 @@ def trace_from_csv(path) -> Trace:
     )
 
 
-def _make_plant_stepper(scenario: Scenario):
-    """One-step plant update shared by step() and run().
-
-    Returns a callable (i_l, v_bus, v_o, soc, v_s, s1, s2) ->
-    (i_l', v_bus', v_o', soc', v_batt, i_src, i_link) using pre-update values
-    on the right-hand side (plain explicit Euler) and applying the
-    discontinuous-conduction current clamp.
-    """
-    p = scenario.params
-    b = scenario.battery
-    dt = scenario.dt
-    inv_l = 1.0 / p.l_p
-    inv_c_bus = 1.0 / p.c_bus
-    inv_c_o = 1.0 / p.c_o
-    inv_r_load = 1.0 / p.r_load
-    inv_r_link = 1.0 / p.r_link
-    r_on = p.r_on
-    v_f = p.v_f
-    r_source = p.r_source
-    inv_r_source = 1.0 / r_source if r_source > 0.0 else 0.0
-    c_bus_over_dt = p.c_bus / dt
-    emf_base = b.v_emf_empty
-    emf_span = b.v_emf_full - b.v_emf_empty
-    r_int = b.r_int
-    inv_capacity = 1.0 / b.capacity
-
-    def advance(i_l, v_bus, v_o, soc, v_s, s1, s2):
-        v_batt = emf_base + emf_span * soc + r_int * i_l
-        if s1:
-            v_l = (v_bus - r_on * i_l) - v_batt
-            high_side = True
-            switched = True
-        elif s2:
-            v_l = (-r_on * i_l) - v_batt
-            high_side = False
-            switched = True
-        elif i_l > 0.0:
-            v_l = (-v_f) - v_batt
-            high_side = False
-            switched = False
-        elif i_l < 0.0:
-            v_l = (v_bus + v_f) - v_batt
-            high_side = True
-            switched = False
-        else:
-            v_l = 0.0
-            high_side = False
-            switched = False
-        i_branch = i_l if high_side else 0.0
-        i_link = (v_bus - v_o) * inv_r_link
-        if r_source > 0.0:
-            i_src = (v_s - v_bus) * inv_r_source
-            if i_src < 0.0:
-                i_src = 0.0
-            v_bus_new = v_bus + dt * (i_src - i_branch - i_link) * inv_c_bus
-        else:
-            v_free = v_bus + dt * (-i_branch - i_link) * inv_c_bus
-            if v_s >= v_free:
-                i_src = (v_s - v_free) * c_bus_over_dt
-                v_bus_new = v_s
-            else:
-                i_src = 0.0
-                v_bus_new = v_free
-        i_l_new = i_l + dt * v_l * inv_l
-        if not switched and ((i_l > 0.0 and i_l_new < 0.0)
-                             or (i_l < 0.0 and i_l_new > 0.0)):
-            i_l_new = 0.0
-        v_o_new = v_o + dt * (i_link - v_o * inv_r_load) * inv_c_o
-        soc_new = soc + dt * i_l * inv_capacity
-        if soc_new > 1.0:
-            soc_new = 1.0
-        elif soc_new < 0.0:
-            soc_new = 0.0
-        return i_l_new, v_bus_new, v_o_new, soc_new, v_batt, i_src, i_link
-
-    return advance
-
-
 def _initial_conditions(scenario: Scenario) -> tuple[CircuitState, ControllerState]:
     if scenario.initial_state is not None:
         state = scenario.initial_state
@@ -329,87 +253,56 @@ def _initial_conditions(scenario: Scenario) -> tuple[CircuitState, ControllerSta
     return state, ctrl
 
 
-def step(state: CircuitState, ctrl: ControllerState,
-         scenario: Scenario) -> tuple[CircuitState, ControllerState]:
-    """Advance the coupled plant and controller by one integration step.
-
-    The controller (mode selection plus regulation) fires only when the
-    carrier phase sits at a wrap instant; every step feeds the measurement
-    accumulators that the next wrap will average.  Raises
-    :class:`SimulationDiverged` when a state magnitude leaves the bounds.
-    """
-    cfg = scenario.controller
-    n_period = scenario.steps_per_period
-    advance = _make_plant_stepper(scenario)
-    v_s = scenario.source.voltage(state.t)
-
-    in_period = round(ctrl.carrier_phase * n_period)
-    mode = ctrl.mode
-    duty = ctrl.duty
-    phase_cc = ctrl.cc_cv_phase
-    acc_i, acc_vl, acc_vb = ctrl.acc_i_batt, ctrl.acc_v_load, ctrl.acc_v_batt
-    acc_n = ctrl.acc_count
-    if in_period == 0:
-        if scenario.fixed_duty is None:
-            if acc_n > 0:
-                avg_i = acc_i / acc_n
-                avg_vl = acc_vl / acc_n
-                avg_vb = acc_vb / acc_n
-            else:
-                avg_i = state.i_l
-                avg_vl = state.v_c_o
-                avg_vb = (scenario.battery.v_emf_empty
-                          + (scenario.battery.v_emf_full - scenario.battery.v_emf_empty)
-                          * state.soc + scenario.battery.r_int * state.i_l)
-            mode = select_mode(v_s, avg_vb, state.soc, mode, cfg)
-            reg = regulate(avg_vl, avg_i, avg_vb,
-                           ControllerState(mode=mode, duty=duty, cc_cv_phase=phase_cc),
-                           cfg)
-            duty = reg.duty
-            phase_cc = reg.cc_cv_phase
-        else:
-            duty = scenario.fixed_duty
-        acc_i = acc_vl = acc_vb = 0.0
-        acc_n = 0
-
+def _gate_counts(mode: Mode, duty: float, n_period: int) -> tuple[int, int, int]:
+    """Mode code and the on-step counts of S1 and S2 for one carrier period."""
     on_steps = round(duty * n_period)
-    gates = pwm_gate(in_period / n_period, on_steps / n_period, mode)
-    i_l2, v_bus2, v_o2, soc2, v_batt, _i_src, _i_link = advance(
-        state.i_l, state.v_c_bus, state.v_c_o, state.soc, v_s,
-        gates.s1_on, gates.s2_on)
-    if not (abs(i_l2) <= scenario.i_limit and abs(v_bus2) <= scenario.v_limit
-            and abs(v_o2) <= scenario.v_limit):
-        raise SimulationDiverged(
-            f"state out of bounds at t={state.t + scenario.dt:.9f} s "
-            f"(i_l={i_l2:.3g} A, v_c_bus={v_bus2:.3g} V, v_c_o={v_o2:.3g} V)",
-            t=state.t + scenario.dt)
-
-    new_state = CircuitState(i_l=i_l2, v_c_bus=v_bus2, v_c_o=v_o2, soc=soc2,
-                             t=state.t + scenario.dt)
-    new_ctrl = ControllerState(
-        mode=mode, duty=duty, cc_cv_phase=phase_cc,
-        carrier_phase=((in_period + 1) % n_period) / n_period,
-        acc_i_batt=acc_i + state.i_l,
-        acc_v_load=acc_vl + state.v_c_o,
-        acc_v_batt=acc_vb + v_batt,
-        acc_count=acc_n + 1,
-    )
-    return new_state, new_ctrl
+    code = MODE_CODES[mode]
+    return (code, on_steps if code == 0 else 0, on_steps if code == 1 else 0)
 
 
-def run(scenario: Scenario) -> Trace:
-    """Run the scenario from its initial state to t_end; returns the trace.
+def _integrate(scenario: Scenario, state: CircuitState, ctrl: ControllerState,
+               n_steps: int) -> tuple[Trace, CircuitState, ControllerState]:
+    """Advance plant and controller `n_steps` integration steps from the
+    given states; returns the decimated trace (first and, when it falls on
+    the decimation grid, last instant included) and the final states.
 
-    Deterministic: identical scenarios produce bit-identical traces.
+    Each step: source voltage, battery EMF, the controller tick when the
+    carrier phase sits at a wrap, PWM gating, then one explicit Euler update
+    using pre-update values on the right-hand side.  The plant law: an
+    on-gate wins outright; with both gates off the body diode matching the
+    current sign conducts (D2 for positive, D1 for negative current) and the
+    current clamps at zero instead of reversing (discontinuous conduction);
+    the bus node loses the inductor current only while the high side (S1 or
+    D1) conducts.  Raises :class:`SimulationDiverged` when a state magnitude
+    leaves the bounds.
     """
-    state, ctrl = _initial_conditions(scenario)
+    p = scenario.params
+    b = scenario.battery
     cfg = scenario.controller
+    source = scenario.source
     dt = scenario.dt
     dec = scenario.record_decimation
     n_period = scenario.steps_per_period
-    n_steps = round(scenario.t_end / dt)
-    n_rec = n_steps // dec + 1
+    fixed_duty = scenario.fixed_duty
+    i_limit = scenario.i_limit
+    v_limit = scenario.v_limit
+    inv_l = 1.0 / p.l_p
+    inv_c_bus = 1.0 / p.c_bus
+    inv_c_o = 1.0 / p.c_o
+    inv_r_load = 1.0 / p.r_load
+    inv_r_link = 1.0 / p.r_link
+    r_link = p.r_link
+    r_on = p.r_on
+    v_f = p.v_f
+    r_source = p.r_source
+    inv_r_source = 1.0 / r_source if r_source > 0.0 else 0.0
+    c_bus_over_dt = p.c_bus / dt
+    emf_base = b.v_emf_empty
+    emf_span = b.v_emf_full - b.v_emf_empty
+    r_int = b.r_int
+    inv_capacity = 1.0 / b.capacity
 
+    n_rec = n_steps // dec + 1
     time_a = np.empty(n_rec)
     i_l_a = np.empty(n_rec)
     v_bus_a = np.empty(n_rec)
@@ -425,19 +318,6 @@ def run(scenario: Scenario) -> Trace:
     e_batt_a = np.empty(n_rec)
     e_link_a = np.empty(n_rec)
 
-    advance = _make_plant_stepper(scenario)
-    b = scenario.battery
-    emf_base = b.v_emf_empty
-    emf_span = b.v_emf_full - b.v_emf_empty
-    r_int = b.r_int
-    r_link = scenario.params.r_link
-    inv_r_load = 1.0 / scenario.params.r_load
-    i_limit = scenario.i_limit
-    v_limit = scenario.v_limit
-    fixed_duty = scenario.fixed_duty
-    segments = scenario.source.segments
-    n_segments = len(segments)
-
     i_l = state.i_l
     v_bus = state.v_c_bus
     v_o = state.v_c_o
@@ -452,62 +332,45 @@ def run(scenario: Scenario) -> Trace:
     acc_n = ctrl.acc_count
     e_src = e_load = e_batt = e_link = 0.0
 
-    seg_idx = 0
-    seg_start = 0.0
     in_period = round(ctrl.carrier_phase * n_period)
-    on_steps = round(duty * n_period)
+    mode_code, on1, on2 = _gate_counts(mode, duty, n_period)
+    v_s_until = -math.inf
     s1 = s2 = False
     rec = 0
 
-    for k in range(n_steps):
-        # Source profile value at the current instant.
-        while seg_idx < n_segments - 1 and t >= segments[seg_idx].until:
-            seg_start = segments[seg_idx].until
-            seg_idx += 1
-        seg = segments[seg_idx]
-        if t >= seg.until:
-            v_s = seg.v_end
-        elif seg.is_ramp:
-            v_s = seg.v_start + (seg.v_end - seg.v_start) * (
-                (t - seg_start) / (seg.until - seg_start))
-        else:
-            v_s = seg.v_start
+    for k in range(n_steps + 1):
+        if t >= v_s_until:
+            v_s, v_s_until = source.evaluate(t)
+        emf = emf_base + emf_span * soc
+        v_batt = emf + r_int * i_l
+        # The pass after the last step only records the final instant.
+        final = k == n_steps
 
-        if in_period == 0:
-            if fixed_duty is None:
-                if acc_n > 0:
-                    avg_i = acc_i / acc_n
-                    avg_vl = acc_vl / acc_n
-                    avg_vb = acc_vb / acc_n
+        if not final:
+            if in_period == 0:
+                if fixed_duty is None:
+                    if acc_n > 0:
+                        avg_i = acc_i / acc_n
+                        avg_vl = acc_vl / acc_n
+                        avg_vb = acc_vb / acc_n
+                    else:
+                        avg_i = i_l
+                        avg_vl = v_o
+                        avg_vb = v_batt
+                    mode = select_mode(v_s, avg_vb, soc, mode, cfg)
+                    reg = regulate(avg_vl, avg_i, avg_vb,
+                                   ControllerState(mode=mode, duty=duty,
+                                                   cc_cv_phase=phase_cc),
+                                   cfg)
+                    duty = reg.duty
+                    phase_cc = reg.cc_cv_phase
                 else:
-                    avg_i = i_l
-                    avg_vl = v_o
-                    avg_vb = emf_base + emf_span * soc + r_int * i_l
-                mode = select_mode(v_s, avg_vb, soc, mode, cfg)
-                reg = regulate(avg_vl, avg_i, avg_vb,
-                               ControllerState(mode=mode, duty=duty,
-                                               cc_cv_phase=phase_cc),
-                               cfg)
-                duty = reg.duty
-                phase_cc = reg.cc_cv_phase
-            else:
-                duty = fixed_duty
-            acc_i = acc_vl = acc_vb = 0.0
-            acc_n = 0
-            on_steps = round(duty * n_period)
-
-        if mode is Mode.CHARGING:
-            s1 = in_period < on_steps
-            s2 = False
-        elif mode is Mode.DISCHARGING:
-            s1 = False
-            s2 = in_period < on_steps
-        else:
-            s1 = False
-            s2 = False
-
-        i_l2, v_bus2, v_o2, soc2, v_batt, i_src, i_link = advance(
-            i_l, v_bus, v_o, soc, v_s, s1, s2)
+                    duty = fixed_duty
+                acc_i = acc_vl = acc_vb = 0.0
+                acc_n = 0
+                mode_code, on1, on2 = _gate_counts(mode, duty, n_period)
+            s1 = in_period < on1
+            s2 = in_period < on2
 
         if k % dec == 0:
             time_a[rec] = t
@@ -516,7 +379,7 @@ def run(scenario: Scenario) -> Trace:
             v_o_a[rec] = v_o
             v_batt_a[rec] = v_batt
             soc_a[rec] = soc
-            mode_a[rec] = MODE_CODES[mode]
+            mode_a[rec] = mode_code
             duty_a[rec] = duty
             s1_a[rec] = s1
             s2_a[rec] = s2
@@ -525,11 +388,54 @@ def run(scenario: Scenario) -> Trace:
             e_batt_a[rec] = e_batt
             e_link_a[rec] = e_link
             rec += 1
+        if final:
+            break
+
+        # Plant law, one explicit Euler step.
+        if s1:  # buck switch
+            i_l2 = i_l + dt * ((v_bus - r_on * i_l) - v_batt) * inv_l
+            i_branch = i_l
+        elif s2:  # boost switch
+            i_l2 = i_l + dt * ((-r_on * i_l) - v_batt) * inv_l
+            i_branch = 0.0
+        elif i_l > 0.0:  # D2 freewheels
+            i_l2 = i_l + dt * ((-v_f) - v_batt) * inv_l
+            if i_l2 < 0.0:
+                i_l2 = 0.0
+            i_branch = 0.0
+        elif i_l < 0.0:  # D1 returns the current to the bus
+            i_l2 = i_l + dt * ((v_bus + v_f) - v_batt) * inv_l
+            if i_l2 > 0.0:
+                i_l2 = 0.0
+            i_branch = i_l
+        else:  # idle at zero current
+            i_l2 = 0.0
+            i_branch = 0.0
+        i_link = (v_bus - v_o) * inv_r_link
+        if r_source > 0.0:
+            i_src = (v_s - v_bus) * inv_r_source
+            if i_src < 0.0:
+                i_src = 0.0
+            v_bus2 = v_bus + dt * (i_src - i_branch - i_link) * inv_c_bus
+        else:
+            v_free = v_bus + dt * (-i_branch - i_link) * inv_c_bus
+            if v_s >= v_free:
+                i_src = (v_s - v_free) * c_bus_over_dt
+                v_bus2 = v_s
+            else:
+                i_src = 0.0
+                v_bus2 = v_free
+        v_o2 = v_o + dt * (i_link - v_o * inv_r_load) * inv_c_o
+        soc2 = soc + dt * i_l * inv_capacity
+        if soc2 > 1.0:
+            soc2 = 1.0
+        elif soc2 < 0.0:
+            soc2 = 0.0
 
         # Energy meters (left Riemann, pre-update values).
         e_src += dt * v_bus * i_src
         e_load += dt * v_o * v_o * inv_r_load
-        e_batt += dt * (emf_base + emf_span * soc) * i_l
+        e_batt += dt * emf * i_l
         e_link += dt * i_link * i_link * r_link
 
         acc_i += i_l
@@ -553,30 +459,13 @@ def run(scenario: Scenario) -> Trace:
         if in_period == n_period:
             in_period = 0
 
-    if n_steps == 0 or n_steps % dec == 0:
-        time_a[rec] = t
-        i_l_a[rec] = i_l
-        v_bus_a[rec] = v_bus
-        v_o_a[rec] = v_o
-        v_batt_a[rec] = emf_base + emf_span * soc + r_int * i_l
-        soc_a[rec] = soc
-        mode_a[rec] = MODE_CODES[mode]
-        duty_a[rec] = duty
-        s1_a[rec] = s1
-        s2_a[rec] = s2
-        e_src_a[rec] = e_src
-        e_load_a[rec] = e_load
-        e_batt_a[rec] = e_batt
-        e_link_a[rec] = e_link
-        rec += 1
-
-    return Trace(
+    trace = Trace(
         time=time_a[:rec],
         i_l=i_l_a[:rec],
         v_c_bus=v_bus_a[:rec],
         v_c_o=v_o_a[:rec],
         v_batt_terminal=v_batt_a[:rec],
-        i_batt=i_l_a[:rec].copy(),
+        i_batt=i_l_a[:rec],
         soc=soc_a[:rec],
         mode=mode_a[:rec],
         duty=duty_a[:rec],
@@ -587,6 +476,36 @@ def run(scenario: Scenario) -> Trace:
         e_battery=e_batt_a[:rec],
         e_link=e_link_a[:rec],
     )
+    new_state = CircuitState(i_l=i_l, v_c_bus=v_bus, v_c_o=v_o, soc=soc, t=t)
+    new_ctrl = ControllerState(
+        mode=mode, duty=duty, cc_cv_phase=phase_cc,
+        carrier_phase=in_period / n_period,
+        acc_i_batt=acc_i, acc_v_load=acc_vl, acc_v_batt=acc_vb, acc_count=acc_n)
+    return trace, new_state, new_ctrl
+
+
+def step(state: CircuitState, ctrl: ControllerState,
+         scenario: Scenario) -> tuple[CircuitState, ControllerState]:
+    """Advance the coupled plant and controller by one integration step.
+
+    The controller (mode selection plus regulation) fires only when the
+    carrier phase sits at a wrap instant; every step feeds the measurement
+    accumulators that the next wrap will average.  Raises
+    :class:`SimulationDiverged` when a state magnitude leaves the bounds.
+    """
+    _, state, ctrl = _integrate(scenario, state, ctrl, 1)
+    return state, ctrl
+
+
+def run(scenario: Scenario) -> Trace:
+    """Run the scenario from its initial state to t_end; returns the trace.
+
+    Deterministic: identical scenarios produce bit-identical traces.
+    """
+    state, ctrl = _initial_conditions(scenario)
+    trace, _, _ = _integrate(scenario, state, ctrl,
+                             round(scenario.t_end / scenario.dt))
+    return trace
 
 
 @dataclass(frozen=True)

@@ -145,6 +145,19 @@ class TestSimulateCommand:
         assert main(["simulate", str(path)]) == 1
         assert "line 2" in capsys.readouterr().err
 
+    def test_non_finite_value_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "inf.scenario"
+        path.write_text(
+            "[converter]\nv_bus_nominal = 24\nl_p = inf\nc_bus = 1000u\nc_o = 250u\n"
+            "f_s = 20k\nr_load = 10\n"
+            "[battery]\nv_emf_full = 12\ncapacity = 7200\n"
+            "[controller]\n"
+            "[source]\nuntil=1 volts=24\n"
+            "[sim]\nt_end = 1m\ndt = 2.5u\n")
+        assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 1
+        assert "line 3" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_divergence_exit_code(self, tmp_path, capsys):
         path = tmp_path / "blowup.scenario"
         path.write_text(

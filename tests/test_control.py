@@ -2,13 +2,13 @@
 
 import pytest
 
+from bdcsim.analysis import current_envelope
 from bdcsim.control import (
     TRICKLE_EXIT_DROP,
     CcCvPhase,
     ControllerConfig,
     ControllerState,
     Mode,
-    desired_current_envelope,
     initial_controller_state,
     pwm_gate,
     regulate,
@@ -193,18 +193,21 @@ class TestRegulate:
 
 
 class TestEnvelope:
+    """Inductor-current envelope around the regulated average (the function
+    lives in bdcsim.analysis)."""
+
     def test_envelope_around_charging_setpoint(self):
-        assert desired_current_envelope(3.0, 0.3) == pytest.approx((2.85, 3.15))
+        assert current_envelope(3.0, 0.3) == pytest.approx((2.85, 3.15))
 
     def test_zero_ripple_collapses(self):
-        assert desired_current_envelope(2.0, 0.0) == pytest.approx((2.0, 2.0))
+        assert current_envelope(2.0, 0.0) == pytest.approx((2.0, 2.0))
 
     def test_hand_evaluated_case(self):
-        assert desired_current_envelope(2.0, 0.6) == pytest.approx((1.7, 2.3))
+        assert current_envelope(2.0, 0.6) == pytest.approx((1.7, 2.3))
 
     def test_rejects_negative_ripple(self):
         with pytest.raises(ValueError, match="ripple"):
-            desired_current_envelope(2.0, -0.1)
+            current_envelope(2.0, -0.1)
 
 
 def test_initial_state_soft_starts_at_duty_floor():

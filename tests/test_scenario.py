@@ -56,6 +56,12 @@ class TestParseQuantity:
         with pytest.raises(ValueError):
             parse_quantity("")
 
+    @pytest.mark.parametrize("token",
+                             ["inf", "-inf", "Infinity", "NaN", "infk", "1e308k"])
+    def test_rejects_non_finite(self, token):
+        with pytest.raises(ValueError, match="finite"):
+            parse_quantity(token)
+
 
 class TestScenarioParsing:
     def test_minimal_document(self):
@@ -128,6 +134,13 @@ class TestScenarioParsing:
         text = MINIMAL.replace("l_p = 1m", "l_p = 0")
         with pytest.raises(ScenarioParseError, match="l_p"):
             parse_scenario_text(text)
+
+    def test_fractional_record_decimation_rejected(self):
+        with pytest.raises(ScenarioParseError, match="record_decimation") as info:
+            parse_scenario_text(MINIMAL + "record_decimation = 2.7\n")
+        assert info.value.line is not None
+        scn = parse_scenario_text(MINIMAL + "record_decimation = 3\n")
+        assert scn.record_decimation == 3
 
     def test_bundled_scenarios_parse(self, scenarios_dir):
         for path in sorted(scenarios_dir.glob("*.scenario")):

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
-from bdcsim.control import ControllerConfig, Mode, initial_controller_state
+from bdcsim.control import (
+    ControllerConfig,
+    ControllerState,
+    Mode,
+    initial_controller_state,
+    pwm_gate,
+)
 from bdcsim.sim import (
+    MODE_CODES,
     Scenario,
     SimulationDiverged,
     SourceProfile,
@@ -125,6 +132,64 @@ class TestStep:
                 assert trace.duty[j] == ctrl.duty
 
 
+LOSSY_PARAMS = ConverterParams(v_bus_nominal=24.0, l_p=1e-3, c_bus=1000e-6,
+                               c_o=250e-6, f_s=20e3, r_load=10.0, r_on=0.1,
+                               v_f=0.6, r_source=0.5)
+LOSSY_BATTERY = BatteryModel(v_emf_full=12.6, v_emf_empty=11.8, r_int=0.1,
+                             capacity=7200.0, soc=0.5)
+# path -> (mode holding the gates, pre-step inductor current)
+KERNEL_PATHS = {"S1": (Mode.CHARGING, 2.0), "S2": (Mode.DISCHARGING, -2.0),
+                "D1": (Mode.TRICKLE, -2.0), "D2": (Mode.TRICKLE, 2.0),
+                "idle": (Mode.TRICKLE, 0.0)}
+
+
+def closed_form_step(path, i_l, v_bus, v_o, soc, v_s, p, b, dt):
+    """Explicit Euler update of the switched power stage, written out per
+    conduction path: returns (i_l', v_bus', v_o', soc', v_batt_terminal)."""
+    v_batt = b.v_emf_empty + (b.v_emf_full - b.v_emf_empty) * soc + b.r_int * i_l
+    v_switch_node = {"S1": v_bus - p.r_on * i_l, "S2": -p.r_on * i_l,
+                     "D1": v_bus + p.v_f, "D2": -p.v_f, "idle": v_batt}[path]
+    i_branch = i_l if path in ("S1", "D1") else 0.0
+    i_link = (v_bus - v_o) / p.r_link
+    if p.r_source > 0.0:
+        i_src = max(0.0, (v_s - v_bus) / p.r_source)
+        v_bus_new = v_bus + dt * (i_src - i_branch - i_link) / p.c_bus
+    else:  # stiff source: clamps the bus from below, never sinks current
+        v_bus_new = max(v_s, v_bus + dt * (-i_branch - i_link) / p.c_bus)
+    return (i_l + dt * (v_switch_node - v_batt) / p.l_p,
+            v_bus_new,
+            v_o + dt * (i_link - v_o / p.r_load) / p.c_o,
+            soc + dt * i_l / b.capacity,
+            v_batt)
+
+
+class TestKernelLaw:
+    @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
+    @pytest.mark.parametrize("path", sorted(KERNEL_PATHS))
+    def test_one_step_matches_closed_form(self, path, lossy):
+        """One step() per conduction path against the written-out law, with
+        ideal devices and a stiff source (clamping the bus from 25 V), and
+        with r_on, v_f, r_source, r_int and a sloped EMF."""
+        params, battery = ((LOSSY_PARAMS, LOSSY_BATTERY) if lossy
+                           else (PARAMS, IDEAL_BATTERY))
+        mode, i_l = KERNEL_PATHS[path]
+        scn = Scenario(params=params, battery=battery, controller=ControllerConfig(),
+                       source=SourceProfile.constant(25.0), t_end=2.5e-6, dt=2.5e-6)
+        # Mid-period with a duty that keeps the leg on: no controller tick.
+        ctrl = ControllerState(mode=mode, duty=0.5,
+                               carrier_phase=1 / scn.steps_per_period)
+        x = (i_l, 24.0, 23.5, 0.4)
+        new, new_ctrl = step(CircuitState(*x, t=0.0), ctrl, scn)
+        i_l2, v_bus2, v_o2, soc2, v_batt = closed_form_step(
+            path, *x, 25.0, params, battery, scn.dt)
+        assert new.i_l - i_l == pytest.approx(i_l2 - i_l, rel=1e-9, abs=1e-15)
+        assert new.v_c_bus - x[1] == pytest.approx(v_bus2 - x[1], rel=1e-9)
+        assert new.v_c_o - x[2] == pytest.approx(v_o2 - x[2], rel=1e-9)
+        assert new.soc - x[3] == pytest.approx(soc2 - x[3], rel=1e-9, abs=1e-18)
+        assert new_ctrl.acc_v_batt == pytest.approx(v_batt, rel=1e-12)
+        assert new.t == scn.dt
+
+
 def piecewise_triangle(i_valley, v_bus, v_batt, l_p, duty, f_s, t):
     """Closed-form inductor current for one switching period at fixed duty:
     linear rise while the buck leg conducts, linear fall on the freewheel."""
@@ -232,6 +297,27 @@ class TestRun:
         assert metrics.mean["i_batt"] < 0.0
         codes = set(trace.mode.tolist())
         assert len(codes) >= 2, "expected a mode transition in the trace"
+
+
+class TestGating:
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_samples_match_pwm_gate(self, mode):
+        """Every recorded gate pair equals pwm_gate at that carrier phase,
+        duty and mode.  The last sample repeats the gates of the last step."""
+        scn = make_scenario(t_end=6 / 20e3,
+                            src=0.0 if mode is Mode.DISCHARGING else 24.0,
+                            initial_mode=mode, initial_duty=0.3,
+                            fixed_duty=0.35 if mode is Mode.TRICKLE else None,
+                            initial_state=warm_state())
+        trace = run(scn)
+        n = scn.steps_per_period
+        assert set(trace.mode.tolist()) == {MODE_CODES[mode]}
+        assert len(set(trace.duty.tolist())) > 1 or mode is Mode.TRICKLE
+        for j in range(len(trace) - 1):
+            on_steps = round(trace.duty[j] * n)
+            gates = pwm_gate((j % n) / n, on_steps / n, mode)
+            assert (trace.s1[j], trace.s2[j]) == (gates.s1_on, gates.s2_on), j
+        assert (trace.s1[-1], trace.s2[-1]) == (trace.s1[-2], trace.s2[-2])
 
 
 class TestSteadyWindow:
