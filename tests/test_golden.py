@@ -1,7 +1,8 @@
 """Golden traces: the engine's output is pinned bit for bit.
 
 Each case hashes all fifteen Trace arrays (the eleven CSV columns and the
-four energy meters) with SHA-256.  Between them the cases exercise a ramp
+four energy meters) with SHA-256, and separately the bytes that
+`Trace.to_csv` writes for the same trace.  Between them the cases exercise a ramp
 segment, the charging <-> discharging and charging <-> trickle transitions,
 a weak source (r_source > 0), the discontinuous-conduction clamp, lossy
 devices (r_on, v_f > 0) and the open-loop fixed_duty override.  A refactor
@@ -104,6 +105,14 @@ GOLDEN = {
     "boost": "0632c5a501f923f86fe569ea71a6b446592e7060d1b6488200a6b9faa95efafc",
 }
 
+GOLDEN_CSV = {
+    "quick": "4c58930861996b755208109d38d34dcce7f6044af9ce83798956d40099f8c82e",
+    "ramp": "c67dbebf8a0b82d6982f8654c056d1e16a97894e8e6c048da6691d98a3ed0f2f",
+    "dcm": "1f6b08ac817d66db6772fbd7ff933912ff800febc77c3d69bdf7f19ef023fab1",
+    "trickle": "d0126ba295a059ac9f4e4bbe96adc82d921b83791b1e3e13e70d05b5cdcf46a9",
+    "boost": "2e20c230589cab71e61ed611f3843545f76ddb3166e92e401e9e643533842aab",
+}
+
 
 def build(name, scenarios_dir) -> Scenario:
     if name == "quick":
@@ -115,6 +124,13 @@ def build(name, scenarios_dir) -> Scenario:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_digest_unchanged(name, scenarios_dir):
     assert trace_digest(run(build(name, scenarios_dir))) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
+def test_csv_digest_unchanged(name, scenarios_dir, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    run(build(name, scenarios_dir)).to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_CSV[name]
 
 
 def test_cases_cover_the_engine_paths():
