@@ -11,6 +11,7 @@ import sys
 from pathlib import Path
 
 from . import analysis
+from .control import Mode
 from .design import DesignSpec, design
 from .scenario import (
     ScenarioParseError,
@@ -18,7 +19,7 @@ from .scenario import (
     parse_quantity,
     parse_scenario_file,
 )
-from .sim import MODE_NAMES, SimulationDiverged, run, steady_window, trace_from_csv
+from .sim import SimulationDiverged, run, steady_window, trace_from_csv
 
 _DESIGN_FLAGS = (
     ("pv-voltage", "pv_voltage", "PV array voltage [V]"),
@@ -190,9 +191,9 @@ def _analyze_regulation(path: Path, args: argparse.Namespace) -> list[str]:
 
 
 def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
-    trace = trace_from_csv(path)
     if args.inductance is None or args.switching_frequency is None:
         raise ValueError("trace analysis needs --inductance and --switching-frequency")
+    trace = trace_from_csv(path)
     f_s = args.switching_frequency
     metrics = steady_window(trace, n_periods=args.periods, f_s=f_s)
     lines = [f"trace: {path} ({len(trace)} samples, {trace.time[-1]:.6f} s)"]
@@ -201,15 +202,12 @@ def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
     d = metrics.mean["duty"]
     v_bus = metrics.mean["v_c_bus"]
     v_batt = metrics.mean["v_batt_terminal"]
-    if dominant == MODE_NAMES[0]:        # charging
+    if dominant == Mode.CHARGING.value:
         pred = analysis.predicted_ripple_buck(v_bus, v_batt, args.inductance, d, f_s)
-        label = "charging"
-    elif dominant == MODE_NAMES[1]:      # discharging
+    elif dominant == Mode.DISCHARGING.value:
         pred = analysis.predicted_ripple_boost(v_bus, v_batt, args.inductance, d, f_s)
-        label = "discharging"
     else:
         pred = None
-        label = "trickle"
     if pred is not None:
         lo, hi = analysis.current_envelope(metrics.mean["i_batt"], pred.ripple)
         if args.format == "csv":
@@ -221,7 +219,7 @@ def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
                     f"predicted_ripple_companion,{pred.companion:.9g}",
                     f"envelope_min,{lo:.9g}",
                     f"envelope_max,{hi:.9g}"]
-        lines.append(f"  predicted ripple ({label}): {pred.ripple:.4g} A "
+        lines.append(f"  predicted ripple ({dominant}): {pred.ripple:.4g} A "
                      f"(companion form {pred.companion:.4g} A)")
         lines.append(f"  current envelope: {lo:.4g} .. {hi:.4g} A "
                      f"around mean {metrics.mean['i_batt']:.4g} A")

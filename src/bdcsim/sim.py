@@ -17,8 +17,9 @@ profile voltage (panel-side sensing), not the converter-held bus.
 
 from __future__ import annotations
 
-import csv
 import math
+import os
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +34,32 @@ from .control import (
     select_mode,
 )
 
-MODE_CODES = {Mode.CHARGING: 0, Mode.DISCHARGING: 1, Mode.TRICKLE: 2}
-MODE_NAMES = {0: "charging", 1: "discharging", 2: "trickle"}
+MODE_CODES = {mode: code for code, mode in enumerate(Mode)}
+MODE_NAMES = {code: mode.value for mode, code in MODE_CODES.items()}
 
-TRACE_COLUMNS = ("time", "i_l", "v_c_bus", "v_c_o", "v_batt_terminal",
-                 "i_batt", "soc", "mode", "duty", "s1", "s2")
+# The trace CSV format, one entry per column: its name, its dtype in a Trace
+# and its printf format in the file.  `mode` is written as the mode's name.
+_TRACE_FORMAT = (
+    ("time", np.float64, "%.9f"),
+    ("i_l", np.float64, "%.9g"),
+    ("v_c_bus", np.float64, "%.9g"),
+    ("v_c_o", np.float64, "%.9g"),
+    ("v_batt_terminal", np.float64, "%.9g"),
+    ("i_batt", np.float64, "%.9g"),
+    ("soc", np.float64, "%.9g"),
+    ("mode", np.int8, "%s"),
+    ("duty", np.float64, "%.9g"),
+    ("s1", np.bool_, "%d"),
+    ("s2", np.bool_, "%d"),
+)
+TRACE_COLUMNS = tuple(name for name, _, _ in _TRACE_FORMAT)
+_TRACE_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in _TRACE_FORMAT])
+# Rows end in CRLF, the line end of the csv module's default dialect.
+_TRACE_ROW = ",".join(fmt for _, _, fmt in _TRACE_FORMAT) + "\r\n"
+_MODE_COLUMN = TRACE_COLUMNS.index("mode")
+_MODE_CODE = {name: code for code, name in MODE_NAMES.items()}
+# Rows formatted per write: bounds the Python row tuples held at once.
+_CSV_BLOCK = 1 << 16
 
 
 class SimulationDiverged(RuntimeError):
@@ -178,67 +200,45 @@ class Trace:
         return getattr(self, name)
 
     def to_csv(self, path) -> None:
-        """Write the trace; time with 9 decimal digits, SI units throughout."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(TRACE_COLUMNS)
-            for j in range(len(self.time)):
-                writer.writerow((
-                    f"{self.time[j]:.9f}",
-                    f"{self.i_l[j]:.9g}",
-                    f"{self.v_c_bus[j]:.9g}",
-                    f"{self.v_c_o[j]:.9g}",
-                    f"{self.v_batt_terminal[j]:.9g}",
-                    f"{self.i_batt[j]:.9g}",
-                    f"{self.soc[j]:.9g}",
-                    MODE_NAMES[int(self.mode[j])],
-                    f"{self.duty[j]:.9g}",
-                    int(self.s1[j]),
-                    int(self.s2[j]),
-                ))
+        """Write the trace; time with 9 decimal digits, SI units throughout.
+        Rows go to a temporary file renamed onto `path` once complete, so an
+        interrupted write leaves `path` as it was."""
+        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+        fh = open(tmp, "w", newline="")
+        try:
+            with fh:
+                fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+                for a in range(0, len(self), _CSV_BLOCK):
+                    cols = [self.column(name)[a:a + _CSV_BLOCK].tolist()
+                            for name in TRACE_COLUMNS]
+                    cols[_MODE_COLUMN] = [MODE_NAMES[code] for code in cols[_MODE_COLUMN]]
+                    fh.write("".join(_TRACE_ROW % row for row in zip(*cols)))
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
 
 
 def trace_from_csv(path) -> Trace:
-    """Read a trace CSV written by :meth:`Trace.to_csv`."""
-    name_to_code = {v: k for k, v in MODE_NAMES.items()}
-    cols: dict[str, list] = {name: [] for name in TRACE_COLUMNS}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or tuple(header) != TRACE_COLUMNS:
+    """Read a trace CSV written by :meth:`Trace.to_csv`; the energy meters
+    are not in the file and read back as zeros.  A malformed row raises
+    ValueError with the path and numpy's row and column."""
+    with open(path) as fh:
+        if tuple(fh.readline().rstrip("\n").split(",")) != TRACE_COLUMNS:
             raise ValueError(f"{path}: not a trace CSV (unexpected header)")
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(TRACE_COLUMNS):
-                raise ValueError(f"{path}: row {row_no}: expected "
-                                 f"{len(TRACE_COLUMNS)} fields, got {len(row)}")
-            try:
-                for name, value in zip(TRACE_COLUMNS, row):
-                    if name == "mode":
-                        cols[name].append(name_to_code[value])
-                    elif name in ("s1", "s2"):
-                        cols[name].append(int(value))
-                    else:
-                        cols[name].append(float(value))
-            except (ValueError, KeyError) as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from exc
-    n = len(cols["time"])
-    return Trace(
-        time=np.asarray(cols["time"]),
-        i_l=np.asarray(cols["i_l"]),
-        v_c_bus=np.asarray(cols["v_c_bus"]),
-        v_c_o=np.asarray(cols["v_c_o"]),
-        v_batt_terminal=np.asarray(cols["v_batt_terminal"]),
-        i_batt=np.asarray(cols["i_batt"]),
-        soc=np.asarray(cols["soc"]),
-        mode=np.asarray(cols["mode"], dtype=np.int8),
-        duty=np.asarray(cols["duty"]),
-        s1=np.asarray(cols["s1"], dtype=bool),
-        s2=np.asarray(cols["s2"], dtype=bool),
-        e_source=np.zeros(n),
-        e_load=np.zeros(n),
-        e_battery=np.zeros(n),
-        e_link=np.zeros(n),
-    )
+        try:
+            with warnings.catch_warnings():
+                # A header-only file is an empty trace, not a warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                rows = np.loadtxt(
+                    fh, dtype=_TRACE_DTYPE, delimiter=",", comments=None, ndmin=1,
+                    converters={_MODE_COLUMN: _MODE_CODE.__getitem__})
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+    n = len(rows)
+    return Trace(**{name: np.ascontiguousarray(rows[name]) for name in TRACE_COLUMNS},
+                 e_source=np.zeros(n), e_load=np.zeros(n),
+                 e_battery=np.zeros(n), e_link=np.zeros(n))
 
 
 def _initial_conditions(scenario: Scenario) -> tuple[CircuitState, ControllerState]:

@@ -110,6 +110,15 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(out_csv)]) == 1
         assert "--inductance" in capsys.readouterr().err
 
+    def test_plant_flags_checked_before_the_trace_is_read(self, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text("time,i_l,v_c_bus,v_c_o,v_batt_terminal,i_batt,soc,mode,duty,s1,s2\n"
+                        "not,a,row\n")
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "--inductance and --switching-frequency" in err
+        assert "row" not in err
+
 
 class TestSimulateCommand:
     def test_writes_trace_and_summary(self, scenarios_dir, tmp_path, capsys):

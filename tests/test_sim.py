@@ -1,8 +1,13 @@
 """Time-domain engine: stepping, tracing, steady-window metrics."""
 
+import re
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from bdcsim.cli import main
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
 from bdcsim.control import (
     ControllerConfig,
@@ -17,6 +22,7 @@ from bdcsim.sim import (
     SimulationDiverged,
     SourceProfile,
     SourceSegment,
+    TRACE_COLUMNS,
     Trace,
     run,
     steady_window,
@@ -356,17 +362,67 @@ class TestSteadyWindow:
             steady_window(trace, 0, 20e3)
 
 
+PLANT_FLAGS = ("--inductance", "1m", "--switching-frequency", "20k")
+GOOD_ROW = "0.000002500,0.1,24,0.5,12,0.1,0.5,charging,0.5,1,0"
+BAD_ROWS = {
+    "bad float": "0.000002500,0.1,24,abc,12,0.1,0.5,charging,0.5,1,0",
+    "10 fields": "0.000002500,0.1,24,0.5,12,0.1,0.5,charging,0.5,1",
+    "12 fields": GOOD_ROW + ",0",
+    "unknown mode": "0.000002500,0.1,24,0.5,12,0.1,0.5,resting,0.5,1,0",
+}
+
+
 class TestTraceCsv:
     def test_round_trip(self, tmp_path):
         trace = run(make_scenario(t_end=1e-3))
+        # Every mode name, not only the one this run stays in.
+        trace = replace(trace, mode=(np.arange(len(trace)) % 3).astype(np.int8))
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
         back = trace_from_csv(path)
-        assert len(back) == len(trace)
-        assert np.allclose(back.i_l, trace.i_l, rtol=1e-8, atol=1e-12)
-        assert np.allclose(back.v_c_o, trace.v_c_o, rtol=1e-8)
-        assert np.array_equal(back.mode, trace.mode)
-        assert np.array_equal(back.s1, trace.s1)
+        for name in TRACE_COLUMNS:
+            col = back.column(name)
+            assert col.flags.c_contiguous, name
+            assert col.dtype == trace.column(name).dtype, name
+            if col.dtype == np.float64:
+                fmt = ".9f" if name == "time" else ".9g"
+                expected = [float(format(x, fmt)) for x in trace.column(name).tolist()]
+                assert col.tolist() == expected, name
+            else:
+                assert np.array_equal(col, trace.column(name)), name
+        assert not back.e_source.any() and len(back.e_link) == len(trace)
+
+    @pytest.mark.parametrize("case", sorted(BAD_ROWS))
+    def test_malformed_row_names_the_path(self, case, tmp_path, capsys):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + GOOD_ROW + "\n"
+                        + BAD_ROWS[case] + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            trace_from_csv(path)
+        assert main(["analyze", str(path), *PLANT_FLAGS]) == 1
+        assert str(path) in capsys.readouterr().err
+
+    def test_header_only_is_an_empty_trace(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\r\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            back = trace_from_csv(path)
+            assert main(["analyze", str(path), *PLANT_FLAGS]) == 1
+        assert len(back) == 0 and back.mode.dtype == np.int8
+        assert "too short" in capsys.readouterr().err
+
+    def test_failed_write_leaves_the_old_file(self, tmp_path):
+        trace = run(make_scenario(t_end=1e-3))
+        path = tmp_path / "trace.csv"
+        trace.to_csv(path)
+        before = path.read_bytes()
+        mode = trace.mode.copy()
+        mode[-1] = 7  # no mode has this code
+        with pytest.raises(KeyError):
+            replace(trace, mode=mode).to_csv(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]
 
     def test_header_and_time_format(self, tmp_path):
         trace = run(make_scenario(t_end=1e-4))
