@@ -8,6 +8,26 @@ changes (gate edges, diode handoff, the discontinuous-conduction clamp)
 happen between steps, which is why a high-order smooth integrator would buy
 nothing here.
 
+Two kernels take the steps.  The scalar kernel (`_Engine.euler`, driven
+alone by `_integrate`, the reference) takes one Euler step at a time.  The
+period kernel (`_Engine.period`) serves `run()`: the converter is
+switched-affine, so within one conduction path and one source regime an
+Euler step is a fixed affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc),
+and with the duty fixed between carrier wraps a period is at most two such
+maps, the on-interval and the off-interval.  Stacked powers A^k, built once
+per path, regime and hold voltage, give every state of the period from one
+vector-matrix product per interval; the samples, the controller's
+accumulators and the energy meters follow from slices, sums and cumulative
+sums.  The period kernel declines a period, which the scalar kernel then
+takes from its start, when the source voltage changes within it (a ramp or
+a segment end), the DCM clamp would fire (the D2 or D1 current reaches
+zero), the source changes regime (the stiff-source clamp, or i_src >= 0 for
+r_source > 0), SoC leaves [0, 1] or a state leaves the divergence bounds.
+It also leaves a partial period at the end of the horizon to the scalar
+kernel.  Its float columns agree with the scalar kernel's to within 1e-9 of
+each column's magnitude; the time base, the controller's decisions and the
+gates are identical.
+
 The PV source only ever sources current, like a diode-isolated panel: with
 r_source = 0 the bus is clamped to the profile voltage whenever that voltage
 is above the bus, and floats otherwise, so a collapsed source leaves the bus
@@ -260,228 +280,491 @@ def _gate_counts(mode: Mode, duty: float, n_period: int) -> tuple[int, int, int]
     return (code, on_steps if code == 0 else 0, on_steps if code == 1 else 0)
 
 
-def _integrate(scenario: Scenario, state: CircuitState, ctrl: ControllerState,
-               n_steps: int) -> tuple[Trace, CircuitState, ControllerState]:
-    """Advance plant and controller `n_steps` integration steps from the
-    given states; returns the decimated trace (first and, when it falls on
-    the decimation grid, last instant included) and the final states.
+# The arrays an integration records, in the order the kernels fill them:
+# every Trace field but i_batt, which is i_l.
+_RECORDED = (("time", np.float64), ("i_l", np.float64), ("v_c_bus", np.float64),
+             ("v_c_o", np.float64), ("v_batt_terminal", np.float64),
+             ("soc", np.float64), ("e_source", np.float64), ("e_load", np.float64),
+             ("e_battery", np.float64), ("e_link", np.float64), ("mode", np.int8),
+             ("duty", np.float64), ("s1", np.bool_), ("s2", np.bool_))
+# Conduction paths on which the bus carries the inductor current.
+_BUS_PATHS = ("S1", "D1")
 
-    Each step: source voltage, battery EMF, the controller tick when the
-    carrier phase sits at a wrap, PWM gating, then one explicit Euler update
-    using pre-update values on the right-hand side.  The plant law: an
-    on-gate wins outright; with both gates off the body diode matching the
-    current sign conducts (D2 for positive, D1 for negative current) and the
-    current clamps at zero instead of reversing (discontinuous conduction);
-    the bus node loses the inductor current only while the high side (S1 or
-    D1) conducts.  Raises :class:`SimulationDiverged` when a state magnitude
-    leaves the bounds.
+
+def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.ndarray:
+    """One explicit Euler step along a conduction path ("S1", "S2", "D2",
+    "D1" or "idle") as a homogeneous 5x5 matrix on (i_l, v_c_bus, v_c_o,
+    soc, 1), with the source at v_s conducting (r_source > 0) or clamping
+    the bus (stiff source) when `source_on`.  It holds while the path and
+    the source regime do: the DCM, source and SoC clamps are not in it."""
+    p, b, dt = scenario.params, scenario.battery, scenario.dt
+    m = np.zeros((5, 5))
+    if path != "idle":
+        # i_l + dt/L * (v_switch - v_batt), v_switch = a*i_l + c*v_bus + v0.
+        a, c, v0 = {"S1": (-p.r_on, 1.0, 0.0), "S2": (-p.r_on, 0.0, 0.0),
+                    "D2": (0.0, 0.0, -p.v_f), "D1": (0.0, 1.0, p.v_f)}[path]
+        h = dt / p.l_p
+        m[0] = (1.0 + h * (a - b.r_int), h * c, 0.0,
+                -h * (b.v_emf_full - b.v_emf_empty), h * (v0 - b.v_emf_empty))
+    if source_on and p.r_source == 0.0:
+        m[1, 4] = v_s
+    else:
+        # v_bus + dt/C_bus * (i_src - i_branch - (v_bus - v_o)/r_link).
+        g = dt / p.c_bus
+        y = 1.0 / p.r_source if source_on else 0.0
+        m[1] = (-g if path in _BUS_PATHS else 0.0, 1.0 - g * (y + 1.0 / p.r_link),
+                g / p.r_link, 0.0, g * y * v_s)
+    h = dt / p.c_o
+    m[2] = (0.0, h / p.r_link, 1.0 - h * (1.0 / p.r_link + 1.0 / p.r_load), 0.0, 0.0)
+    m[3] = (dt / b.capacity, 0.0, 0.0, 1.0, 0.0)
+    m[4, 4] = 1.0
+    return m
+
+
+class _Engine:
+    """One integration from a start state: the scenario's constants, the
+    plant, controller and energy-meter state carried between calls, and
+    the trace arrays it records into (none when `n_rec` is 0).
+
+    :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
+    :meth:`period` the batched one; the drivers :func:`_integrate`,
+    :func:`run` and :func:`step` call them.
     """
-    p = scenario.params
-    b = scenario.battery
-    cfg = scenario.controller
-    source = scenario.source
-    dt = scenario.dt
-    dec = scenario.record_decimation
-    n_period = scenario.steps_per_period
-    fixed_duty = scenario.fixed_duty
-    i_limit = scenario.i_limit
-    v_limit = scenario.v_limit
-    inv_l = 1.0 / p.l_p
-    inv_c_bus = 1.0 / p.c_bus
-    inv_c_o = 1.0 / p.c_o
-    inv_r_load = 1.0 / p.r_load
-    inv_r_link = 1.0 / p.r_link
-    r_link = p.r_link
-    r_on = p.r_on
-    v_f = p.v_f
-    r_source = p.r_source
-    inv_r_source = 1.0 / r_source if r_source > 0.0 else 0.0
-    c_bus_over_dt = p.c_bus / dt
-    emf_base = b.v_emf_empty
-    emf_span = b.v_emf_full - b.v_emf_empty
-    r_int = b.r_int
-    inv_capacity = 1.0 / b.capacity
 
-    n_rec = n_steps // dec + 1
-    time_a = np.empty(n_rec)
-    i_l_a = np.empty(n_rec)
-    v_bus_a = np.empty(n_rec)
-    v_o_a = np.empty(n_rec)
-    v_batt_a = np.empty(n_rec)
-    soc_a = np.empty(n_rec)
-    mode_a = np.empty(n_rec, dtype=np.int8)
-    duty_a = np.empty(n_rec)
-    s1_a = np.empty(n_rec, dtype=bool)
-    s2_a = np.empty(n_rec, dtype=bool)
-    e_src_a = np.empty(n_rec)
-    e_load_a = np.empty(n_rec)
-    e_batt_a = np.empty(n_rec)
-    e_link_a = np.empty(n_rec)
+    def __init__(self, scenario: Scenario, state: CircuitState, ctrl: ControllerState,
+                 n_rec: int):
+        p = scenario.params
+        b = scenario.battery
+        self.scenario = scenario
+        self.n_period = scenario.steps_per_period
+        self.dt = scenario.dt
+        self.inv_l = 1.0 / p.l_p
+        self.inv_c_bus = 1.0 / p.c_bus
+        self.inv_c_o = 1.0 / p.c_o
+        self.inv_r_load = 1.0 / p.r_load
+        self.inv_r_link = 1.0 / p.r_link
+        self.inv_r_source = 1.0 / p.r_source if p.r_source > 0.0 else 0.0
+        self.c_bus_over_dt = p.c_bus / scenario.dt
+        self.emf_base = b.v_emf_empty
+        self.emf_span = b.v_emf_full - b.v_emf_empty
+        self.inv_capacity = 1.0 / b.capacity
 
-    i_l = state.i_l
-    v_bus = state.v_c_bus
-    v_o = state.v_c_o
-    soc = state.soc
-    t = state.t
-    mode = ctrl.mode
-    duty = ctrl.duty
-    phase_cc = ctrl.cc_cv_phase
-    acc_i = ctrl.acc_i_batt
-    acc_vl = ctrl.acc_v_load
-    acc_vb = ctrl.acc_v_batt
-    acc_n = ctrl.acc_count
-    e_src = e_load = e_batt = e_link = 0.0
+        self.i_l = state.i_l
+        self.v_bus = state.v_c_bus
+        self.v_o = state.v_c_o
+        self.soc = state.soc
+        self.t = state.t
+        self.mode = ctrl.mode
+        self.duty = ctrl.duty
+        self.phase_cc = ctrl.cc_cv_phase
+        self.acc_i = ctrl.acc_i_batt
+        self.acc_vl = ctrl.acc_v_load
+        self.acc_vb = ctrl.acc_v_batt
+        self.acc_n = ctrl.acc_count
+        self.e_src = self.e_load = self.e_batt = self.e_link = 0.0
+        self.in_period = round(ctrl.carrier_phase * self.n_period)
+        self.mode_code, self.on1, self.on2 = _gate_counts(self.mode, self.duty,
+                                                          self.n_period)
+        self.s1 = self.s2 = False
+        self.v_s = math.nan
+        self.v_s_until = -math.inf
+        self.k = 0                          # steps taken
+        self.rec = 0                        # samples recorded
+        self.k_rec = 0 if n_rec else -1     # step of the next sample
+        self.cols = tuple(np.empty(n_rec, dtype) for _, dtype in _RECORDED) if n_rec else None
+        self.stacks = None                  # batched-period buffers, made on first use
 
-    in_period = round(ctrl.carrier_phase * n_period)
-    mode_code, on1, on2 = _gate_counts(mode, duty, n_period)
-    v_s_until = -math.inf
-    s1 = s2 = False
-    rec = 0
+    def tick(self) -> None:
+        """The controller at a carrier wrap: mode and duty from the period
+        averages (the instantaneous values on a cold start), or the fixed
+        duty; then the gate counts of the period that starts."""
+        if self.t >= self.v_s_until:
+            self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
+        fixed_duty = self.scenario.fixed_duty
+        if fixed_duty is None:
+            cfg = self.scenario.controller
+            if self.acc_n > 0:
+                avg_i = self.acc_i / self.acc_n
+                avg_vl = self.acc_vl / self.acc_n
+                avg_vb = self.acc_vb / self.acc_n
+            else:
+                avg_i = self.i_l
+                avg_vl = self.v_o
+                avg_vb = (self.emf_base + self.emf_span * self.soc
+                          + self.scenario.battery.r_int * self.i_l)
+            self.mode = select_mode(self.v_s, avg_vb, self.soc, self.mode, cfg)
+            reg = regulate(avg_vl, avg_i, avg_vb,
+                           ControllerState(mode=self.mode, duty=self.duty,
+                                           cc_cv_phase=self.phase_cc),
+                           cfg)
+            self.duty = reg.duty
+            self.phase_cc = reg.cc_cv_phase
+        else:
+            self.duty = fixed_duty
+        self.acc_i = self.acc_vl = self.acc_vb = 0.0
+        self.acc_n = 0
+        self.mode_code, self.on1, self.on2 = _gate_counts(self.mode, self.duty,
+                                                          self.n_period)
 
-    for k in range(n_steps + 1):
-        if t >= v_s_until:
-            v_s, v_s_until = source.evaluate(t)
-        emf = emf_base + emf_span * soc
-        v_batt = emf + r_int * i_l
-        # The pass after the last step only records the final instant.
-        final = k == n_steps
+    def euler(self, n_steps: int) -> None:
+        """The scalar kernel: `n_steps` explicit Euler steps, none across a
+        carrier wrap, recording the pre-update state at each decimation point.
 
-        if not final:
-            if in_period == 0:
-                if fixed_duty is None:
-                    if acc_n > 0:
-                        avg_i = acc_i / acc_n
-                        avg_vl = acc_vl / acc_n
-                        avg_vb = acc_vb / acc_n
-                    else:
-                        avg_i = i_l
-                        avg_vl = v_o
-                        avg_vb = v_batt
-                    mode = select_mode(v_s, avg_vb, soc, mode, cfg)
-                    reg = regulate(avg_vl, avg_i, avg_vb,
-                                   ControllerState(mode=mode, duty=duty,
-                                                   cc_cv_phase=phase_cc),
-                                   cfg)
-                    duty = reg.duty
-                    phase_cc = reg.cc_cv_phase
-                else:
-                    duty = fixed_duty
-                acc_i = acc_vl = acc_vb = 0.0
-                acc_n = 0
-                mode_code, on1, on2 = _gate_counts(mode, duty, n_period)
+        Each step: source voltage, battery EMF, PWM gating, then one update
+        with pre-update values on the right-hand side.  The plant law: an
+        on-gate wins outright; with both gates off the body diode matching
+        the current sign conducts (D2 for positive, D1 for negative current)
+        and the current clamps at zero instead of reversing (discontinuous
+        conduction); the bus node loses the inductor current only while the
+        high side (S1 or D1) conducts.  Raises :class:`SimulationDiverged`
+        when a state magnitude leaves the bounds.
+        """
+        scn = self.scenario
+        p = scn.params
+        source = scn.source
+        dt = self.dt
+        dec = scn.record_decimation
+        i_limit = scn.i_limit
+        v_limit = scn.v_limit
+        inv_l = self.inv_l
+        inv_c_bus = self.inv_c_bus
+        inv_c_o = self.inv_c_o
+        inv_r_load = self.inv_r_load
+        inv_r_link = self.inv_r_link
+        inv_r_source = self.inv_r_source
+        c_bus_over_dt = self.c_bus_over_dt
+        r_link = p.r_link
+        r_on = p.r_on
+        v_f = p.v_f
+        r_source = p.r_source
+        emf_base = self.emf_base
+        emf_span = self.emf_span
+        r_int = scn.battery.r_int
+        inv_capacity = self.inv_capacity
+        mode_code = self.mode_code
+        duty = self.duty
+        on1 = self.on1
+        on2 = self.on2
+
+        i_l = self.i_l
+        v_bus = self.v_bus
+        v_o = self.v_o
+        soc = self.soc
+        t = self.t
+        acc_i = self.acc_i
+        acc_vl = self.acc_vl
+        acc_vb = self.acc_vb
+        e_src = self.e_src
+        e_load = self.e_load
+        e_batt = self.e_batt
+        e_link = self.e_link
+        in_period = self.in_period
+        v_s = self.v_s
+        v_s_until = self.v_s_until
+        rec = self.rec
+        k_rec = self.k_rec
+        if self.cols is not None:
+            (time_a, i_l_a, v_bus_a, v_o_a, v_batt_a, soc_a, e_src_a, e_load_a,
+             e_batt_a, e_link_a, mode_a, duty_a, s1_a, s2_a) = self.cols
+
+        for k in range(self.k, self.k + n_steps):
+            if t >= v_s_until:
+                v_s, v_s_until = source.evaluate(t)
+            emf = emf_base + emf_span * soc
+            v_batt = emf + r_int * i_l
             s1 = in_period < on1
             s2 = in_period < on2
 
-        if k % dec == 0:
-            time_a[rec] = t
-            i_l_a[rec] = i_l
-            v_bus_a[rec] = v_bus
-            v_o_a[rec] = v_o
-            v_batt_a[rec] = v_batt
-            soc_a[rec] = soc
-            mode_a[rec] = mode_code
-            duty_a[rec] = duty
-            s1_a[rec] = s1
-            s2_a[rec] = s2
-            e_src_a[rec] = e_src
-            e_load_a[rec] = e_load
-            e_batt_a[rec] = e_batt
-            e_link_a[rec] = e_link
-            rec += 1
-        if final:
-            break
+            if k == k_rec:
+                time_a[rec] = t
+                i_l_a[rec] = i_l
+                v_bus_a[rec] = v_bus
+                v_o_a[rec] = v_o
+                v_batt_a[rec] = v_batt
+                soc_a[rec] = soc
+                e_src_a[rec] = e_src
+                e_load_a[rec] = e_load
+                e_batt_a[rec] = e_batt
+                e_link_a[rec] = e_link
+                mode_a[rec] = mode_code
+                duty_a[rec] = duty
+                s1_a[rec] = s1
+                s2_a[rec] = s2
+                rec += 1
+                k_rec += dec
 
-        # Plant law, one explicit Euler step.
-        if s1:  # buck switch
-            i_l2 = i_l + dt * ((v_bus - r_on * i_l) - v_batt) * inv_l
-            i_branch = i_l
-        elif s2:  # boost switch
-            i_l2 = i_l + dt * ((-r_on * i_l) - v_batt) * inv_l
-            i_branch = 0.0
-        elif i_l > 0.0:  # D2 freewheels
-            i_l2 = i_l + dt * ((-v_f) - v_batt) * inv_l
-            if i_l2 < 0.0:
+            if s1:  # buck switch
+                i_l2 = i_l + dt * ((v_bus - r_on * i_l) - v_batt) * inv_l
+                i_branch = i_l
+            elif s2:  # boost switch
+                i_l2 = i_l + dt * ((-r_on * i_l) - v_batt) * inv_l
+                i_branch = 0.0
+            elif i_l > 0.0:  # D2 freewheels
+                i_l2 = i_l + dt * ((-v_f) - v_batt) * inv_l
+                if i_l2 < 0.0:
+                    i_l2 = 0.0
+                i_branch = 0.0
+            elif i_l < 0.0:  # D1 returns the current to the bus
+                i_l2 = i_l + dt * ((v_bus + v_f) - v_batt) * inv_l
+                if i_l2 > 0.0:
+                    i_l2 = 0.0
+                i_branch = i_l
+            else:  # idle at zero current
                 i_l2 = 0.0
-            i_branch = 0.0
-        elif i_l < 0.0:  # D1 returns the current to the bus
-            i_l2 = i_l + dt * ((v_bus + v_f) - v_batt) * inv_l
-            if i_l2 > 0.0:
-                i_l2 = 0.0
-            i_branch = i_l
-        else:  # idle at zero current
-            i_l2 = 0.0
-            i_branch = 0.0
-        i_link = (v_bus - v_o) * inv_r_link
-        if r_source > 0.0:
-            i_src = (v_s - v_bus) * inv_r_source
-            if i_src < 0.0:
-                i_src = 0.0
-            v_bus2 = v_bus + dt * (i_src - i_branch - i_link) * inv_c_bus
-        else:
-            v_free = v_bus + dt * (-i_branch - i_link) * inv_c_bus
-            if v_s >= v_free:
-                i_src = (v_s - v_free) * c_bus_over_dt
-                v_bus2 = v_s
+                i_branch = 0.0
+            i_link = (v_bus - v_o) * inv_r_link
+            if r_source > 0.0:
+                i_src = (v_s - v_bus) * inv_r_source
+                if i_src < 0.0:
+                    i_src = 0.0
+                v_bus2 = v_bus + dt * (i_src - i_branch - i_link) * inv_c_bus
             else:
-                i_src = 0.0
-                v_bus2 = v_free
-        v_o2 = v_o + dt * (i_link - v_o * inv_r_load) * inv_c_o
-        soc2 = soc + dt * i_l * inv_capacity
-        if soc2 > 1.0:
-            soc2 = 1.0
-        elif soc2 < 0.0:
-            soc2 = 0.0
+                v_free = v_bus + dt * (-i_branch - i_link) * inv_c_bus
+                if v_s >= v_free:
+                    i_src = (v_s - v_free) * c_bus_over_dt
+                    v_bus2 = v_s
+                else:
+                    i_src = 0.0
+                    v_bus2 = v_free
+            v_o2 = v_o + dt * (i_link - v_o * inv_r_load) * inv_c_o
+            soc2 = soc + dt * i_l * inv_capacity
+            if soc2 > 1.0:
+                soc2 = 1.0
+            elif soc2 < 0.0:
+                soc2 = 0.0
 
-        # Energy meters (left Riemann, pre-update values).
-        e_src += dt * v_bus * i_src
-        e_load += dt * v_o * v_o * inv_r_load
-        e_batt += dt * emf * i_l
-        e_link += dt * i_link * i_link * r_link
+            # Energy meters (left Riemann, pre-update values).
+            e_src += dt * v_bus * i_src
+            e_load += dt * v_o * v_o * inv_r_load
+            e_batt += dt * emf * i_l
+            e_link += dt * i_link * i_link * r_link
 
-        acc_i += i_l
-        acc_vl += v_o
-        acc_vb += v_batt
-        acc_n += 1
+            acc_i += i_l
+            acc_vl += v_o
+            acc_vb += v_batt
 
-        if not (abs(i_l2) <= i_limit and abs(v_bus2) <= v_limit
-                and abs(v_o2) <= v_limit):
-            raise SimulationDiverged(
-                f"state out of bounds at t={t + dt:.9f} s "
-                f"(i_l={i_l2:.3g} A, v_c_bus={v_bus2:.3g} V, v_c_o={v_o2:.3g} V)",
-                t=t + dt)
+            if not (abs(i_l2) <= i_limit and abs(v_bus2) <= v_limit
+                    and abs(v_o2) <= v_limit):
+                raise SimulationDiverged(
+                    f"state out of bounds at t={t + dt:.9f} s "
+                    f"(i_l={i_l2:.3g} A, v_c_bus={v_bus2:.3g} V, v_c_o={v_o2:.3g} V)",
+                    t=t + dt)
 
-        i_l = i_l2
-        v_bus = v_bus2
-        v_o = v_o2
-        soc = soc2
-        t = t + dt
-        in_period += 1
-        if in_period == n_period:
-            in_period = 0
+            i_l = i_l2
+            v_bus = v_bus2
+            v_o = v_o2
+            soc = soc2
+            t = t + dt
+            in_period += 1
 
-    trace = Trace(
-        time=time_a[:rec],
-        i_l=i_l_a[:rec],
-        v_c_bus=v_bus_a[:rec],
-        v_c_o=v_o_a[:rec],
-        v_batt_terminal=v_batt_a[:rec],
-        i_batt=i_l_a[:rec],
-        soc=soc_a[:rec],
-        mode=mode_a[:rec],
-        duty=duty_a[:rec],
-        s1=s1_a[:rec],
-        s2=s2_a[:rec],
-        e_source=e_src_a[:rec],
-        e_load=e_load_a[:rec],
-        e_battery=e_batt_a[:rec],
-        e_link=e_link_a[:rec],
-    )
-    new_state = CircuitState(i_l=i_l, v_c_bus=v_bus, v_c_o=v_o, soc=soc, t=t)
-    new_ctrl = ControllerState(
-        mode=mode, duty=duty, cc_cv_phase=phase_cc,
-        carrier_phase=in_period / n_period,
-        acc_i_batt=acc_i, acc_v_load=acc_vl, acc_v_batt=acc_vb, acc_count=acc_n)
-    return trace, new_state, new_ctrl
+        self.i_l = i_l
+        self.v_bus = v_bus
+        self.v_o = v_o
+        self.soc = soc
+        self.t = t
+        self.acc_i = acc_i
+        self.acc_vl = acc_vl
+        self.acc_vb = acc_vb
+        self.acc_n += n_steps
+        self.e_src = e_src
+        self.e_load = e_load
+        self.e_batt = e_batt
+        self.e_link = e_link
+        self.v_s = v_s
+        self.v_s_until = v_s_until
+        self.s1 = s1
+        self.s2 = s2
+        self.rec = rec
+        self.k_rec = k_rec
+        self.k += n_steps
+        self.in_period = 0 if in_period == self.n_period else in_period
+
+    def period(self) -> bool:
+        """The batched kernel: one whole carrier period from its wrap, the
+        tick taken, as one vector-matrix product per gate interval with
+        the stacked powers of that interval's step map.
+
+        Returns False, with nothing changed, when the period is not affine
+        on each interval: the source voltage changes within it, or the DCM
+        clamp, a change of source regime, the SoC clamp or a bound would
+        act.  The scalar kernel then takes the period.
+        """
+        n = self.n_period
+        if self.stacks is None:
+            self.stacks = {}
+            self.dts = np.full(n + 1, self.dt)
+            self.times = np.empty(n + 1)
+            self.x = np.empty((4, n + 1))   # i_l, v_bus, v_o, soc before each step
+            self.x_next = np.empty((4, n + 1))
+            self.xh = np.ones(5)
+            self.e = np.empty((4, n + 1))   # the four energy meters before each step
+            self.steps = np.arange(n)
+        times = self.times
+        self.dts[0] = self.t
+        np.add.accumulate(self.dts, out=times)  # t + dt + dt ..., as the scalar kernel
+        if times[n - 1] >= self.v_s_until:
+            return False
+
+        x = self.x
+        x[:, 0] = (self.i_l, self.v_bus, self.v_o, self.soc)
+        on = self.on1 + self.on2  # one of them is zero
+        spans = []
+        if on:
+            spans.append(self._span(0, on, "S1" if self.on1 else "S2"))
+        if on < n:
+            i_l = x[0, on]
+            spans.append(self._span(on, n, "D2" if i_l > 0.0 else "D1" if i_l < 0.0
+                                    else "idle"))
+
+        il, vb, vo, sc = x[:, :n]
+        i_link = (vb - vo) * self.inv_r_link
+        stiff = self.scenario.params.r_source == 0.0
+        if stiff:  # v_s - v_free: the bus clamps where it is >= 0
+            drive = self.v_s - vb + (self.dt * self.inv_c_bus) * i_link
+        else:      # v_s - v_bus: the source conducts where it is >= 0
+            drive = self.v_s - vb
+        for a, b, path, source_on in spans:
+            if stiff and path in _BUS_PATHS:
+                drive[a:b] += (self.dt * self.inv_c_bus) * il[a:b]
+            if not (drive[a:b].min() >= 0.0 if source_on
+                    else drive[a:b].max() < 0.0 if stiff else drive[a:b].max() <= 0.0):
+                return False
+            if path == "D2" and not x[0, a + 1:b + 1].min() > 0.0:
+                return False
+            if path == "D1" and not x[0, a + 1:b + 1].max() < 0.0:
+                return False
+        lo = x[:, 1:].min(axis=1).tolist()
+        hi = x[:, 1:].max(axis=1).tolist()
+        i_limit = self.scenario.i_limit
+        v_limit = self.scenario.v_limit
+        if not (-i_limit <= lo[0] and hi[0] <= i_limit and -v_limit <= lo[1]
+                and hi[1] <= v_limit and -v_limit <= lo[2] and hi[2] <= v_limit
+                and 0.0 <= lo[3] and hi[3] <= 1.0):
+            return False
+
+        dt = self.dt
+        i_src = drive * (self.c_bus_over_dt if stiff else self.inv_r_source)
+        for a, b, _, source_on in spans:
+            if not source_on:
+                i_src[a:b] = 0.0
+        emf = self.emf_base + self.emf_span * sc
+        v_batt = emf + self.scenario.battery.r_int * il
+        e = self.e
+        e[:, 0] = (self.e_src, self.e_load, self.e_batt, self.e_link)
+        e[0, 1:] = dt * vb * i_src
+        e[1, 1:] = (dt * self.inv_r_load) * vo * vo
+        e[2, 1:] = dt * emf * il
+        e[3, 1:] = (dt * self.scenario.params.r_link) * i_link * i_link
+        np.cumsum(e, axis=1, out=e)
+
+        if self.cols is not None and self.k_rec - self.k < n:
+            sel = slice(self.k_rec - self.k, n, self.scenario.record_decimation)
+            steps = self.steps[sel]
+            rows = slice(self.rec, self.rec + len(steps))
+            for col, values in zip(self.cols, (times, il, vb, vo, v_batt, sc, *e)):
+                col[rows] = values[sel]
+            mode_a, duty_a, s1_a, s2_a = self.cols[10:]
+            mode_a[rows] = self.mode_code
+            duty_a[rows] = self.duty
+            np.less(steps, self.on1, out=s1_a[rows])
+            np.less(steps, self.on2, out=s2_a[rows])
+            self.rec += len(steps)
+            self.k_rec += len(steps) * self.scenario.record_decimation
+
+        self.i_l, self.v_bus, self.v_o, self.soc = x[:, n].tolist()
+        self.t = float(times[n])
+        self.e_src, self.e_load, self.e_batt, self.e_link = e[:, n].tolist()
+        self.acc_i = float(il.sum())
+        self.acc_vl = float(vo.sum())
+        self.acc_vb = float(v_batt.sum())
+        self.acc_n = n
+        self.s1 = n - 1 < self.on1
+        self.s2 = n - 1 < self.on2
+        self.k += n
+        return True
+
+    def _span(self, a: int, b: int, path: str) -> tuple[int, int, str, bool]:
+        """Fill self.x[:, a + 1:b + 1] from self.x[:, a] along `path`, the
+        source regime taken from the state at step a."""
+        x = self.x
+        i_l, v_bus, v_o, _ = x[:, a].tolist()
+        if self.scenario.params.r_source > 0.0:
+            source_on = self.v_s >= v_bus
+        else:
+            i_branch = i_l if path in _BUS_PATHS else 0.0
+            v_free = v_bus + self.dt * (-i_branch - (v_bus - v_o) * self.inv_r_link) \
+                * self.inv_c_bus
+            source_on = self.v_s >= v_free
+        key = (path, source_on, self.v_s)
+        stack = self.stacks.get(key)
+        if stack is None:
+            # Keep the stacks of the current hold voltage only (160 bytes per
+            # step of a period each): a source seldom returns to a voltage.
+            if self.stacks and next(iter(self.stacks))[2] != self.v_s:
+                self.stacks.clear()
+            stack = self.stacks[key] = self._powers(_step_map(self.scenario, *key))
+        self.xh[:4] = x[:, a]
+        np.matmul(self.xh, stack.reshape(5, -1), out=self.x_next.reshape(-1))
+        x[:, a + 1:b + 1] = self.x_next[:, 1:b - a + 1]
+        return a, b, path, source_on
+
+    def _powers(self, m: np.ndarray) -> np.ndarray:
+        """M^k for k = 0 .. steps_per_period, laid out as stack[j, i, k] =
+        (M^k)[i, j] over the four state rows, so that one vector-matrix
+        product with (x, 1) gives the state after every k steps."""
+        n = self.n_period
+        p = np.empty((n + 1, 5, 5))
+        p[0] = np.eye(5)
+        p[1] = m
+        k = 1
+        while k < n:  # p[k + j] = p[j] @ p[k]: doubles the powers known
+            j = min(k, n - k)
+            np.matmul(p[1:j + 1], p[k], out=p[k + 1:k + j + 1])
+            k += j
+        return np.ascontiguousarray(p[:, :4, :].transpose(2, 1, 0))
+
+    def finish(self) -> None:
+        """Record the final instant when it falls on the decimation grid,
+        with the gates of the last step."""
+        if self.k == self.k_rec:
+            v_batt = self.emf_base + self.emf_span * self.soc \
+                + self.scenario.battery.r_int * self.i_l
+            for col, value in zip(self.cols, (
+                    self.t, self.i_l, self.v_bus, self.v_o, v_batt, self.soc,
+                    self.e_src, self.e_load, self.e_batt, self.e_link,
+                    self.mode_code, self.duty, self.s1, self.s2)):
+                col[self.rec] = value
+            self.rec += 1
+
+    def trace(self) -> Trace:
+        cols = {name: col[:self.rec] for (name, _), col in zip(_RECORDED, self.cols)}
+        return Trace(i_batt=cols["i_l"], **cols)
+
+    def state(self) -> CircuitState:
+        return CircuitState(i_l=self.i_l, v_c_bus=self.v_bus, v_c_o=self.v_o,
+                            soc=self.soc, t=self.t)
+
+    def controller(self) -> ControllerState:
+        return ControllerState(
+            mode=self.mode, duty=self.duty, cc_cv_phase=self.phase_cc,
+            carrier_phase=self.in_period / self.n_period,
+            acc_i_batt=self.acc_i, acc_v_load=self.acc_vl, acc_v_batt=self.acc_vb,
+            acc_count=self.acc_n)
+
+
+def _integrate(scenario: Scenario, state: CircuitState, ctrl: ControllerState,
+               n_steps: int) -> tuple[Trace, CircuitState, ControllerState]:
+    """The scalar reference: advance plant and controller `n_steps`
+    integration steps from the given states one Euler step at a time;
+    returns the decimated trace (first and, when it falls on the decimation
+    grid, last instant included) and the final states."""
+    eng = _Engine(scenario, state, ctrl, n_steps // scenario.record_decimation + 1)
+    while eng.k < n_steps:
+        if eng.in_period == 0:
+            eng.tick()
+        eng.euler(min(eng.n_period - eng.in_period, n_steps - eng.k))
+    eng.finish()
+    return eng.trace(), eng.state(), eng.controller()
 
 
 def step(state: CircuitState, ctrl: ControllerState,
@@ -490,22 +773,38 @@ def step(state: CircuitState, ctrl: ControllerState,
 
     The controller (mode selection plus regulation) fires only when the
     carrier phase sits at a wrap instant; every step feeds the measurement
-    accumulators that the next wrap will average.  Raises
+    accumulators that the next wrap will average.  Records nothing.  Raises
     :class:`SimulationDiverged` when a state magnitude leaves the bounds.
     """
-    _, state, ctrl = _integrate(scenario, state, ctrl, 1)
-    return state, ctrl
+    eng = _Engine(scenario, state, ctrl, 0)
+    if eng.in_period == 0:
+        eng.tick()
+    eng.euler(1)
+    return eng.state(), eng.controller()
 
 
 def run(scenario: Scenario) -> Trace:
     """Run the scenario from its initial state to t_end; returns the trace.
 
-    Deterministic: identical scenarios produce bit-identical traces.
+    Each whole carrier period goes through the batched kernel, and any
+    period it declines, or a partial one at the end, through the scalar
+    kernel.  Deterministic: identical scenarios produce bit-identical
+    traces.
     """
     state, ctrl = _initial_conditions(scenario)
-    trace, _, _ = _integrate(scenario, state, ctrl,
-                             round(scenario.t_end / scenario.dt))
-    return trace
+    n_steps = round(scenario.t_end / scenario.dt)
+    eng = _Engine(scenario, state, ctrl, n_steps // scenario.record_decimation + 1)
+    n = eng.n_period
+    # A batch run past a divergence may overflow; the scalar rerun reports it.
+    with np.errstate(all="ignore"):
+        while eng.k < n_steps:
+            if eng.in_period == 0:
+                eng.tick()
+                if n_steps - eng.k >= n and eng.period():
+                    continue
+            eng.euler(min(n - eng.in_period, n_steps - eng.k))
+    eng.finish()
+    return eng.trace()
 
 
 @dataclass(frozen=True)

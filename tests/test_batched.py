@@ -58,6 +58,21 @@ def soc_saturation_scenario() -> sim.Scenario:
                                    t=0.0))
 
 
+def source_at_bus_scenario(r_source: float) -> sim.Scenario:
+    """Boost discharging with the source held at the rail voltage: the bus
+    ripples across it, so the source conducts (or clamps the bus, when
+    stiff) for part of many periods."""
+    return sim.Scenario(
+        params=ConverterParams(**{**STAGE, "r_load": 20.0}, r_source=r_source),
+        battery=BatteryModel(v_emf_full=12.0, v_emf_empty=12.0, r_int=0.3,
+                             capacity=7200.0, soc=0.5),
+        controller=ControllerConfig(duty_step=2e-5, i_deadband=0.08, v_deadband=0.05,
+                                    v_bus_high=35.0),
+        source=sim.SourceProfile.constant(24.0),
+        t_end=10e-3, dt=50e-9, record_decimation=4,
+        initial_mode=Mode.DISCHARGING, initial_duty=0.52)
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_match_scalar(name, scenarios_dir):
     assert_matches_scalar(parse_scenario_file(scenarios_dir / f"{name}.scenario"))
@@ -75,6 +90,11 @@ def test_soc_saturating_mid_period_matches_scalar():
     assert trace.soc[0] < 1.0 and len(full) > 0
     assert full[0] % scn.steps_per_period != 0, "saturation should fall mid-period"
     assert np.all(trace.mode == sim.MODE_CODES[Mode.CHARGING])
+
+
+@pytest.mark.parametrize("r_source", [50.0, 0.0], ids=["weak", "stiff"])
+def test_source_regime_changes_match_scalar(r_source):
+    assert_matches_scalar(source_at_bus_scenario(r_source))
 
 
 def test_divergence_matches_scalar():

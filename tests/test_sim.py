@@ -24,6 +24,8 @@ from bdcsim.sim import (
     SourceSegment,
     TRACE_COLUMNS,
     Trace,
+    _integrate,
+    _step_map,
     run,
     steady_window,
     step,
@@ -117,16 +119,17 @@ class TestStep:
         assert state.soc == pytest.approx(0.5)
 
     def test_step_loop_matches_run_exactly(self):
-        """Driving step() in a loop reproduces run() bit for bit.
+        """Driving step() in a loop reproduces the scalar kernel bit for bit
+        (run() is held to the scalar kernel in tests/test_batched.py).
 
         The duty column is recorded after the controller tick at a carrier
         wrap, which the step() chain applies when advancing away from the
         wrap instant, so duty is compared away from the wrap samples.
         """
         scn = make_scenario(t_end=3 / 20e3, src=24.0)
-        trace = run(scn)
         state = CircuitState(i_l=0.0, v_c_bus=24.0, v_c_o=0.0, soc=0.5, t=0.0)
         ctrl = initial_controller_state(scn.controller)
+        trace, _, _ = _integrate(scn, state, ctrl, round(scn.t_end / scn.dt))
         n = scn.steps_per_period
         for j in range(1, len(trace)):
             state, ctrl = step(state, ctrl, scn)
@@ -175,7 +178,9 @@ class TestKernelLaw:
     def test_one_step_matches_closed_form(self, path, lossy):
         """One step() per conduction path against the written-out law, with
         ideal devices and a stiff source (clamping the bus from 25 V), and
-        with r_on, v_f, r_source, r_int and a sloped EMF."""
+        with r_on, v_f, r_source, r_int and a sloped EMF.  The batched
+        kernel's step map A·x + b must give the same update, with the source
+        conducting (25 V) and blocked (20 V)."""
         params, battery = ((LOSSY_PARAMS, LOSSY_BATTERY) if lossy
                            else (PARAMS, IDEAL_BATTERY))
         mode, i_l = KERNEL_PATHS[path]
@@ -194,6 +199,12 @@ class TestKernelLaw:
         assert new.soc - x[3] == pytest.approx(soc2 - x[3], rel=1e-9, abs=1e-18)
         assert new_ctrl.acc_v_batt == pytest.approx(v_batt, rel=1e-12)
         assert new.t == scn.dt
+        for v_s in (25.0, 20.0):
+            m = _step_map(scn, path, v_s > x[1], v_s)
+            mapped = m @ np.array([*x, 1.0])
+            expected = closed_form_step(path, *x, v_s, params, battery, scn.dt)[:4]
+            assert mapped[:4].tolist() == pytest.approx(expected, rel=1e-12, abs=0.0)
+            assert mapped[4] == 1.0
 
 
 def piecewise_triangle(i_valley, v_bus, v_batt, l_p, duty, f_s, t):
