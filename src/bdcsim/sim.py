@@ -322,9 +322,9 @@ def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.
 
 
 class _Engine:
-    """One integration from a start state: the scenario's constants, the
-    plant, controller and energy-meter state carried between calls, and
-    the trace arrays it records into (none when `n_rec` is 0).
+    """One integration from a start state: the plant, controller and
+    energy-meter state carried between calls, and the trace arrays it
+    records into (none when `n_rec` is 0).
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
     :meth:`period` the batched one; the drivers :func:`_integrate`,
@@ -333,22 +333,8 @@ class _Engine:
 
     def __init__(self, scenario: Scenario, state: CircuitState, ctrl: ControllerState,
                  n_rec: int):
-        p = scenario.params
-        b = scenario.battery
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
-        self.dt = scenario.dt
-        self.inv_l = 1.0 / p.l_p
-        self.inv_c_bus = 1.0 / p.c_bus
-        self.inv_c_o = 1.0 / p.c_o
-        self.inv_r_load = 1.0 / p.r_load
-        self.inv_r_link = 1.0 / p.r_link
-        self.inv_r_source = 1.0 / p.r_source if p.r_source > 0.0 else 0.0
-        self.c_bus_over_dt = p.c_bus / scenario.dt
-        self.emf_base = b.v_emf_empty
-        self.emf_span = b.v_emf_full - b.v_emf_empty
-        self.inv_capacity = 1.0 / b.capacity
-
         self.i_l = state.i_l
         self.v_bus = state.v_c_bus
         self.v_o = state.v_c_o
@@ -390,8 +376,7 @@ class _Engine:
             else:
                 avg_i = self.i_l
                 avg_vl = self.v_o
-                avg_vb = (self.emf_base + self.emf_span * self.soc
-                          + self.scenario.battery.r_int * self.i_l)
+                avg_vb = self.v_batt()
             self.mode = select_mode(self.v_s, avg_vb, self.soc, self.mode, cfg)
             reg = regulate(avg_vl, avg_i, avg_vb,
                            ControllerState(mode=self.mode, duty=self.duty,
@@ -405,6 +390,12 @@ class _Engine:
         self.acc_n = 0
         self.mode_code, self.on1, self.on2 = _gate_counts(self.mode, self.duty,
                                                           self.n_period)
+
+    def v_batt(self) -> float:
+        """Battery terminal voltage (EMF plus the drop on r_int) at the
+        current state, as the scalar kernel computes it."""
+        b = self.scenario.battery
+        return b.v_emf_empty + (b.v_emf_full - b.v_emf_empty) * self.soc + b.r_int * self.i_l
 
     def euler(self, n_steps: int) -> None:
         """The scalar kernel: `n_steps` explicit Euler steps, none across a
@@ -421,26 +412,27 @@ class _Engine:
         """
         scn = self.scenario
         p = scn.params
+        b = scn.battery
         source = scn.source
-        dt = self.dt
+        dt = scn.dt
         dec = scn.record_decimation
         i_limit = scn.i_limit
         v_limit = scn.v_limit
-        inv_l = self.inv_l
-        inv_c_bus = self.inv_c_bus
-        inv_c_o = self.inv_c_o
-        inv_r_load = self.inv_r_load
-        inv_r_link = self.inv_r_link
-        inv_r_source = self.inv_r_source
-        c_bus_over_dt = self.c_bus_over_dt
+        inv_l = 1.0 / p.l_p
+        inv_c_bus = 1.0 / p.c_bus
+        inv_c_o = 1.0 / p.c_o
+        inv_r_load = 1.0 / p.r_load
+        inv_r_link = 1.0 / p.r_link
         r_link = p.r_link
         r_on = p.r_on
         v_f = p.v_f
         r_source = p.r_source
-        emf_base = self.emf_base
-        emf_span = self.emf_span
-        r_int = scn.battery.r_int
-        inv_capacity = self.inv_capacity
+        inv_r_source = 1.0 / r_source if r_source > 0.0 else 0.0
+        c_bus_over_dt = p.c_bus / dt
+        emf_base = b.v_emf_empty
+        emf_span = b.v_emf_full - b.v_emf_empty
+        r_int = b.r_int
+        inv_capacity = 1.0 / b.capacity
         mode_code = self.mode_code
         duty = self.duty
         on1 = self.on1
@@ -589,10 +581,13 @@ class _Engine:
         clamp, a change of source regime, the SoC clamp or a bound would
         act.  The scalar kernel then takes the period.
         """
+        scn = self.scenario
+        p = scn.params
+        dt = scn.dt
         n = self.n_period
         if self.stacks is None:
             self.stacks = {}
-            self.dts = np.full(n + 1, self.dt)
+            self.dts = np.full(n + 1, dt)
             self.times = np.empty(n + 1)
             self.x = np.empty((4, n + 1))   # i_l, v_bus, v_o, soc before each step
             self.x_next = np.empty((4, n + 1))
@@ -617,15 +612,15 @@ class _Engine:
                                     else "idle"))
 
         il, vb, vo, sc = x[:, :n]
-        i_link = (vb - vo) * self.inv_r_link
-        stiff = self.scenario.params.r_source == 0.0
+        i_link = (vb - vo) * (1.0 / p.r_link)
+        stiff = p.r_source == 0.0
         if stiff:  # v_s - v_free: the bus clamps where it is >= 0
-            drive = self.v_s - vb + (self.dt * self.inv_c_bus) * i_link
+            drive = self.v_s - vb + (dt / p.c_bus) * i_link
         else:      # v_s - v_bus: the source conducts where it is >= 0
             drive = self.v_s - vb
         for a, b, path, source_on in spans:
             if stiff and path in _BUS_PATHS:
-                drive[a:b] += (self.dt * self.inv_c_bus) * il[a:b]
+                drive[a:b] += (dt / p.c_bus) * il[a:b]
             if not (drive[a:b].min() >= 0.0 if source_on
                     else drive[a:b].max() < 0.0 if stiff else drive[a:b].max() <= 0.0):
                 return False
@@ -635,30 +630,31 @@ class _Engine:
                 return False
         lo = x[:, 1:].min(axis=1).tolist()
         hi = x[:, 1:].max(axis=1).tolist()
-        i_limit = self.scenario.i_limit
-        v_limit = self.scenario.v_limit
+        i_limit = scn.i_limit
+        v_limit = scn.v_limit
         if not (-i_limit <= lo[0] and hi[0] <= i_limit and -v_limit <= lo[1]
                 and hi[1] <= v_limit and -v_limit <= lo[2] and hi[2] <= v_limit
                 and 0.0 <= lo[3] and hi[3] <= 1.0):
             return False
 
-        dt = self.dt
-        i_src = drive * (self.c_bus_over_dt if stiff else self.inv_r_source)
+        i_src = drive * (p.c_bus / dt if stiff else 1.0 / p.r_source)
         for a, b, _, source_on in spans:
             if not source_on:
                 i_src[a:b] = 0.0
-        emf = self.emf_base + self.emf_span * sc
-        v_batt = emf + self.scenario.battery.r_int * il
+        bat = scn.battery
+        emf = bat.v_emf_empty + (bat.v_emf_full - bat.v_emf_empty) * sc
+        v_batt = emf + bat.r_int * il
         e = self.e
         e[:, 0] = (self.e_src, self.e_load, self.e_batt, self.e_link)
         e[0, 1:] = dt * vb * i_src
-        e[1, 1:] = (dt * self.inv_r_load) * vo * vo
+        e[1, 1:] = (dt / p.r_load) * vo * vo
         e[2, 1:] = dt * emf * il
-        e[3, 1:] = (dt * self.scenario.params.r_link) * i_link * i_link
+        e[3, 1:] = (dt * p.r_link) * i_link * i_link
         np.cumsum(e, axis=1, out=e)
 
         if self.cols is not None and self.k_rec - self.k < n:
-            sel = slice(self.k_rec - self.k, n, self.scenario.record_decimation)
+            dec = scn.record_decimation
+            sel = slice(self.k_rec - self.k, n, dec)
             steps = self.steps[sel]
             rows = slice(self.rec, self.rec + len(steps))
             for col, values in zip(self.cols, (times, il, vb, vo, v_batt, sc, *e)):
@@ -669,7 +665,7 @@ class _Engine:
             np.less(steps, self.on1, out=s1_a[rows])
             np.less(steps, self.on2, out=s2_a[rows])
             self.rec += len(steps)
-            self.k_rec += len(steps) * self.scenario.record_decimation
+            self.k_rec += len(steps) * dec
 
         self.i_l, self.v_bus, self.v_o, self.soc = x[:, n].tolist()
         self.t = float(times[n])
@@ -685,16 +681,18 @@ class _Engine:
 
     def _span(self, a: int, b: int, path: str) -> tuple[int, int, str, bool]:
         """Fill self.x[:, a + 1:b + 1] from self.x[:, a] along `path`, the
-        source regime taken from the state at step a."""
+        source regime taken from the state at step a as the scalar kernel
+        would take it."""
+        p = self.scenario.params
         x = self.x
         i_l, v_bus, v_o, _ = x[:, a].tolist()
-        if self.scenario.params.r_source > 0.0:
+        if p.r_source > 0.0:
             source_on = self.v_s >= v_bus
         else:
             i_branch = i_l if path in _BUS_PATHS else 0.0
-            v_free = v_bus + self.dt * (-i_branch - (v_bus - v_o) * self.inv_r_link) \
-                * self.inv_c_bus
-            source_on = self.v_s >= v_free
+            i_link = (v_bus - v_o) * (1.0 / p.r_link)
+            source_on = self.v_s >= v_bus + self.scenario.dt * (-i_branch - i_link) \
+                * (1.0 / p.c_bus)
         key = (path, source_on, self.v_s)
         stack = self.stacks.get(key)
         if stack is None:
@@ -727,10 +725,8 @@ class _Engine:
         """Record the final instant when it falls on the decimation grid,
         with the gates of the last step."""
         if self.k == self.k_rec:
-            v_batt = self.emf_base + self.emf_span * self.soc \
-                + self.scenario.battery.r_int * self.i_l
             for col, value in zip(self.cols, (
-                    self.t, self.i_l, self.v_bus, self.v_o, v_batt, self.soc,
+                    self.t, self.i_l, self.v_bus, self.v_o, self.v_batt(), self.soc,
                     self.e_src, self.e_load, self.e_batt, self.e_link,
                     self.mode_code, self.duty, self.s1, self.s2)):
                 col[self.rec] = value
