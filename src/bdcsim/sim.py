@@ -23,8 +23,8 @@ takes from its start, when the source voltage changes within it (a ramp or
 a segment end), the DCM clamp would fire (the D2 or D1 current reaches
 zero), the source changes regime (the stiff-source clamp, or i_src >= 0 for
 r_source > 0), SoC leaves [0, 1] or a state leaves the divergence bounds.
-It also leaves a partial period at the end of the horizon to the scalar
-kernel.  Its float columns agree with the scalar kernel's to within 1e-9 of
+It also leaves a partial period at the end of the horizon, and every
+period shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its float columns agree with the scalar kernel's to within 1e-9 of
 each column's magnitude; the time base, the controller's decisions and the
 gates are identical.
 
@@ -289,6 +289,11 @@ _RECORDED = (("time", np.float64), ("i_l", np.float64), ("v_c_bus", np.float64),
              ("duty", np.float64), ("s1", np.bool_), ("s2", np.bool_))
 # Conduction paths on which the bus carries the inductor current.
 _BUS_PATHS = ("S1", "D1")
+# The period kernel costs some fifty numpy calls whatever the period's
+# length; below about this many steps per period the scalar kernel is the
+# faster (break-even measured at 50, 64 and 80 steps on three closed- and
+# open-loop cases).
+_MIN_BATCH_STEPS = 64
 
 
 def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.ndarray:
@@ -782,21 +787,23 @@ def step(state: CircuitState, ctrl: ControllerState,
 def run(scenario: Scenario) -> Trace:
     """Run the scenario from its initial state to t_end; returns the trace.
 
-    Each whole carrier period goes through the batched kernel, and any
-    period it declines, or a partial one at the end, through the scalar
-    kernel.  Deterministic: identical scenarios produce bit-identical
-    traces.
+    With at least _MIN_BATCH_STEPS steps per period, each whole carrier
+    period goes through the batched kernel, and any period it declines, or
+    a partial one at the end, through the scalar kernel; with fewer, every
+    step is scalar.  Deterministic: identical scenarios produce
+    bit-identical traces.
     """
     state, ctrl = _initial_conditions(scenario)
     n_steps = round(scenario.t_end / scenario.dt)
     eng = _Engine(scenario, state, ctrl, n_steps // scenario.record_decimation + 1)
     n = eng.n_period
+    batched = n >= _MIN_BATCH_STEPS
     # A batch run past a divergence may overflow; the scalar rerun reports it.
     with np.errstate(all="ignore"):
         while eng.k < n_steps:
             if eng.in_period == 0:
                 eng.tick()
-                if n_steps - eng.k >= n and eng.period():
+                if batched and n_steps - eng.k >= n and eng.period():
                     continue
             eng.euler(min(n - eng.in_period, n_steps - eng.k))
     eng.finish()

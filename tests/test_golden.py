@@ -9,10 +9,9 @@ devices (r_on, v_f > 0) and the open-loop fixed_duty override.  A refactor
 of the engine must leave every digest unchanged; a change that alters the
 numbers on purpose updates them and says why.
 
-GOLDEN and GOLDEN_CSV pin run(), whose batched periods sum in another order
-than the scalar kernel (tests/test_batched.py bounds the difference).
-SCALAR_GOLDEN pins the scalar kernel `sim._integrate` itself, the reference
-that run() is held to.
+Every case runs 20 steps per switching period, below the period kernel's
+threshold, so run() steps them with the scalar kernel alone and the digests
+pin that kernel.  tests/test_batched.py holds the period kernel to it.
 """
 
 import hashlib
@@ -23,15 +22,7 @@ import pytest
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
 from bdcsim.control import ControllerConfig, Mode
 from bdcsim.scenario import parse_scenario_file
-from bdcsim.sim import (
-    MODE_NAMES,
-    Scenario,
-    SourceProfile,
-    SourceSegment,
-    _initial_conditions,
-    _integrate,
-    run,
-)
+from bdcsim.sim import MODE_NAMES, Scenario, SourceProfile, SourceSegment, run
 
 FIELDS = ("time", "i_l", "v_c_bus", "v_c_o", "v_batt_terminal", "i_batt", "soc",
           "mode", "duty", "s1", "s2", "e_source", "e_load", "e_battery", "e_link")
@@ -111,14 +102,6 @@ def boost_scenario() -> Scenario:
 
 
 GOLDEN = {
-    "quick": "533fe3ac772e03f1561d371b41b9e0e27dc6a8bbebd7411594906d3bfdf8e48f",
-    "ramp": "8258a3f6ee616ce6fd24b474c2eb6cddbd0a99b1b925fdec835a9acf35be3e79",
-    "dcm": "3ec25487377b8d0d1ebf67c7faab71d64cd5ef9a7f79e60c6d9871cac8840df5",
-    "trickle": "f78a6346a883a8e1e2e061888b46a9d19bd2d5103316ac07477c9e58bd7694ec",
-    "boost": "8fb88605e4f6526ac00af6e3a6eb2c770811b324cf12301a664b609ebf17594e",
-}
-
-SCALAR_GOLDEN = {
     "quick": "09c8443718cad78106e62d1ae4e7abf208a7996896979f36e0ade2b254ab7ff9",
     "ramp": "8a9cf77f61f677aaba20c92ee9b6b8eae63cd8d27259325b43e60ccfe745019c",
     "dcm": "3ec25487377b8d0d1ebf67c7faab71d64cd5ef9a7f79e60c6d9871cac8840df5",
@@ -145,14 +128,6 @@ def build(name, scenarios_dir) -> Scenario:
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_trace_digest_unchanged(name, scenarios_dir):
     assert trace_digest(run(build(name, scenarios_dir))) == GOLDEN[name]
-
-
-@pytest.mark.parametrize("name", sorted(SCALAR_GOLDEN))
-def test_scalar_kernel_digest_unchanged(name, scenarios_dir):
-    scn = build(name, scenarios_dir)
-    state, ctrl = _initial_conditions(scn)
-    trace, _, _ = _integrate(scn, state, ctrl, round(scn.t_end / scn.dt))
-    assert trace_digest(trace) == SCALAR_GOLDEN[name]
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_CSV))
