@@ -24,9 +24,10 @@ a segment end), the DCM clamp would fire (the D2 or D1 current reaches
 zero), the source changes regime (the stiff-source clamp, or i_src >= 0 for
 r_source > 0), SoC leaves [0, 1] or a state leaves the divergence bounds.
 It also leaves a partial period at the end of the horizon, and every
-period shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its float columns agree with the scalar kernel's to within 1e-9 of
-each column's magnitude; the time base, the controller's decisions and the
-gates are identical.
+period shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its
+float columns agree with the scalar kernel's to within 1e-9 of each
+column's magnitude; the time base, the controller's decisions and the gates
+are identical.
 
 The PV source only ever sources current, like a diode-isolated panel: with
 r_source = 0 the bus is clamped to the profile voltage whenever that voltage
@@ -281,18 +282,15 @@ def _gate_counts(mode: Mode, duty: float, n_period: int) -> tuple[int, int, int]
 
 
 # The arrays an integration records, in the order the kernels fill them:
-# every Trace field but i_batt, which is i_l.
-_RECORDED = (("time", np.float64), ("i_l", np.float64), ("v_c_bus", np.float64),
-             ("v_c_o", np.float64), ("v_batt_terminal", np.float64),
-             ("soc", np.float64), ("e_source", np.float64), ("e_load", np.float64),
-             ("e_battery", np.float64), ("e_link", np.float64), ("mode", np.int8),
-             ("duty", np.float64), ("s1", np.bool_), ("s2", np.bool_))
+# the trace CSV columns but i_batt (which is i_l), then the energy meters.
+_RECORDED = tuple((name, dtype) for name, dtype, _ in _TRACE_FORMAT if name != "i_batt") \
+    + tuple((name, np.float64) for name in ("e_source", "e_load", "e_battery", "e_link"))
 # Conduction paths on which the bus carries the inductor current.
 _BUS_PATHS = ("S1", "D1")
 # The period kernel costs some fifty numpy calls whatever the period's
-# length; below about this many steps per period the scalar kernel is the
-# faster (break-even measured at 50, 64 and 80 steps on three closed- and
-# open-loop cases).
+# length, so short periods are faster through the scalar kernel; the two
+# break even near 64 steps per period (the golden trickle, boost and ramp
+# cases, Python 3.11 and numpy 2.4 on a 2-core x86 host).
 _MIN_BATCH_STEPS = 64
 
 
@@ -461,8 +459,8 @@ class _Engine:
         rec = self.rec
         k_rec = self.k_rec
         if self.cols is not None:
-            (time_a, i_l_a, v_bus_a, v_o_a, v_batt_a, soc_a, e_src_a, e_load_a,
-             e_batt_a, e_link_a, mode_a, duty_a, s1_a, s2_a) = self.cols
+            (time_a, i_l_a, v_bus_a, v_o_a, v_batt_a, soc_a, mode_a, duty_a, s1_a,
+             s2_a, e_src_a, e_load_a, e_batt_a, e_link_a) = self.cols
 
         for k in range(self.k, self.k + n_steps):
             if t >= v_s_until:
@@ -479,14 +477,14 @@ class _Engine:
                 v_o_a[rec] = v_o
                 v_batt_a[rec] = v_batt
                 soc_a[rec] = soc
-                e_src_a[rec] = e_src
-                e_load_a[rec] = e_load
-                e_batt_a[rec] = e_batt
-                e_link_a[rec] = e_link
                 mode_a[rec] = mode_code
                 duty_a[rec] = duty
                 s1_a[rec] = s1
                 s2_a[rec] = s2
+                e_src_a[rec] = e_src
+                e_load_a[rec] = e_load
+                e_batt_a[rec] = e_batt
+                e_link_a[rec] = e_link
                 rec += 1
                 k_rec += dec
 
@@ -662,9 +660,10 @@ class _Engine:
             sel = slice(self.k_rec - self.k, n, dec)
             steps = self.steps[sel]
             rows = slice(self.rec, self.rec + len(steps))
-            for col, values in zip(self.cols, (times, il, vb, vo, v_batt, sc, *e)):
+            cols = self.cols
+            for col, values in zip(cols[:6] + cols[10:], (times, il, vb, vo, v_batt, sc, *e)):
                 col[rows] = values[sel]
-            mode_a, duty_a, s1_a, s2_a = self.cols[10:]
+            mode_a, duty_a, s1_a, s2_a = cols[6:10]
             mode_a[rows] = self.mode_code
             duty_a[rows] = self.duty
             np.less(steps, self.on1, out=s1_a[rows])
@@ -732,8 +731,8 @@ class _Engine:
         if self.k == self.k_rec:
             for col, value in zip(self.cols, (
                     self.t, self.i_l, self.v_bus, self.v_o, self.v_batt(), self.soc,
-                    self.e_src, self.e_load, self.e_batt, self.e_link,
-                    self.mode_code, self.duty, self.s1, self.s2)):
+                    self.mode_code, self.duty, self.s1, self.s2,
+                    self.e_src, self.e_load, self.e_batt, self.e_link)):
                 col[self.rec] = value
             self.rec += 1
 
