@@ -19,7 +19,7 @@ from .scenario import (
     parse_quantity,
     parse_scenario_file,
 )
-from .sim import SimulationDiverged, run, steady_window, trace_from_csv
+from .sim import SimulationDiverged, WindowMetrics, run, steady_window, trace_from_csv
 
 _DESIGN_FLAGS = (
     ("pv-voltage", "pv_voltage", "PV array voltage [V]"),
@@ -120,13 +120,12 @@ def cmd_design(args: argparse.Namespace) -> int:
     return 0
 
 
-def _summarize(trace, f_s: float, n_periods: int) -> list[str]:
-    metrics = steady_window(trace, n_periods=n_periods, f_s=f_s)
+def _summarize(metrics: WindowMetrics) -> list[str]:
     occupied = [f"{name} {frac * 100.0:.1f}%"
                 for name, frac in sorted(metrics.mode_occupancy.items())
                 if frac > 0.0]
     return [
-        f"  steady window: last {n_periods} periods "
+        f"  steady window: last {metrics.n_periods} periods "
         f"({metrics.t_start:.6f} s .. {metrics.t_end:.6f} s)",
         "  mode occupancy: " + ", ".join(occupied),
         f"  mean v_c_o: {metrics.mean['v_c_o']:.4f} V"
@@ -155,7 +154,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"scenario: {path}")
         lines.append(f"  simulated {trace.time[-1]:.6f} s "
                      f"({len(trace)} samples, dt {scenario.dt:.3g} s)")
-        lines.extend(_summarize(trace, scenario.params.f_s, args.periods))
+        metrics = steady_window(trace, n_periods=args.periods, f_s=scenario.params.f_s)
+        lines.extend(_summarize(metrics))
         lines.append(f"  trace written: {out_path}")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
@@ -197,7 +197,7 @@ def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
     f_s = args.switching_frequency
     metrics = steady_window(trace, n_periods=args.periods, f_s=f_s)
     lines = [f"trace: {path} ({len(trace)} samples, {trace.time[-1]:.6f} s)"]
-    lines.extend(_summarize(trace, f_s, args.periods))
+    lines.extend(_summarize(metrics))
     dominant = max(metrics.mode_occupancy, key=metrics.mode_occupancy.get)
     d = metrics.mean["duty"]
     v_bus = metrics.mean["v_c_bus"]

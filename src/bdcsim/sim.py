@@ -75,12 +75,11 @@ _TRACE_FORMAT = (
 )
 TRACE_COLUMNS = tuple(name for name, _, _ in _TRACE_FORMAT)
 _TRACE_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in _TRACE_FORMAT])
-# Rows end in CRLF, the line end of the csv module's default dialect.
-_TRACE_ROW = ",".join(fmt for _, _, fmt in _TRACE_FORMAT) + "\r\n"
 _MODE_COLUMN = TRACE_COLUMNS.index("mode")
 _MODE_CODE = {name: code for code, name in MODE_NAMES.items()}
-# Rows formatted per write: bounds the Python row tuples held at once.
-_CSV_BLOCK = 1 << 16
+# Rows formatted per write: bounds the byte matrix and the digit arrays
+# held at once, and keeps them in cache.
+_CSV_BLOCK = 1 << 13
 
 
 class SimulationDiverged(RuntimeError):
@@ -224,16 +223,14 @@ class Trace:
         """Write the trace; time with 9 decimal digits, SI units throughout.
         Rows go to a temporary file renamed onto `path` once complete, so an
         interrupted write leaves `path` as it was."""
+        from ._trace_csv import csv_block   # loaded only by a run that writes a CSV
         tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-        fh = open(tmp, "w", newline="")
+        fh = open(tmp, "wb")
         try:
             with fh:
-                fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+                fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
                 for a in range(0, len(self), _CSV_BLOCK):
-                    cols = [self.column(name)[a:a + _CSV_BLOCK].tolist()
-                            for name in TRACE_COLUMNS]
-                    cols[_MODE_COLUMN] = [MODE_NAMES[code] for code in cols[_MODE_COLUMN]]
-                    fh.write("".join(_TRACE_ROW % row for row in zip(*cols)))
+                    fh.write(csv_block(self, a, a + _CSV_BLOCK))
             os.replace(tmp, path)
         except BaseException:
             os.unlink(tmp)
