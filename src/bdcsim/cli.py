@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import analysis
@@ -22,13 +23,14 @@ from .scenario import (
 from .sim import SimulationDiverged, WindowMetrics, run, steady_window, trace_from_csv
 
 _DESIGN_FLAGS = (
-    ("pv-voltage", "pv_voltage", "PV array voltage [V]"),
-    ("pv-current", "pv_current", "PV array current [A]"),
-    ("battery-voltage", "battery_voltage", "battery voltage [V]"),
-    ("switching-frequency", "switching_frequency", "switching frequency [Hz]"),
-    ("load-voltage", "load_voltage", "regulated load voltage [V]"),
-    ("load-current", "load_current", "load current [A]"),
-    ("ripple-current", "ripple_current", "target inductor ripple [A]"),
+    ("pv-voltage", "PV array voltage [V]"),
+    ("pv-current", "PV array current [A]"),
+    ("battery-voltage", "battery voltage [V]"),
+    ("switching-frequency", "switching frequency [Hz]"),
+    ("load-voltage", "regulated load voltage [V]"),
+    ("load-current", "load current [A]"),
+    ("ripple-current", "target inductor ripple [A]"),
+    ("ripple-fraction", "output ripple as a fraction of load voltage (default %(default)s)"),
 )
 
 
@@ -39,10 +41,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_design = sub.add_parser("design", help="size the converter from a specification")
-    for flag, _, help_text in _DESIGN_FLAGS:
-        p_design.add_argument(f"--{flag}", type=parse_quantity, help=help_text)
-    p_design.add_argument("--ripple-fraction", type=parse_quantity, default=0.01,
-                          help="output ripple as a fraction of load voltage (default 0.01)")
+    defaults = {f.name: f.default for f in fields(DesignSpec)}
+    for flag, help_text in _DESIGN_FLAGS:
+        default = defaults[flag.replace("-", "_")]
+        p_design.add_argument(f"--{flag}", type=parse_quantity, help=help_text,
+                              default=None if default is MISSING else default)
     p_design.add_argument("--spec-file", type=Path,
                           help="read the specification from a [design] file instead of flags")
     p_design.add_argument("--output", type=Path, help="write the report to this file")
@@ -85,18 +88,13 @@ def cmd_design(args: argparse.Namespace) -> int:
     if args.spec_file is not None:
         spec = parse_design_file(args.spec_file)
     else:
-        fields = {}
-        missing = []
-        for flag, field_name, _ in _DESIGN_FLAGS:
-            value = getattr(args, field_name)
-            if value is None:
-                missing.append(f"--{flag}")
-            else:
-                fields[field_name] = value
+        values = {f.name: getattr(args, f.name) for f in fields(DesignSpec)}
+        missing = [f"--{key.replace('_', '-')}" for key, value in values.items()
+                   if value is None]
         if missing:
             raise ValueError("missing required flag(s): " + ", ".join(missing)
                              + " (or use --spec-file)")
-        spec = DesignSpec(ripple_fraction=args.ripple_fraction, **fields)
+        spec = DesignSpec(**values)
     result = design(spec)
     if args.format == "csv":
         lines = ["quantity,value",

@@ -1,4 +1,4 @@
-"""Plain-text scenario files.
+"""Plain-text scenario and design files.
 
 A scenario is a flat, sectioned key-value document:
 
@@ -20,11 +20,25 @@ m, k, M, G are accepted on input.  Inside [source] every line is one
 profile segment of whitespace-separated key=value tokens: a hold
 (`until=... volts=...`) or a linear ramp (`until=... from=... to=...`),
 ordered by `until`.
+
+The keys are the field names of the dataclasses the sections build:
+[converter] takes the fields of ConverterParams, [battery] those of
+BatteryModel and [controller] those of ControllerConfig.  [sim] takes the
+Scenario fields that no other section fills (t_end, dt, record_decimation,
+...) plus `init_<field>` for every CircuitState field but t.  A design file
+has one [design] section that takes the fields of DesignSpec.  A key is
+required when its field has no default, and an omitted key takes its
+field's default.  A key may be given once per section.  The rules no
+dataclass states are written out here: v_emf_empty defaults to v_emf_full
+and r_int to 0; once any init_* key is given, the bus starts at the source
+voltage at t = 0, soc at the battery's soc, and i_l and v_c_o at 0;
+record_decimation must be a whole number; initial_mode is a mode name.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import MISSING, fields
 
 from .circuit import BatteryModel, CircuitState, ConverterParams
 from .control import ControllerConfig, Mode
@@ -36,20 +50,22 @@ _SUFFIXES = {
     "m": 1e-3, "k": 1e3, "M": 1e6, "G": 1e9,
 }
 
-_SECTIONS = ("converter", "battery", "controller", "source", "sim")
 
-_CONVERTER_KEYS = {"v_bus_nominal", "l_p", "c_bus", "c_o", "f_s", "r_load",
-                   "r_on", "v_f", "r_source", "r_link"}
-_BATTERY_KEYS = {"v_emf_full", "v_emf_empty", "r_int", "capacity", "soc"}
-_CONTROLLER_KEYS = {"v_ref_load", "i_charge_ref", "i_discharge_ref", "v_float",
-                    "v_bus_low", "v_bus_high", "duty_step", "duty_min", "duty_max",
-                    "i_deadband", "v_deadband"}
-_SIM_KEYS = {"t_end", "dt", "record_decimation", "i_limit", "v_limit",
-             "fixed_duty", "initial_mode", "initial_duty",
-             "init_i_l", "init_v_c_bus", "init_v_c_o", "init_soc"}
-_DESIGN_KEYS = {"pv_voltage", "pv_current", "battery_voltage",
-                "switching_frequency", "load_voltage", "load_current",
-                "ripple_current", "ripple_fraction"}
+def _keys(cls, *exclude: str) -> frozenset[str]:
+    return frozenset(f.name for f in fields(cls)) - set(exclude)
+
+
+_INIT = "init_"
+# Section name -> the keys it takes; None marks the [source] segment lines.
+_SCENARIO_SECTIONS = {
+    "converter": _keys(ConverterParams),
+    "battery": _keys(BatteryModel),
+    "controller": _keys(ControllerConfig),
+    "source": None,
+    "sim": (_keys(Scenario, "params", "battery", "controller", "source", "initial_state")
+            | {_INIT + key for key in _keys(CircuitState, "t")}),
+}
+_DESIGN_SECTIONS = {"design": _keys(DesignSpec)}
 
 
 class ScenarioParseError(ValueError):
@@ -94,162 +110,104 @@ def _tokenize(text: str):
         yield line_no, section, line
 
 
-def _parse_key_value(payload: str, line_no: int) -> tuple[str, str]:
-    if "=" not in payload:
-        raise ScenarioParseError(f"expected key = value, got {payload!r}", line=line_no)
-    key, value = payload.split("=", 1)
-    return key.strip(), value.strip()
+def _parse_value(key: str, text: str, line_no: int) -> float | int | Mode:
+    try:
+        if key == "initial_mode":
+            return Mode(text.lower())
+        value = parse_quantity(text)
+    except ValueError as exc:
+        raise ScenarioParseError(f"bad value for {key}: {exc}", line=line_no)
+    if key == "record_decimation":
+        if value != int(value):
+            raise ScenarioParseError(
+                f"record_decimation must be a whole number, got {value}", line=line_no)
+        return int(value)
+    return value
 
 
 def _parse_segment(payload: str, line_no: int) -> SourceSegment:
-    fields = {}
+    values = {}
     for token in payload.split():
         if "=" not in token:
             raise ScenarioParseError(
                 f"source segment token {token!r} is not key=value", line=line_no)
         key, value = token.split("=", 1)
         try:
-            fields[key.strip()] = parse_quantity(value)
+            values[key.strip()] = parse_quantity(value)
         except ValueError as exc:
             raise ScenarioParseError(f"bad value in segment: {exc}", line=line_no)
-    if "until" not in fields:
+    if "until" not in values:
         raise ScenarioParseError("source segment needs an `until` time", line=line_no)
-    until = fields.pop("until")
-    if set(fields) == {"volts"}:
-        return SourceSegment(until=until, v_start=fields["volts"], v_end=fields["volts"])
-    if set(fields) == {"from", "to"}:
-        return SourceSegment(until=until, v_start=fields["from"], v_end=fields["to"])
+    until = values.pop("until")
+    if set(values) == {"volts"}:
+        return SourceSegment(until=until, v_start=values["volts"], v_end=values["volts"])
+    if set(values) == {"from", "to"}:
+        return SourceSegment(until=until, v_start=values["from"], v_end=values["to"])
     raise ScenarioParseError(
         "source segment must be `until=.. volts=..` or `until=.. from=.. to=..`",
         line=line_no)
 
 
-def parse_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
-    """Build a Scenario from document text; see module docstring for grammar."""
-    values: dict[str, dict[str, tuple[float, int]]] = {s: {} for s in _SECTIONS}
-    raw_values: dict[str, dict[str, str]] = {s: {} for s in _SECTIONS}
+def _read(text: str, name: str, sections: dict) -> tuple[dict, list[SourceSegment]]:
+    """The values given in each of `sections`, by key, and the segment lines.
+    Every section must appear; a section header may repeat, a key may not."""
+    given: dict[str, dict] = {section: {} for section in sections}
     segments: list[SourceSegment] = []
-    seen_sections: set[str] = set()
-
+    seen: set[str] = set()
     for line_no, section, payload in _tokenize(text):
+        if section not in sections:
+            raise ScenarioParseError(f"unknown section [{section}]", line=line_no)
+        seen.add(section)
         if payload is None:
-            if section not in _SECTIONS:
-                raise ScenarioParseError(f"unknown section [{section}]", line=line_no)
-            seen_sections.add(section)
             continue
-        if section == "source":
+        if sections[section] is None:
             segments.append(_parse_segment(payload, line_no))
             continue
-        key, value = _parse_key_value(payload, line_no)
-        allowed = {"converter": _CONVERTER_KEYS, "battery": _BATTERY_KEYS,
-                   "controller": _CONTROLLER_KEYS, "sim": _SIM_KEYS}[section]
-        if key not in allowed:
+        if "=" not in payload:
+            raise ScenarioParseError(f"expected key = value, got {payload!r}", line=line_no)
+        key, value = (part.strip() for part in payload.split("=", 1))
+        if key not in sections[section]:
             raise ScenarioParseError(f"unknown key {key!r} in [{section}]", line=line_no)
-        if key == "initial_mode":
-            raw_values[section][key] = value
-            continue
-        try:
-            values[section][key] = (parse_quantity(value), line_no)
-        except ValueError as exc:
-            raise ScenarioParseError(f"bad value for {key}: {exc}", line=line_no)
-
-    missing = [s for s in _SECTIONS if s not in seen_sections]
+        if key in given[section]:
+            raise ScenarioParseError(f"duplicate key {key!r} in [{section}]", line=line_no)
+        given[section][key] = _parse_value(key, value, line_no)
+    missing = [section for section in sections if section not in seen]
     if missing:
         raise ScenarioParseError(
             f"{name}: missing section(s): " + ", ".join(f"[{s}]" for s in missing))
+    return given, segments
+
+
+def _build(cls, section: str, given: dict, **fallback):
+    """cls(**given), with `fallback` under the given values; the first field
+    with neither a value nor a default is reported as a missing key."""
+    values = {**fallback, **given}
+    for f in fields(cls):
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"[{section}] missing required key {f.name!r}")
+    return cls(**values)
+
+
+def parse_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
+    """Build a Scenario from document text; see module docstring for grammar."""
+    given, segments = _read(text, name, _SCENARIO_SECTIONS)
     if not segments:
         raise ScenarioParseError(f"{name}: [source] has no segments")
-
-    def number(section: str, key: str, default: float | None = None) -> float:
-        if key in values[section]:
-            return values[section][key][0]
-        if default is None:
-            raise ScenarioParseError(f"{name}: [{section}] missing required key {key!r}")
-        return default
-
+    sim = given["sim"]
+    init = {key[len(_INIT):]: sim.pop(key) for key in list(sim) if key.startswith(_INIT)}
     try:
-        params = ConverterParams(
-            v_bus_nominal=number("converter", "v_bus_nominal"),
-            l_p=number("converter", "l_p"),
-            c_bus=number("converter", "c_bus"),
-            c_o=number("converter", "c_o"),
-            f_s=number("converter", "f_s"),
-            r_load=number("converter", "r_load"),
-            r_on=number("converter", "r_on", 0.0),
-            v_f=number("converter", "v_f", 0.0),
-            r_source=number("converter", "r_source", 0.0),
-            r_link=number("converter", "r_link", 0.02),
-        )
-        v_emf_full = number("battery", "v_emf_full")
-        battery = BatteryModel(
-            v_emf_full=v_emf_full,
-            v_emf_empty=number("battery", "v_emf_empty", v_emf_full),
-            r_int=number("battery", "r_int", 0.0),
-            capacity=number("battery", "capacity"),
-            soc=number("battery", "soc", 0.5),
-        )
-        defaults = ControllerConfig()
-        controller = ControllerConfig(
-            v_ref_load=number("controller", "v_ref_load", defaults.v_ref_load),
-            i_charge_ref=number("controller", "i_charge_ref", defaults.i_charge_ref),
-            i_discharge_ref=number("controller", "i_discharge_ref",
-                                   defaults.i_discharge_ref),
-            v_float=number("controller", "v_float", defaults.v_float),
-            v_bus_low=number("controller", "v_bus_low", defaults.v_bus_low),
-            v_bus_high=number("controller", "v_bus_high", defaults.v_bus_high),
-            duty_step=number("controller", "duty_step", defaults.duty_step),
-            duty_min=number("controller", "duty_min", defaults.duty_min),
-            duty_max=number("controller", "duty_max", defaults.duty_max),
-            i_deadband=number("controller", "i_deadband", defaults.i_deadband),
-            v_deadband=number("controller", "v_deadband", defaults.v_deadband),
-        )
+        params = _build(ConverterParams, "converter", given["converter"])
+        battery = _build(BatteryModel, "battery", given["battery"],
+                         v_emf_empty=given["battery"].get("v_emf_full"), r_int=0.0)
+        controller = _build(ControllerConfig, "controller", given["controller"])
         source = SourceProfile(segments=tuple(segments))
-
-        initial_mode = None
-        if "initial_mode" in raw_values["sim"]:
-            mode_name = raw_values["sim"]["initial_mode"].lower()
-            try:
-                initial_mode = Mode(mode_name)
-            except ValueError:
-                raise ScenarioParseError(
-                    f"{name}: unknown initial_mode {mode_name!r}")
         initial_state = None
-        init_keys = ("init_i_l", "init_v_c_bus", "init_v_c_o", "init_soc")
-        if any(k in values["sim"] for k in init_keys):
-            initial_state = CircuitState(
-                i_l=number("sim", "init_i_l", 0.0),
-                v_c_bus=number("sim", "init_v_c_bus", source.voltage(0.0)),
-                v_c_o=number("sim", "init_v_c_o", 0.0),
-                soc=number("sim", "init_soc", battery.soc),
-                t=0.0,
-            )
-        fixed_duty = (values["sim"]["fixed_duty"][0]
-                      if "fixed_duty" in values["sim"] else None)
-        initial_duty = (values["sim"]["initial_duty"][0]
-                        if "initial_duty" in values["sim"] else None)
-        record_decimation = number("sim", "record_decimation", 10)
-        if record_decimation != int(record_decimation):
-            raise ScenarioParseError(
-                f"record_decimation must be a whole number, got {record_decimation}",
-                line=values["sim"]["record_decimation"][1])
-
-        return Scenario(
-            params=params,
-            battery=battery,
-            controller=controller,
-            source=source,
-            t_end=number("sim", "t_end"),
-            dt=number("sim", "dt"),
-            record_decimation=int(record_decimation),
-            i_limit=number("sim", "i_limit", 100.0),
-            v_limit=number("sim", "v_limit", 200.0),
-            fixed_duty=fixed_duty,
-            initial_state=initial_state,
-            initial_mode=initial_mode,
-            initial_duty=initial_duty,
-        )
-    except ScenarioParseError:
-        raise
+        if init:
+            initial_state = CircuitState(**{"i_l": 0.0, "v_c_bus": source.voltage(0.0),
+                                            "v_c_o": 0.0, "soc": battery.soc, "t": 0.0,
+                                            **init})
+        return _build(Scenario, "sim", sim, params=params, battery=battery,
+                      controller=controller, source=source, initial_state=initial_state)
     except ValueError as exc:
         raise ScenarioParseError(f"{name}: {exc}") from exc
 
@@ -262,27 +220,9 @@ def parse_scenario_file(path) -> Scenario:
 def parse_design_text(text: str, name: str = "<design>") -> DesignSpec:
     """Parse a design specification file: single [design] section with the
     DesignSpec field names as keys."""
-    fields: dict[str, float] = {}
-    for line_no, section, payload in _tokenize(text):
-        if payload is None:
-            if section != "design":
-                raise ScenarioParseError(f"unknown section [{section}]", line=line_no)
-            continue
-        if section != "design":
-            raise ScenarioParseError(f"unknown section [{section}]", line=line_no)
-        key, value = _parse_key_value(payload, line_no)
-        if key not in _DESIGN_KEYS:
-            raise ScenarioParseError(f"unknown key {key!r} in [design]", line=line_no)
-        try:
-            fields[key] = parse_quantity(value)
-        except ValueError as exc:
-            raise ScenarioParseError(f"bad value for {key}: {exc}", line=line_no)
-    required = _DESIGN_KEYS - {"ripple_fraction"}
-    missing = sorted(required - set(fields))
-    if missing:
-        raise ScenarioParseError(f"{name}: [design] missing key(s): {', '.join(missing)}")
+    given, _ = _read(text, name, _DESIGN_SECTIONS)
     try:
-        return DesignSpec(**fields)
+        return _build(DesignSpec, "design", given["design"])
     except ValueError as exc:
         raise ScenarioParseError(f"{name}: {exc}") from exc
 

@@ -161,7 +161,12 @@ class Scenario:
             raise ValueError("t_end must be non-negative")
         if self.record_decimation < 1:
             raise ValueError("record_decimation must be >= 1")
-        period_steps = 1.0 / (self.params.f_s * self.dt)
+        periods_per_step = self.params.f_s * self.dt
+        if not (periods_per_step > 0.0 and math.isfinite(1.0 / periods_per_step)
+                and math.isfinite(self.t_end / self.dt)):
+            raise ValueError(f"dt={self.dt} gives no finite step count "
+                             f"(f_s={self.params.f_s}, t_end={self.t_end})")
+        period_steps = 1.0 / periods_per_step
         if abs(period_steps - round(period_steps)) > 1e-6 * period_steps:
             raise ValueError(
                 "dt must divide the switching period so carrier wraps land on steps")
@@ -179,8 +184,12 @@ class Scenario:
                 raise ValueError("fixed_duty must be in [0, 1]")
             if self.initial_mode is None:
                 raise ValueError("fixed_duty requires an explicit initial_mode")
-        if self.initial_state is not None and self.initial_state.t != 0.0:
-            raise ValueError("initial_state must start at t = 0")
+        if self.initial_state is not None:
+            if self.initial_state.t != 0.0:
+                raise ValueError("initial_state must start at t = 0")
+            if not 0.0 <= self.initial_state.soc <= 1.0:
+                raise ValueError(
+                    f"initial_state.soc must be in [0, 1], got {self.initial_state.soc}")
 
     @property
     def steps_per_period(self) -> int:
@@ -829,6 +838,8 @@ def steady_window(trace: Trace, n_periods: int, f_s: float) -> WindowMetrics:
     """Metrics over the last `n_periods` switching periods of the trace."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
+    if not f_s > 0.0:
+        raise ValueError(f"switching frequency must be positive, got {f_s}")
     if len(trace) < 2:
         raise ValueError("trace too short for a steady window")
     t_end = float(trace.time[-1])

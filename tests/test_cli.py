@@ -120,6 +120,18 @@ class TestAnalyzeCommand:
         assert "row" not in err
 
 
+    @pytest.mark.parametrize("frequency", ["0", "-20k"])
+    def test_non_positive_switching_frequency(self, scenarios_dir, tmp_path, capsys,
+                                              frequency):
+        out_csv = tmp_path / "quick.csv"
+        main(["simulate", str(scenarios_dir / "quick.scenario"),
+              "--output", str(out_csv)])
+        capsys.readouterr()
+        assert main(["analyze", str(out_csv), "--inductance", "1m",
+                     f"--switching-frequency={frequency}"]) == 1
+        assert "switching frequency must be positive" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def test_writes_trace_and_summary(self, scenarios_dir, tmp_path, capsys):
         out_csv = tmp_path / "run.csv"
@@ -179,6 +191,24 @@ class TestSimulateCommand:
             "initial_mode = discharging\ni_limit = 50\n")
         assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 2
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("sim", ["t_end = 1m\ndt = 1e-300\n",   # f_s*dt is 0
+                                     "t_end = 1m\ndt = 1e-320\n",
+                                     "t_end = 1e300\ndt = 1e-300\n"])
+    def test_extreme_step_size_is_input_error(self, tmp_path, capsys, sim):
+        path = tmp_path / "steps.scenario"
+        f_s = "1e-300" if sim == "t_end = 1m\ndt = 1e-300\n" else "20k"
+        path.write_text(
+            "[converter]\nv_bus_nominal = 24\nl_p = 1m\nc_bus = 1000u\nc_o = 250u\n"
+            f"f_s = {f_s}\nr_load = 10\n"
+            "[battery]\nv_emf_full = 12\ncapacity = 7200\n"
+            "[controller]\n"
+            "[source]\nuntil=1 volts=24\n"
+            "[sim]\n" + sim)
+        assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite step count" in err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_output_with_multiple_scenarios_rejected(self, scenarios_dir, tmp_path, capsys):
         q = str(scenarios_dir / "quick.scenario")
