@@ -54,7 +54,6 @@ from .sim import (
     WindowMetrics,
     run,
     steady_window,
-    step,
     trace_from_csv,
 )
 

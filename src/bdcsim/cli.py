@@ -142,6 +142,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for path in args.scenarios:
         scenario = parse_scenario_file(path)
         trace = run(scenario)
+        # Before the write, so an invalid window leaves no trace file.
+        metrics = steady_window(trace, n_periods=args.periods, f_s=scenario.params.f_s)
         if args.output is not None:
             out_path = args.output
         else:
@@ -152,7 +154,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines.append(f"scenario: {path}")
         lines.append(f"  simulated {trace.time[-1]:.6f} s "
                      f"({len(trace)} samples, dt {scenario.dt:.3g} s)")
-        metrics = steady_window(trace, n_periods=args.periods, f_s=scenario.params.f_s)
         lines.extend(_summarize(metrics))
         lines.append(f"  trace written: {out_path}")
     sys.stdout.write("\n".join(lines) + "\n")

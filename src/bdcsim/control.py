@@ -60,21 +60,12 @@ class ControllerConfig:
 
 @dataclass(frozen=True)
 class ControllerState:
-    """Controller state carried between switching periods.
-
-    The acc_* fields are the sensor-filter accumulators: the plant stepper
-    adds one sample per integration step and the controller consumes the
-    period average at the next carrier wrap.
-    """
+    """The regulator's state, carried from one carrier wrap to the next.
+    The period averages it regulates on are the engine's to keep."""
 
     mode: Mode
     duty: float
     cc_cv_phase: CcCvPhase = CcCvPhase.CONSTANT_CURRENT
-    carrier_phase: float = 0.0    # in [0, 1), wraps once per switching period
-    acc_i_batt: float = 0.0
-    acc_v_load: float = 0.0
-    acc_v_batt: float = 0.0
-    acc_count: int = 0
 
 
 def initial_controller_state(cfg: ControllerConfig, mode: Mode = Mode.TRICKLE,

@@ -8,26 +8,28 @@ changes (gate edges, diode handoff, the discontinuous-conduction clamp)
 happen between steps, which is why a high-order smooth integrator would buy
 nothing here.
 
-Two kernels take the steps.  The scalar kernel (`_Engine.euler`, driven
-alone by `_integrate`, the reference) takes one Euler step at a time.  The
-period kernel (`_Engine.period`) serves `run()`: the converter is
-switched-affine, so within one conduction path and one source regime an
-Euler step is a fixed affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc),
-and with the duty fixed between carrier wraps a period is at most two such
-maps, the on-interval and the off-interval.  Stacked powers A^k, built once
-per path, regime and hold voltage, give every state of the period from one
-vector-matrix product per interval; the samples, the controller's
-accumulators and the energy meters follow from slices, sums and cumulative
-sums.  The period kernel declines a period, which the scalar kernel then
-takes from its start, when the source voltage changes within it (a ramp or
-a segment end), the DCM clamp would fire (the D2 or D1 current reaches
-zero), the source changes regime (the stiff-source clamp, or i_src >= 0 for
-r_source > 0), SoC leaves [0, 1] or a state leaves the divergence bounds.
-It also leaves a partial period at the end of the horizon, and every
-period shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its
-float columns agree with the scalar kernel's to within 1e-9 of each
-column's magnitude; the time base, the controller's decisions and the gates
-are identical.
+Two kernels take the steps and one driver (`_drive`) calls them: a
+controller tick at every carrier wrap, then one kernel call for the period
+that starts there, so every kernel call starts at a wrap.  The scalar
+kernel (`_Engine.euler`, used alone by `_integrate`, the reference) takes
+one Euler step at a time.  The period kernel (`_Engine.period`) serves
+`run()`: the converter is switched-affine, so within one conduction path
+and one source regime an Euler step is a fixed affine map x <- A x + b on
+(i_l, v_c_bus, v_c_o, soc), and with the duty fixed between carrier wraps a
+period is at most two such maps, the on-interval and the off-interval.
+Stacked powers A^k, built once per path, regime and hold voltage, give
+every state of the period from one vector-matrix product per interval; the
+samples, the controller's accumulators and the energy meters follow from
+slices, sums and cumulative sums.  The period kernel declines a period,
+which the scalar kernel then takes from its start, when the source voltage
+changes within it (a ramp or a segment end), the DCM clamp would fire (the
+D2 or D1 current reaches zero), the source changes regime (the stiff-source
+clamp, or i_src >= 0 for r_source > 0), SoC leaves [0, 1] or a state leaves
+the divergence bounds.  It also leaves a partial period at the end of the
+horizon, and every period shorter than _MIN_BATCH_STEPS steps, to the
+scalar kernel.  Its float columns agree with the scalar kernel's to within
+1e-9 of each column's magnitude; the time base, the controller's decisions
+and the gates are identical.
 
 The PV source only ever sources current, like a diode-isolated panel: with
 r_source = 0 the bus is clamped to the profile voltage whenever that voltage
@@ -179,6 +181,12 @@ class Scenario:
         if self.dt > 0.8 * link_limit:
             raise ValueError(
                 f"dt={self.dt} unstable for the bus interconnect (limit {link_limit:.3g} s)")
+        # The bus starts at the source voltage or is clamped to it.
+        for i, seg in enumerate(self.source.segments, 1):
+            if not max(abs(seg.v_start), abs(seg.v_end)) <= self.v_limit:
+                raise ValueError(
+                    f"source segment {i} (until {seg.until:g} s, {seg.v_start:g} V to "
+                    f"{seg.v_end:g} V) exceeds v_limit = {self.v_limit:g} V")
         if self.fixed_duty is not None:
             if not 0.0 <= self.fixed_duty <= 1.0:
                 raise ValueError("fixed_duty must be in [0, 1]")
@@ -268,25 +276,6 @@ def trace_from_csv(path) -> Trace:
                  e_battery=np.zeros(n), e_link=np.zeros(n))
 
 
-def _initial_conditions(scenario: Scenario) -> tuple[CircuitState, ControllerState]:
-    if scenario.initial_state is not None:
-        state = scenario.initial_state
-    else:
-        state = CircuitState(i_l=0.0, v_c_bus=scenario.source.voltage(0.0),
-                             v_c_o=0.0, soc=scenario.battery.soc, t=0.0)
-    mode = scenario.initial_mode if scenario.initial_mode is not None else Mode.TRICKLE
-    ctrl = initial_controller_state(scenario.controller, mode=mode,
-                                    duty=scenario.initial_duty)
-    return state, ctrl
-
-
-def _gate_counts(mode: Mode, duty: float, n_period: int) -> tuple[int, int, int]:
-    """Mode code and the on-step counts of S1 and S2 for one carrier period."""
-    on_steps = round(duty * n_period)
-    code = MODE_CODES[mode]
-    return (code, on_steps if code == 0 else 0, on_steps if code == 1 else 0)
-
-
 # The arrays an integration records, in the order the kernels fill them:
 # the trace CSV columns but i_batt (which is i_l), then the energy meters.
 _RECORDED = tuple((name, dtype) for name, dtype, _ in _TRACE_FORMAT if name != "i_batt") \
@@ -331,19 +320,27 @@ def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.
 
 
 class _Engine:
-    """One integration from a start state: the plant, controller and
-    energy-meter state carried between calls, and the trace arrays it
-    records into (none when `n_rec` is 0).
+    """One integration of a scenario from its start state (the scenario's
+    initial state, mode and duty, the accumulators empty): the plant,
+    controller and energy-meter state carried between kernel calls, and the
+    trace arrays it records into.
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
-    :meth:`period` the batched one; the drivers :func:`_integrate`,
-    :func:`run` and :func:`step` call them.
+    :meth:`period` the batched one; :func:`_drive` calls them, and every
+    kernel call starts at a carrier wrap, right after a tick.
     """
 
-    def __init__(self, scenario: Scenario, state: CircuitState, ctrl: ControllerState,
-                 n_rec: int):
+    def __init__(self, scenario: Scenario):
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
+        self.n_steps = round(scenario.t_end / scenario.dt)
+        state = scenario.initial_state
+        if state is None:
+            state = CircuitState(i_l=0.0, v_c_bus=scenario.source.voltage(0.0),
+                                 v_c_o=0.0, soc=scenario.battery.soc, t=0.0)
+        mode = scenario.initial_mode if scenario.initial_mode is not None else Mode.TRICKLE
+        ctrl = initial_controller_state(scenario.controller, mode=mode,
+                                        duty=scenario.initial_duty)
         self.i_l = state.i_l
         self.v_bus = state.v_c_bus
         self.v_o = state.v_c_o
@@ -352,21 +349,17 @@ class _Engine:
         self.mode = ctrl.mode
         self.duty = ctrl.duty
         self.phase_cc = ctrl.cc_cv_phase
-        self.acc_i = ctrl.acc_i_batt
-        self.acc_vl = ctrl.acc_v_load
-        self.acc_vb = ctrl.acc_v_batt
-        self.acc_n = ctrl.acc_count
+        self.acc_n = 0                      # steps in the last period's sums
         self.e_src = self.e_load = self.e_batt = self.e_link = 0.0
-        self.in_period = round(ctrl.carrier_phase * self.n_period)
-        self.mode_code, self.on1, self.on2 = _gate_counts(self.mode, self.duty,
-                                                          self.n_period)
+        self.mode_code = MODE_CODES[self.mode]
         self.s1 = self.s2 = False
         self.v_s = math.nan
         self.v_s_until = -math.inf
         self.k = 0                          # steps taken
         self.rec = 0                        # samples recorded
-        self.k_rec = 0 if n_rec else -1     # step of the next sample
-        self.cols = tuple(np.empty(n_rec, dtype) for _, dtype in _RECORDED) if n_rec else None
+        self.k_rec = 0                      # step of the next sample
+        n_rec = self.n_steps // scenario.record_decimation + 1
+        self.cols = tuple(np.empty(n_rec, dtype) for _, dtype in _RECORDED)
         self.stacks = None                  # batched-period buffers, made on first use
 
     def tick(self) -> None:
@@ -395,10 +388,11 @@ class _Engine:
             self.phase_cc = reg.cc_cv_phase
         else:
             self.duty = fixed_duty
-        self.acc_i = self.acc_vl = self.acc_vb = 0.0
-        self.acc_n = 0
-        self.mode_code, self.on1, self.on2 = _gate_counts(self.mode, self.duty,
-                                                          self.n_period)
+        # The on-step counts of S1 (charging) and S2 (discharging).
+        on_steps = round(self.duty * self.n_period)
+        self.mode_code = code = MODE_CODES[self.mode]
+        self.on1 = on_steps if code == 0 else 0
+        self.on2 = on_steps if code == 1 else 0
 
     def v_batt(self) -> float:
         """Battery terminal voltage (EMF plus the drop on r_int) at the
@@ -407,8 +401,9 @@ class _Engine:
         return b.v_emf_empty + (b.v_emf_full - b.v_emf_empty) * self.soc + b.r_int * self.i_l
 
     def euler(self, n_steps: int) -> None:
-        """The scalar kernel: `n_steps` explicit Euler steps, none across a
-        carrier wrap, recording the pre-update state at each decimation point.
+        """The scalar kernel: `n_steps` explicit Euler steps from a carrier
+        wrap, at most one period's worth, recording the pre-update state at
+        each decimation point.
 
         Each step: source voltage, battery EMF, PWM gating, then one update
         with pre-update values on the right-hand side.  The plant law: an
@@ -452,31 +447,27 @@ class _Engine:
         v_o = self.v_o
         soc = self.soc
         t = self.t
-        acc_i = self.acc_i
-        acc_vl = self.acc_vl
-        acc_vb = self.acc_vb
+        acc_i = acc_vl = acc_vb = 0.0       # the period's sums, from its wrap
         e_src = self.e_src
         e_load = self.e_load
         e_batt = self.e_batt
         e_link = self.e_link
-        in_period = self.in_period
         v_s = self.v_s
         v_s_until = self.v_s_until
         rec = self.rec
-        k_rec = self.k_rec
-        if self.cols is not None:
-            (time_a, i_l_a, v_bus_a, v_o_a, v_batt_a, soc_a, mode_a, duty_a, s1_a,
-             s2_a, e_src_a, e_load_a, e_batt_a, e_link_a) = self.cols
+        j_rec = self.k_rec - self.k         # step of the period that is sampled next
+        (time_a, i_l_a, v_bus_a, v_o_a, v_batt_a, soc_a, mode_a, duty_a, s1_a,
+         s2_a, e_src_a, e_load_a, e_batt_a, e_link_a) = self.cols
 
-        for k in range(self.k, self.k + n_steps):
+        for j in range(n_steps):            # j: steps since the carrier wrap
             if t >= v_s_until:
                 v_s, v_s_until = source.evaluate(t)
             emf = emf_base + emf_span * soc
             v_batt = emf + r_int * i_l
-            s1 = in_period < on1
-            s2 = in_period < on2
+            s1 = j < on1
+            s2 = j < on2
 
-            if k == k_rec:
+            if j == j_rec:
                 time_a[rec] = t
                 i_l_a[rec] = i_l
                 v_bus_a[rec] = v_bus
@@ -492,7 +483,7 @@ class _Engine:
                 e_batt_a[rec] = e_batt
                 e_link_a[rec] = e_link
                 rec += 1
-                k_rec += dec
+                j_rec += dec
 
             if s1:  # buck switch
                 i_l2 = i_l + dt * ((v_bus - r_on * i_l) - v_batt) * inv_l
@@ -556,7 +547,6 @@ class _Engine:
             v_o = v_o2
             soc = soc2
             t = t + dt
-            in_period += 1
 
         self.i_l = i_l
         self.v_bus = v_bus
@@ -566,7 +556,7 @@ class _Engine:
         self.acc_i = acc_i
         self.acc_vl = acc_vl
         self.acc_vb = acc_vb
-        self.acc_n += n_steps
+        self.acc_n = n_steps
         self.e_src = e_src
         self.e_load = e_load
         self.e_batt = e_batt
@@ -576,9 +566,8 @@ class _Engine:
         self.s1 = s1
         self.s2 = s2
         self.rec = rec
-        self.k_rec = k_rec
+        self.k_rec = self.k + j_rec
         self.k += n_steps
-        self.in_period = 0 if in_period == self.n_period else in_period
 
     def period(self) -> bool:
         """The batched kernel: one whole carrier period from its wrap, the
@@ -661,7 +650,7 @@ class _Engine:
         e[3, 1:] = (dt * p.r_link) * i_link * i_link
         np.cumsum(e, axis=1, out=e)
 
-        if self.cols is not None and self.k_rec - self.k < n:
+        if self.k_rec - self.k < n:
             dec = scn.record_decimation
             sel = slice(self.k_rec - self.k, n, dec)
             steps = self.steps[sel]
@@ -746,47 +735,29 @@ class _Engine:
         cols = {name: col[:self.rec] for (name, _), col in zip(_RECORDED, self.cols)}
         return Trace(i_batt=cols["i_l"], **cols)
 
-    def state(self) -> CircuitState:
-        return CircuitState(i_l=self.i_l, v_c_bus=self.v_bus, v_c_o=self.v_o,
-                            soc=self.soc, t=self.t)
 
-    def controller(self) -> ControllerState:
-        return ControllerState(
-            mode=self.mode, duty=self.duty, cc_cv_phase=self.phase_cc,
-            carrier_phase=self.in_period / self.n_period,
-            acc_i_batt=self.acc_i, acc_v_load=self.acc_vl, acc_v_batt=self.acc_vb,
-            acc_count=self.acc_n)
-
-
-def _integrate(scenario: Scenario, state: CircuitState, ctrl: ControllerState,
-               n_steps: int) -> tuple[Trace, CircuitState, ControllerState]:
-    """The scalar reference: advance plant and controller `n_steps`
-    integration steps from the given states one Euler step at a time;
-    returns the decimated trace (first and, when it falls on the decimation
-    grid, last instant included) and the final states."""
-    eng = _Engine(scenario, state, ctrl, n_steps // scenario.record_decimation + 1)
-    while eng.k < n_steps:
-        if eng.in_period == 0:
+def _drive(scenario: Scenario, batched: bool) -> Trace:
+    """The engine's one loop: a controller tick at every carrier wrap, then
+    the period through the batched kernel when `batched`, the period is
+    whole and the kernel takes it, else through the scalar kernel; the
+    final instant is recorded when it falls on the decimation grid."""
+    eng = _Engine(scenario)
+    n, n_steps = eng.n_period, eng.n_steps
+    # A batch run past a divergence may overflow; the scalar rerun reports it.
+    with np.errstate(all="ignore"):
+        while eng.k < n_steps:
             eng.tick()
-        eng.euler(min(eng.n_period - eng.in_period, n_steps - eng.k))
+            if not (batched and n_steps - eng.k >= n and eng.period()):
+                eng.euler(min(n, n_steps - eng.k))
     eng.finish()
-    return eng.trace(), eng.state(), eng.controller()
+    return eng.trace()
 
 
-def step(state: CircuitState, ctrl: ControllerState,
-         scenario: Scenario) -> tuple[CircuitState, ControllerState]:
-    """Advance the coupled plant and controller by one integration step.
-
-    The controller (mode selection plus regulation) fires only when the
-    carrier phase sits at a wrap instant; every step feeds the measurement
-    accumulators that the next wrap will average.  Records nothing.  Raises
-    :class:`SimulationDiverged` when a state magnitude leaves the bounds.
-    """
-    eng = _Engine(scenario, state, ctrl, 0)
-    if eng.in_period == 0:
-        eng.tick()
-    eng.euler(1)
-    return eng.state(), eng.controller()
+def _integrate(scenario: Scenario) -> Trace:
+    """The scalar reference: the scenario from its initial state to t_end,
+    one Euler step at a time; returns the decimated trace (first and, when
+    it falls on the decimation grid, last instant included)."""
+    return _drive(scenario, batched=False)
 
 
 def run(scenario: Scenario) -> Trace:
@@ -798,21 +769,7 @@ def run(scenario: Scenario) -> Trace:
     step is scalar.  Deterministic: identical scenarios produce
     bit-identical traces.
     """
-    state, ctrl = _initial_conditions(scenario)
-    n_steps = round(scenario.t_end / scenario.dt)
-    eng = _Engine(scenario, state, ctrl, n_steps // scenario.record_decimation + 1)
-    n = eng.n_period
-    batched = n >= _MIN_BATCH_STEPS
-    # A batch run past a divergence may overflow; the scalar rerun reports it.
-    with np.errstate(all="ignore"):
-        while eng.k < n_steps:
-            if eng.in_period == 0:
-                eng.tick()
-                if batched and n_steps - eng.k >= n and eng.period():
-                    continue
-            eng.euler(min(n - eng.in_period, n_steps - eng.k))
-    eng.finish()
-    return eng.trace()
+    return _drive(scenario, scenario.steps_per_period >= _MIN_BATCH_STEPS)
 
 
 @dataclass(frozen=True)

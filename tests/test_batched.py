@@ -29,14 +29,9 @@ REL = 1e-9
 BUNDLED = ("boost_discharge", "buck_charge", "mode_transition", "quick", "source_ramp")
 
 
-def scalar_run(scn):
-    state, ctrl = sim._initial_conditions(scn)
-    return sim._integrate(scn, state, ctrl, round(scn.t_end / scn.dt))[0]
-
-
 def assert_matches_scalar(scn):
     fast = sim.run(scn)
-    ref = scalar_run(scn)
+    ref = sim._integrate(scn)
     for name in EXACT:
         assert np.array_equal(getattr(fast, name), getattr(ref, name)), name
     for name in CLOSE:
@@ -104,6 +99,35 @@ def test_source_regime_changes_match_scalar(r_source):
     assert_matches_scalar(source_at_bus_scenario(r_source))
 
 
+@pytest.mark.parametrize("dec", [1, 3])
+def test_partial_last_period_matches_scalar(dec, monkeypatch):
+    """Two and a half periods at 64 steps per period: the period kernel
+    takes the two whole periods and the scalar kernel the half, which ends
+    on the decimation grid (dec 1) or off it (dec 3)."""
+    f_s = STAGE["f_s"]
+    scn = sim.Scenario(
+        params=ConverterParams(**STAGE), battery=BatteryModel.ideal(12.0),
+        controller=ControllerConfig(), source=sim.SourceProfile.constant(24.0),
+        t_end=2.5 / f_s, dt=1.0 / (f_s * 64), record_decimation=dec,
+        initial_mode=Mode.CHARGING, initial_duty=0.5,
+        initial_state=CircuitState(i_l=2.85, v_c_bus=24.0, v_c_o=23.95, soc=0.5,
+                                   t=0.0))
+    taken = []
+    kernel = sim._Engine.period
+
+    def counted(eng):
+        taken.append(kernel(eng))
+        return taken[-1]
+
+    monkeypatch.setattr(sim._Engine, "period", counted)
+    trace = assert_matches_scalar(scn)
+    assert taken == [True, True]
+    n_steps = round(scn.t_end / scn.dt)
+    assert n_steps == 160
+    assert len(trace) == n_steps // dec + 1
+    assert (round(trace.time[-1] / scn.dt) == n_steps) == (n_steps % dec == 0)
+
+
 def test_divergence_matches_scalar():
     """A boost leg held near full duty winds the current past its bound
     inside a period; run() reports it as the scalar kernel does."""
@@ -113,7 +137,7 @@ def test_divergence_matches_scalar():
         t_end=0.05, dt=50e-9, record_decimation=4, i_limit=20.0,
         fixed_duty=0.95, initial_mode=Mode.DISCHARGING)
     with pytest.raises(sim.SimulationDiverged) as ref:
-        scalar_run(scn)
+        sim._integrate(scn)
     with pytest.raises(sim.SimulationDiverged) as fast:
         sim.run(scn)
     assert str(fast.value) == str(ref.value)

@@ -2,9 +2,9 @@
 inductor current, the inductor voltage, the state derivatives and the
 battery terminal voltage; plus parameter validation.
 
-Each check drives :func:`bdcsim.sim.step` once with the gates held and reads
-the derivative back as (x' - x) / dt, which is exact for explicit Euler up
-to rounding.
+Each check drives a one-step :func:`bdcsim.sim.run` with the gates held
+and reads the derivative back as (x' - x) / dt, which is exact for explicit
+Euler up to rounding.
 """
 
 from dataclasses import dataclass
@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import pytest
 
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
-from bdcsim.control import ControllerConfig, ControllerState, Mode
-from bdcsim.sim import Scenario, SourceProfile, step
+from bdcsim.control import ControllerConfig, Mode
+from bdcsim.sim import Scenario, SourceProfile, run
 
 PARAMS = ConverterParams(v_bus_nominal=24.0, l_p=1e-3, c_bus=1000e-6, c_o=250e-6,
                          f_s=20e3, r_load=10.0)
@@ -37,16 +37,16 @@ def kick(gate, i_l=0.0, v_bus=24.0, v_o=24.0, soc=0.5, params=PARAMS,
     """One step with the buck leg on ("S1"), the boost leg on ("S2") or both
     switches off ("off").  The default source (0 V, stiff) stays below the
     bus and feeds nothing."""
-    scn = Scenario(params=params, battery=battery, controller=ControllerConfig(),
-                   source=SourceProfile.constant(v_s), t_end=DT, dt=DT)
-    # Mid-period with the gate on, so no controller tick intervenes.
-    ctrl = ControllerState(mode=GATE_MODES[gate], duty=0.5,
-                           carrier_phase=1 / scn.steps_per_period)
-    new, new_ctrl = step(CircuitState(i_l=i_l, v_c_bus=v_bus, v_c_o=v_o, soc=soc,
-                                      t=0.0), ctrl, scn)
-    return Kick(d_i_l=(new.i_l - i_l) / DT, d_v_c_bus=(new.v_c_bus - v_bus) / DT,
-                d_v_c_o=(new.v_c_o - v_o) / DT, d_soc=(new.soc - soc) / DT,
-                i_l=new.i_l, v_batt=new_ctrl.acc_v_batt)
+    # A fixed duty of one half in the mode that holds the gate: the wrap's
+    # tick turns the gate on (or leaves both off) for the first step.
+    trace = run(Scenario(
+        params=params, battery=battery, controller=ControllerConfig(),
+        source=SourceProfile.constant(v_s), t_end=DT, dt=DT, record_decimation=1,
+        fixed_duty=0.5, initial_mode=GATE_MODES[gate],
+        initial_state=CircuitState(i_l=i_l, v_c_bus=v_bus, v_c_o=v_o, soc=soc, t=0.0)))
+    return Kick(d_i_l=(trace.i_l[1] - i_l) / DT, d_v_c_bus=(trace.v_c_bus[1] - v_bus) / DT,
+                d_v_c_o=(trace.v_c_o[1] - v_o) / DT, d_soc=(trace.soc[1] - soc) / DT,
+                i_l=trace.i_l[1], v_batt=trace.v_batt_terminal[0])
 
 
 def inductor_volts(k: Kick) -> float:

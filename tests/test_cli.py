@@ -210,6 +210,27 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "finite step count" in err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_source_beyond_voltage_bound_is_input_error(self, scenarios_dir, tmp_path,
+                                                         capsys):
+        text = (scenarios_dir / "quick.scenario").read_text()
+        path = tmp_path / "huge.scenario"
+        path.write_text(text.replace("until=1 volts=24", "until=1 from=-1e300 to=1e300"))
+        assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "source segment 1" in err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_invalid_window_writes_no_trace(self, scenarios_dir, tmp_path, capsys):
+        """A trace shorter than the steady window fails before the write."""
+        text = (scenarios_dir / "quick.scenario").read_text()
+        path = tmp_path / "slow.scenario"
+        path.write_text(text.replace("f_s = 20k", "f_s = 1e-300"))
+        out_dir = tmp_path / "out"
+        assert main(["simulate", str(path), "--output-dir", str(out_dir)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "longer than trace" in err
+        assert not (out_dir / "slow.trace.csv").exists()
+
     def test_output_with_multiple_scenarios_rejected(self, scenarios_dir, tmp_path, capsys):
         q = str(scenarios_dir / "quick.scenario")
         assert main(["simulate", q, q, "--output", str(tmp_path / "x.csv")]) == 1

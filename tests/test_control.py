@@ -214,7 +214,6 @@ def test_initial_state_soft_starts_at_duty_floor():
     st = initial_controller_state(CFG)
     assert st.duty == CFG.duty_min
     assert st.mode is Mode.TRICKLE
-    assert st.carrier_phase == 0.0
 
 
 def test_config_validation():

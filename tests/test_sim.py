@@ -9,13 +9,7 @@ import pytest
 
 from bdcsim.cli import main
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
-from bdcsim.control import (
-    ControllerConfig,
-    ControllerState,
-    Mode,
-    initial_controller_state,
-    pwm_gate,
-)
+from bdcsim.control import ControllerConfig, Mode, pwm_gate
 from bdcsim.sim import (
     MODE_CODES,
     Scenario,
@@ -24,11 +18,9 @@ from bdcsim.sim import (
     SourceSegment,
     TRACE_COLUMNS,
     Trace,
-    _integrate,
     _step_map,
     run,
     steady_window,
-    step,
     trace_from_csv,
 )
 
@@ -99,46 +91,23 @@ class TestScenarioValidation:
 
 
 class TestStep:
+    """Short open-loop runs from a warm start, read back from the trace:
+    row 0 is the start state, row j the state after j steps."""
+
     def test_one_buck_step_from_zero_current(self):
         """First step under the buck leg ramps the current by dt*(v_bus-v_batt)/L."""
-        scn = make_scenario(fixed_duty=0.5, initial_mode=Mode.CHARGING)
-        state = warm_state()
-        ctrl = initial_controller_state(scn.controller, mode=Mode.CHARGING, duty=0.5)
-        new_state, new_ctrl = step(state, ctrl, scn)
-        assert new_state.i_l == pytest.approx(scn.dt * (24.0 - 12.0) / PARAMS.l_p)
-        assert new_state.t == pytest.approx(scn.dt)
-        assert new_ctrl.carrier_phase == pytest.approx(1 / scn.steps_per_period)
+        scn = make_scenario(t_end=2.5e-6, fixed_duty=0.5, initial_mode=Mode.CHARGING,
+                            initial_state=warm_state())
+        trace = run(scn)
+        assert trace.i_l[1] == pytest.approx(scn.dt * (24.0 - 12.0) / PARAMS.l_p)
+        assert trace.time[1] == pytest.approx(scn.dt)
 
     def test_trickle_holds_everything(self):
-        scn = make_scenario(fixed_duty=0.0, initial_mode=Mode.TRICKLE)
-        state = warm_state()
-        ctrl = initial_controller_state(scn.controller, mode=Mode.TRICKLE, duty=0.0)
-        for _ in range(3 * scn.steps_per_period):
-            state, ctrl = step(state, ctrl, scn)
-        assert state.i_l == 0.0
-        assert state.soc == pytest.approx(0.5)
-
-    def test_step_loop_matches_run_exactly(self):
-        """Driving step() in a loop reproduces the scalar kernel bit for bit
-        (run() is held to the scalar kernel in tests/test_batched.py).
-
-        The duty column is recorded after the controller tick at a carrier
-        wrap, which the step() chain applies when advancing away from the
-        wrap instant, so duty is compared away from the wrap samples.
-        """
-        scn = make_scenario(t_end=3 / 20e3, src=24.0)
-        state = CircuitState(i_l=0.0, v_c_bus=24.0, v_c_o=0.0, soc=0.5, t=0.0)
-        ctrl = initial_controller_state(scn.controller)
-        trace, _, _ = _integrate(scn, state, ctrl, round(scn.t_end / scn.dt))
-        n = scn.steps_per_period
-        for j in range(1, len(trace)):
-            state, ctrl = step(state, ctrl, scn)
-            assert state.i_l == trace.i_l[j]
-            assert state.v_c_bus == trace.v_c_bus[j]
-            assert state.v_c_o == trace.v_c_o[j]
-            assert state.soc == trace.soc[j]
-            if j % n != 0:
-                assert trace.duty[j] == ctrl.duty
+        scn = make_scenario(t_end=3 / 20e3, fixed_duty=0.0, initial_mode=Mode.TRICKLE,
+                            initial_state=warm_state())
+        trace = run(scn)
+        assert trace.i_l[-1] == 0.0
+        assert trace.soc[-1] == pytest.approx(0.5)
 
 
 LOSSY_PARAMS = ConverterParams(v_bus_nominal=24.0, l_p=1e-3, c_bus=1000e-6,
@@ -176,7 +145,7 @@ class TestKernelLaw:
     @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
     @pytest.mark.parametrize("path", sorted(KERNEL_PATHS))
     def test_one_step_matches_closed_form(self, path, lossy):
-        """One step() per conduction path against the written-out law, with
+        """One step per conduction path against the written-out law, with
         ideal devices and a stiff source (clamping the bus from 25 V), and
         with r_on, v_f, r_source, r_int and a sloped EMF.  The batched
         kernel's step map A·x + b must give the same update, with the source
@@ -184,21 +153,21 @@ class TestKernelLaw:
         params, battery = ((LOSSY_PARAMS, LOSSY_BATTERY) if lossy
                            else (PARAMS, IDEAL_BATTERY))
         mode, i_l = KERNEL_PATHS[path]
-        scn = Scenario(params=params, battery=battery, controller=ControllerConfig(),
-                       source=SourceProfile.constant(25.0), t_end=2.5e-6, dt=2.5e-6)
-        # Mid-period with a duty that keeps the leg on: no controller tick.
-        ctrl = ControllerState(mode=mode, duty=0.5,
-                               carrier_phase=1 / scn.steps_per_period)
         x = (i_l, 24.0, 23.5, 0.4)
-        new, new_ctrl = step(CircuitState(*x, t=0.0), ctrl, scn)
+        # A fixed duty of one half keeps the mode's leg on for the first step.
+        scn = Scenario(params=params, battery=battery, controller=ControllerConfig(),
+                       source=SourceProfile.constant(25.0), t_end=2.5e-6, dt=2.5e-6,
+                       record_decimation=1, fixed_duty=0.5, initial_mode=mode,
+                       initial_state=CircuitState(*x, t=0.0))
+        trace = run(scn)
         i_l2, v_bus2, v_o2, soc2, v_batt = closed_form_step(
             path, *x, 25.0, params, battery, scn.dt)
-        assert new.i_l - i_l == pytest.approx(i_l2 - i_l, rel=1e-9, abs=1e-15)
-        assert new.v_c_bus - x[1] == pytest.approx(v_bus2 - x[1], rel=1e-9)
-        assert new.v_c_o - x[2] == pytest.approx(v_o2 - x[2], rel=1e-9)
-        assert new.soc - x[3] == pytest.approx(soc2 - x[3], rel=1e-9, abs=1e-18)
-        assert new_ctrl.acc_v_batt == pytest.approx(v_batt, rel=1e-12)
-        assert new.t == scn.dt
+        assert trace.i_l[1] - i_l == pytest.approx(i_l2 - i_l, rel=1e-9, abs=1e-15)
+        assert trace.v_c_bus[1] - x[1] == pytest.approx(v_bus2 - x[1], rel=1e-9)
+        assert trace.v_c_o[1] - x[2] == pytest.approx(v_o2 - x[2], rel=1e-9)
+        assert trace.soc[1] - x[3] == pytest.approx(soc2 - x[3], rel=1e-9, abs=1e-18)
+        assert trace.v_batt_terminal[0] == pytest.approx(v_batt, rel=1e-12)
+        assert trace.time[1] == scn.dt
         for v_s in (25.0, 20.0):
             m = _step_map(scn, path, v_s > x[1], v_s)
             mapped = m @ np.array([*x, 1.0])
