@@ -30,15 +30,15 @@ has one [design] section that takes the fields of DesignSpec.  A key is
 required when its field has no default, and an omitted key takes its
 field's default.  A key may be given once per section.  The rules no
 dataclass states are written out here: v_emf_empty defaults to v_emf_full
-and r_int to 0; once any init_* key is given, the bus starts at the source
-voltage at t = 0, soc at the battery's soc, and i_l and v_c_o at 0;
-record_decimation must be a whole number; initial_mode is a mode name.
+and r_int to 0; an omitted init_* key takes its value from
+`Scenario.start_state()`; record_decimation must be a whole number;
+initial_mode is a mode name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 
 from .circuit import BatteryModel, CircuitState, ConverterParams
 from .control import ControllerConfig, Mode
@@ -201,13 +201,11 @@ def parse_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
                          v_emf_empty=given["battery"].get("v_emf_full"), r_int=0.0)
         controller = _build(ControllerConfig, "controller", given["controller"])
         source = SourceProfile(segments=tuple(segments))
-        initial_state = None
+        scenario = _build(Scenario, "sim", sim, params=params, battery=battery,
+                          controller=controller, source=source)
         if init:
-            initial_state = CircuitState(**{"i_l": 0.0, "v_c_bus": source.voltage(0.0),
-                                            "v_c_o": 0.0, "soc": battery.soc, "t": 0.0,
-                                            **init})
-        return _build(Scenario, "sim", sim, params=params, battery=battery,
-                      controller=controller, source=source, initial_state=initial_state)
+            scenario = replace(scenario, initial_state=replace(scenario.start_state(), **init))
+        return scenario
     except ValueError as exc:
         raise ScenarioParseError(f"{name}: {exc}") from exc
 

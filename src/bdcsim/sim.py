@@ -43,14 +43,13 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .circuit import BatteryModel, CircuitState, ConverterParams
 from .control import (
     ControllerConfig,
-    ControllerState,
     Mode,
     initial_controller_state,
     regulate,
@@ -159,6 +158,9 @@ class Scenario:
     def __post_init__(self) -> None:
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
+        for name in ("i_limit", "v_limit"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.t_end < 0.0:
             raise ValueError("t_end must be non-negative")
         if self.record_decimation < 1:
@@ -187,9 +189,10 @@ class Scenario:
                 raise ValueError(
                     f"source segment {i} (until {seg.until:g} s, {seg.v_start:g} V to "
                     f"{seg.v_end:g} V) exceeds v_limit = {self.v_limit:g} V")
+        for name in ("fixed_duty", "initial_duty"):
+            if getattr(self, name) is not None and not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1]")
         if self.fixed_duty is not None:
-            if not 0.0 <= self.fixed_duty <= 1.0:
-                raise ValueError("fixed_duty must be in [0, 1]")
             if self.initial_mode is None:
                 raise ValueError("fixed_duty requires an explicit initial_mode")
         if self.initial_state is not None:
@@ -202,6 +205,14 @@ class Scenario:
     @property
     def steps_per_period(self) -> int:
         return round(1.0 / (self.params.f_s * self.dt))
+
+    def start_state(self) -> CircuitState:
+        """The plant at t = 0: `initial_state`, or else the bus at the source
+        voltage, the battery at its SoC and everything else at zero."""
+        if self.initial_state is not None:
+            return self.initial_state
+        return CircuitState(i_l=0.0, v_c_bus=self.source.voltage(0.0), v_c_o=0.0,
+                            soc=self.battery.soc, t=0.0)
 
 
 @dataclass
@@ -320,10 +331,16 @@ def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.
 
 
 class _Engine:
-    """One integration of a scenario from its start state (the scenario's
-    initial state, mode and duty, the accumulators empty): the plant,
-    controller and energy-meter state carried between kernel calls, and the
-    trace arrays it records into.
+    """One integration of a scenario from its start state: the state carried
+    between kernel calls, and the trace arrays it records into.
+
+    It carries the plant state (i_l, v_bus, v_o, soc, t), the controller
+    state `ctrl`, the gate counts `on1` and `on2` of the current period, the
+    last period's sums and the energy meters, the source voltage and the
+    time until which it holds, and k, the steps taken.  It derives from k
+    what follows from it: the row of the next sample (ceil(k /
+    record_decimation)), whether the sums are a whole period's (k > 0) and
+    the gates of the last step (from (k - 1) % steps_per_period).
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
     :meth:`period` the batched one; :func:`_drive` calls them, and every
@@ -334,65 +351,46 @@ class _Engine:
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
         self.n_steps = round(scenario.t_end / scenario.dt)
-        state = scenario.initial_state
-        if state is None:
-            state = CircuitState(i_l=0.0, v_c_bus=scenario.source.voltage(0.0),
-                                 v_c_o=0.0, soc=scenario.battery.soc, t=0.0)
-        mode = scenario.initial_mode if scenario.initial_mode is not None else Mode.TRICKLE
-        ctrl = initial_controller_state(scenario.controller, mode=mode,
-                                        duty=scenario.initial_duty)
+        state = scenario.start_state()
         self.i_l = state.i_l
         self.v_bus = state.v_c_bus
         self.v_o = state.v_c_o
         self.soc = state.soc
         self.t = state.t
-        self.mode = ctrl.mode
-        self.duty = ctrl.duty
-        self.phase_cc = ctrl.cc_cv_phase
-        self.acc_n = 0                      # steps in the last period's sums
+        mode = scenario.initial_mode if scenario.initial_mode is not None else Mode.TRICKLE
+        duty = scenario.fixed_duty if scenario.fixed_duty is not None else scenario.initial_duty
+        self.ctrl = initial_controller_state(scenario.controller, mode=mode, duty=duty)
+        self.on1 = self.on2 = 0
         self.e_src = self.e_load = self.e_batt = self.e_link = 0.0
-        self.mode_code = MODE_CODES[self.mode]
-        self.s1 = self.s2 = False
         self.v_s = math.nan
         self.v_s_until = -math.inf
         self.k = 0                          # steps taken
-        self.rec = 0                        # samples recorded
-        self.k_rec = 0                      # step of the next sample
         n_rec = self.n_steps // scenario.record_decimation + 1
         self.cols = tuple(np.empty(n_rec, dtype) for _, dtype in _RECORDED)
         self.stacks = None                  # batched-period buffers, made on first use
 
     def tick(self) -> None:
-        """The controller at a carrier wrap: mode and duty from the period
-        averages (the instantaneous values on a cold start), or the fixed
-        duty; then the gate counts of the period that starts."""
+        """The controller at a carrier wrap: mode and duty from the last
+        period's averages (the instantaneous values on a cold start), unless
+        the duty is fixed; then the gate counts of the period that starts."""
         if self.t >= self.v_s_until:
             self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
-        fixed_duty = self.scenario.fixed_duty
-        if fixed_duty is None:
+        if self.scenario.fixed_duty is None:
             cfg = self.scenario.controller
-            if self.acc_n > 0:
-                avg_i = self.acc_i / self.acc_n
-                avg_vl = self.acc_vl / self.acc_n
-                avg_vb = self.acc_vb / self.acc_n
+            if self.k > 0:
+                avg_i = self.acc_i / self.n_period
+                avg_vl = self.acc_vl / self.n_period
+                avg_vb = self.acc_vb / self.n_period
             else:
                 avg_i = self.i_l
                 avg_vl = self.v_o
                 avg_vb = self.v_batt()
-            self.mode = select_mode(self.v_s, avg_vb, self.soc, self.mode, cfg)
-            reg = regulate(avg_vl, avg_i, avg_vb,
-                           ControllerState(mode=self.mode, duty=self.duty,
-                                           cc_cv_phase=self.phase_cc),
-                           cfg)
-            self.duty = reg.duty
-            self.phase_cc = reg.cc_cv_phase
-        else:
-            self.duty = fixed_duty
+            mode = select_mode(self.v_s, avg_vb, self.soc, self.ctrl.mode, cfg)
+            self.ctrl = regulate(avg_vl, avg_i, avg_vb, replace(self.ctrl, mode=mode), cfg)
         # The on-step counts of S1 (charging) and S2 (discharging).
-        on_steps = round(self.duty * self.n_period)
-        self.mode_code = code = MODE_CODES[self.mode]
-        self.on1 = on_steps if code == 0 else 0
-        self.on2 = on_steps if code == 1 else 0
+        on_steps = round(self.ctrl.duty * self.n_period)
+        self.on1 = on_steps if self.ctrl.mode is Mode.CHARGING else 0
+        self.on2 = on_steps if self.ctrl.mode is Mode.DISCHARGING else 0
 
     def v_batt(self) -> float:
         """Battery terminal voltage (EMF plus the drop on r_int) at the
@@ -437,8 +435,8 @@ class _Engine:
         emf_span = b.v_emf_full - b.v_emf_empty
         r_int = b.r_int
         inv_capacity = 1.0 / b.capacity
-        mode_code = self.mode_code
-        duty = self.duty
+        mode_code = MODE_CODES[self.ctrl.mode]
+        duty = self.ctrl.duty
         on1 = self.on1
         on2 = self.on2
 
@@ -454,8 +452,8 @@ class _Engine:
         e_link = self.e_link
         v_s = self.v_s
         v_s_until = self.v_s_until
-        rec = self.rec
-        j_rec = self.k_rec - self.k         # step of the period that is sampled next
+        rec = -(-self.k // dec)             # row of the next sample
+        j_rec = rec * dec - self.k          # its step in this period
         (time_a, i_l_a, v_bus_a, v_o_a, v_batt_a, soc_a, mode_a, duty_a, s1_a,
          s2_a, e_src_a, e_load_a, e_batt_a, e_link_a) = self.cols
 
@@ -556,17 +554,12 @@ class _Engine:
         self.acc_i = acc_i
         self.acc_vl = acc_vl
         self.acc_vb = acc_vb
-        self.acc_n = n_steps
         self.e_src = e_src
         self.e_load = e_load
         self.e_batt = e_batt
         self.e_link = e_link
         self.v_s = v_s
         self.v_s_until = v_s_until
-        self.s1 = s1
-        self.s2 = s2
-        self.rec = rec
-        self.k_rec = self.k + j_rec
         self.k += n_steps
 
     def period(self) -> bool:
@@ -650,21 +643,19 @@ class _Engine:
         e[3, 1:] = (dt * p.r_link) * i_link * i_link
         np.cumsum(e, axis=1, out=e)
 
-        if self.k_rec - self.k < n:
-            dec = scn.record_decimation
-            sel = slice(self.k_rec - self.k, n, dec)
-            steps = self.steps[sel]
-            rows = slice(self.rec, self.rec + len(steps))
-            cols = self.cols
-            for col, values in zip(cols[:6] + cols[10:], (times, il, vb, vo, v_batt, sc, *e)):
-                col[rows] = values[sel]
-            mode_a, duty_a, s1_a, s2_a = cols[6:10]
-            mode_a[rows] = self.mode_code
-            duty_a[rows] = self.duty
-            np.less(steps, self.on1, out=s1_a[rows])
-            np.less(steps, self.on2, out=s2_a[rows])
-            self.rec += len(steps)
-            self.k_rec += len(steps) * dec
+        dec = scn.record_decimation
+        rec = -(-self.k // dec)             # row of the next sample
+        sel = slice(rec * dec - self.k, n, dec)
+        steps = self.steps[sel]
+        rows = slice(rec, rec + len(steps))
+        cols = self.cols
+        for col, values in zip(cols[:6] + cols[10:], (times, il, vb, vo, v_batt, sc, *e)):
+            col[rows] = values[sel]
+        mode_a, duty_a, s1_a, s2_a = cols[6:10]
+        mode_a[rows] = MODE_CODES[self.ctrl.mode]
+        duty_a[rows] = self.ctrl.duty
+        np.less(steps, self.on1, out=s1_a[rows])
+        np.less(steps, self.on2, out=s2_a[rows])
 
         self.i_l, self.v_bus, self.v_o, self.soc = x[:, n].tolist()
         self.t = float(times[n])
@@ -672,9 +663,6 @@ class _Engine:
         self.acc_i = float(il.sum())
         self.acc_vl = float(vo.sum())
         self.acc_vb = float(v_batt.sum())
-        self.acc_n = n
-        self.s1 = n - 1 < self.on1
-        self.s2 = n - 1 < self.on2
         self.k += n
         return True
 
@@ -723,16 +711,18 @@ class _Engine:
     def finish(self) -> None:
         """Record the final instant when it falls on the decimation grid,
         with the gates of the last step."""
-        if self.k == self.k_rec:
+        rec, off_grid = divmod(self.k, self.scenario.record_decimation)
+        if not off_grid:
+            j = (self.k - 1) % self.n_period
             for col, value in zip(self.cols, (
                     self.t, self.i_l, self.v_bus, self.v_o, self.v_batt(), self.soc,
-                    self.mode_code, self.duty, self.s1, self.s2,
+                    MODE_CODES[self.ctrl.mode], self.ctrl.duty, j < self.on1, j < self.on2,
                     self.e_src, self.e_load, self.e_batt, self.e_link)):
-                col[self.rec] = value
-            self.rec += 1
+                col[rec] = value
 
     def trace(self) -> Trace:
-        cols = {name: col[:self.rec] for (name, _), col in zip(_RECORDED, self.cols)}
+        """The recorded arrays; every row is filled once k reaches n_steps."""
+        cols = {name: col for (name, _), col in zip(_RECORDED, self.cols)}
         return Trace(i_batt=cols["i_l"], **cols)
 
 

@@ -220,6 +220,17 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "source segment 1" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_non_positive_current_bound_is_input_error(self, scenarios_dir, tmp_path,
+                                                       capsys, value):
+        text = (scenarios_dir / "quick.scenario").read_text()
+        path = tmp_path / "bound.scenario"
+        path.write_text(text + f"i_limit = {value}\n")
+        assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "i_limit must be positive" in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_invalid_window_writes_no_trace(self, scenarios_dir, tmp_path, capsys):
         """A trace shorter than the steady window fails before the write."""
         text = (scenarios_dir / "quick.scenario").read_text()

@@ -15,7 +15,7 @@ from bdcsim.scenario import (
     parse_scenario_file,
     parse_scenario_text,
 )
-from bdcsim.sim import Scenario
+from bdcsim.sim import Scenario, Trace, run
 
 MINIMAL = """
 [converter]
@@ -95,6 +95,17 @@ class TestScenarioParsing:
         assert scn.initial_state.i_l == -2.0
         assert scn.initial_state.v_c_bus == 20.0
         assert scn.initial_state.v_c_o == 0.0  # unspecified: cold default
+
+    def test_init_key_at_its_default_gives_the_start_state(self):
+        """The parser's init_* defaults are the engine's start state."""
+        text = MINIMAL.replace("capacity = 7200", "capacity = 7200\nsoc = 0.3")
+        bare = parse_scenario_text(text)
+        given = parse_scenario_text(text + "init_i_l = 0\n")
+        assert bare.initial_state is None
+        assert given.initial_state == bare.start_state()
+        a, b = run(bare), run(given)
+        for f in fields(Trace):
+            assert getattr(a, f.name).tobytes() == getattr(b, f.name).tobytes(), f.name
 
     def test_unknown_key_reports_line(self):
         text = MINIMAL.replace("r_load = 10", "r_loda = 10")
@@ -202,6 +213,18 @@ class TestRejectedValues:
         with pytest.raises(ScenarioParseError, match=r"soc must be in \[0, 1\]"):
             parse_scenario_text(MINIMAL + f"init_soc = {soc}\n")
         assert parse_scenario_text(MINIMAL + "init_soc = 1\n").initial_state.soc == 1.0
+
+    @pytest.mark.parametrize("key", ["i_limit", "v_limit"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_divergence_bound_must_be_positive(self, key, value):
+        with pytest.raises(ScenarioParseError, match=f"{key} must be positive"):
+            parse_scenario_text(MINIMAL + f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("duty", ["2", "-0.1", "1.0001"])
+    def test_initial_duty_outside_unit_interval(self, duty):
+        with pytest.raises(ScenarioParseError, match=r"initial_duty must be in \[0, 1\]"):
+            parse_scenario_text(MINIMAL + f"initial_duty = {duty}\n")
+        assert parse_scenario_text(MINIMAL + "initial_duty = 1\n").initial_duty == 1.0
 
     def test_duplicate_key_reports_second_line(self):
         text = MINIMAL.replace("l_p = 1m", "l_p = 1m\nl_p = 2m")

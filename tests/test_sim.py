@@ -234,6 +234,9 @@ class TestRun:
         assert len(trace) == 1
         assert trace.time[0] == 0.0
         assert trace.v_c_bus[0] == pytest.approx(24.0)
+        trace = run(make_scenario(t_end=0.0, fixed_duty=0.4, initial_mode=Mode.CHARGING))
+        assert len(trace) == 1
+        assert trace.duty[0] == 0.4
 
     def test_time_strictly_increasing(self):
         trace = run(make_scenario(dec=7))
