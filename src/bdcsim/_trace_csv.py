@@ -119,13 +119,15 @@ def csv_block(trace: Trace, a: int, b: int) -> bytes:
     # Per field: the rows its cells hold for, the cells, and the printf format
     # and columns of the other rows.  s1 and s2 share one field.
     fields = []
+    general = {}  # %.9g cells by column array: a run's i_batt is its i_l
     for name, _, fmt in _TRACE_FORMAT:
         if fmt == "%.9f":
             x = np.asarray(col[name], np.float64)
             fields.append((*_fixed9(x), b"%.9f", (name,)))
         elif fmt == "%.9g":
-            x = np.asarray(col[name], np.float64)
-            fields.append((*_general9(x), b",%.9g", (name,)))
+            key = id(trace.column(name))
+            general[key] = general.get(key) or _general9(np.asarray(col[name], np.float64))
+            fields.append((*general[key], b",%.9g", (name,)))
         elif name == "mode":
             code = mode.astype(np.intp)
             fields.append((known, [cells[code] for cells in tab["mode"]], b"", ()))  # all rows

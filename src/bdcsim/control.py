@@ -37,7 +37,6 @@ class ControllerConfig:
 
     v_ref_load: float = 24.0      # V, regulated load-rail target
     i_charge_ref: float = 3.0     # A, constant-current charging setpoint
-    i_discharge_ref: float = 2.4  # A, nominal discharge current (inert: nothing reads it)
     v_float: float = 13.8         # V, battery voltage handing CC over to CV / rest
     v_bus_low: float = 12.6       # V, below this the source is insufficient
     v_bus_high: float = 20.4      # V, above this the source is sufficient

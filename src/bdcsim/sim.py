@@ -192,15 +192,21 @@ class Scenario:
         for name in ("fixed_duty", "initial_duty"):
             if getattr(self, name) is not None and not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        if self.fixed_duty is not None:
-            if self.initial_mode is None:
-                raise ValueError("fixed_duty requires an explicit initial_mode")
+        if self.fixed_duty is not None and self.initial_mode is None:
+            raise ValueError("fixed_duty requires an explicit initial_mode")
+        if self.fixed_duty is not None and self.initial_duty is not None:
+            raise ValueError("initial_duty has no effect with fixed_duty")
         if self.initial_state is not None:
             if self.initial_state.t != 0.0:
                 raise ValueError("initial_state must start at t = 0")
             if not 0.0 <= self.initial_state.soc <= 1.0:
                 raise ValueError(
                     f"initial_state.soc must be in [0, 1], got {self.initial_state.soc}")
+            for name, bound in (("i_l", "i_limit"), ("v_c_bus", "v_limit"), ("v_c_o", "v_limit")):
+                value, limit = getattr(self.initial_state, name), getattr(self, bound)
+                if not abs(value) <= limit:
+                    raise ValueError(f"initial_state.{name} = {value:g} exceeds {bound} = "
+                                     f"{limit:g} in magnitude")
 
     @property
     def steps_per_period(self) -> int:
@@ -330,17 +336,33 @@ def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.
     return m
 
 
+def _source_margin(scenario: Scenario, v_s, i_l, v_bus, v_o, path: str):
+    """How far the source is from blocking on a step along `path` from
+    (i_l, v_bus, v_o), floats or arrays: v_s - v_bus, or for a stiff source
+    v_s less the bus's unclamped next value.  The source conducts or clamps
+    the bus where it is >= 0; at 0 both regimes take the same step."""
+    p = scenario.params
+    margin = v_s - v_bus
+    if p.r_source == 0.0:
+        g = scenario.dt / p.c_bus
+        margin += g * ((v_bus - v_o) * (1.0 / p.r_link))
+        if path in _BUS_PATHS:
+            margin += g * i_l
+    return margin
+
+
 class _Engine:
     """One integration of a scenario from its start state: the state carried
     between kernel calls, and the trace arrays it records into.
 
-    It carries the plant state (i_l, v_bus, v_o, soc, t), the controller
-    state `ctrl`, the gate counts `on1` and `on2` of the current period, the
-    last period's sums and the energy meters, the source voltage and the
-    time until which it holds, and k, the steps taken.  It derives from k
-    what follows from it: the row of the next sample (ceil(k /
-    record_decimation)), whether the sums are a whole period's (k > 0) and
-    the gates of the last step (from (k - 1) % steps_per_period).
+    It carries three lists in the row order of the period kernel's buffers
+    (`plant` = [i_l, v_bus, v_o, soc], `meters` = [e_source, e_load,
+    e_battery, e_link] and the last period's `sums` of i_l, v_o and v_batt),
+    the time t, the controller state `ctrl`, the gate counts `on1` and `on2`
+    of the current period, the source voltage and the time until which it
+    holds, and k, the steps taken.  It derives from k what follows from it:
+    the row of the next sample (ceil(k / record_decimation)), whether the
+    sums are a whole period's (k > 0) and the last step's gates.
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
     :meth:`period` the batched one; :func:`_drive` calls them, and every
@@ -352,16 +374,14 @@ class _Engine:
         self.n_period = scenario.steps_per_period
         self.n_steps = round(scenario.t_end / scenario.dt)
         state = scenario.start_state()
-        self.i_l = state.i_l
-        self.v_bus = state.v_c_bus
-        self.v_o = state.v_c_o
-        self.soc = state.soc
+        self.plant = [state.i_l, state.v_c_bus, state.v_c_o, state.soc]
         self.t = state.t
         mode = scenario.initial_mode if scenario.initial_mode is not None else Mode.TRICKLE
         duty = scenario.fixed_duty if scenario.fixed_duty is not None else scenario.initial_duty
         self.ctrl = initial_controller_state(scenario.controller, mode=mode, duty=duty)
         self.on1 = self.on2 = 0
-        self.e_src = self.e_load = self.e_batt = self.e_link = 0.0
+        self.meters = [0.0] * 4
+        self.sums = [0.0] * 3               # read once k > 0
         self.v_s = math.nan
         self.v_s_until = -math.inf
         self.k = 0                          # steps taken
@@ -377,26 +397,23 @@ class _Engine:
             self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
         if self.scenario.fixed_duty is None:
             cfg = self.scenario.controller
+            i_l, _, v_o, soc = self.plant
             if self.k > 0:
-                avg_i = self.acc_i / self.n_period
-                avg_vl = self.acc_vl / self.n_period
-                avg_vb = self.acc_vb / self.n_period
+                avg_i, avg_vl, avg_vb = (s / self.n_period for s in self.sums)
             else:
-                avg_i = self.i_l
-                avg_vl = self.v_o
-                avg_vb = self.v_batt()
-            mode = select_mode(self.v_s, avg_vb, self.soc, self.ctrl.mode, cfg)
+                avg_i, avg_vl = i_l, v_o
+                avg_vb = self.emf(soc) + self.scenario.battery.r_int * i_l
+            mode = select_mode(self.v_s, avg_vb, soc, self.ctrl.mode, cfg)
             self.ctrl = regulate(avg_vl, avg_i, avg_vb, replace(self.ctrl, mode=mode), cfg)
         # The on-step counts of S1 (charging) and S2 (discharging).
         on_steps = round(self.ctrl.duty * self.n_period)
         self.on1 = on_steps if self.ctrl.mode is Mode.CHARGING else 0
         self.on2 = on_steps if self.ctrl.mode is Mode.DISCHARGING else 0
 
-    def v_batt(self) -> float:
-        """Battery terminal voltage (EMF plus the drop on r_int) at the
-        current state, as the scalar kernel computes it."""
+    def emf(self, soc):
+        """Battery EMF at a state of charge (a float or an array)."""
         b = self.scenario.battery
-        return b.v_emf_empty + (b.v_emf_full - b.v_emf_empty) * self.soc + b.r_int * self.i_l
+        return b.v_emf_empty + (b.v_emf_full - b.v_emf_empty) * soc
 
     def euler(self, n_steps: int) -> None:
         """The scalar kernel: `n_steps` explicit Euler steps from a carrier
@@ -440,16 +457,10 @@ class _Engine:
         on1 = self.on1
         on2 = self.on2
 
-        i_l = self.i_l
-        v_bus = self.v_bus
-        v_o = self.v_o
-        soc = self.soc
+        i_l, v_bus, v_o, soc = self.plant
         t = self.t
         acc_i = acc_vl = acc_vb = 0.0       # the period's sums, from its wrap
-        e_src = self.e_src
-        e_load = self.e_load
-        e_batt = self.e_batt
-        e_link = self.e_link
+        e_src, e_load, e_batt, e_link = self.meters
         v_s = self.v_s
         v_s_until = self.v_s_until
         rec = -(-self.k // dec)             # row of the next sample
@@ -546,18 +557,10 @@ class _Engine:
             soc = soc2
             t = t + dt
 
-        self.i_l = i_l
-        self.v_bus = v_bus
-        self.v_o = v_o
-        self.soc = soc
+        self.plant = [i_l, v_bus, v_o, soc]
         self.t = t
-        self.acc_i = acc_i
-        self.acc_vl = acc_vl
-        self.acc_vb = acc_vb
-        self.e_src = e_src
-        self.e_load = e_load
-        self.e_batt = e_batt
-        self.e_link = e_link
+        self.meters = [e_src, e_load, e_batt, e_link]
+        self.sums = [acc_i, acc_vl, acc_vb]
         self.v_s = v_s
         self.v_s_until = v_s_until
         self.k += n_steps
@@ -583,7 +586,7 @@ class _Engine:
             self.x = np.empty((4, n + 1))   # i_l, v_bus, v_o, soc before each step
             self.x_next = np.empty((4, n + 1))
             self.xh = np.ones(5)
-            self.e = np.empty((4, n + 1))   # the four energy meters before each step
+            self.energy = np.empty((4, n + 1))  # the meters before each step
             self.steps = np.arange(n)
         times = self.times
         self.dts[0] = self.t
@@ -592,7 +595,7 @@ class _Engine:
             return False
 
         x = self.x
-        x[:, 0] = (self.i_l, self.v_bus, self.v_o, self.soc)
+        x[:, 0] = self.plant
         on = self.on1 + self.on2  # one of them is zero
         spans = []
         if on:
@@ -603,18 +606,13 @@ class _Engine:
                                     else "idle"))
 
         il, vb, vo, sc = x[:, :n]
-        i_link = (vb - vo) * (1.0 / p.r_link)
-        stiff = p.r_source == 0.0
-        if stiff:  # v_s - v_free: the bus clamps where it is >= 0
-            drive = self.v_s - vb + (dt / p.c_bus) * i_link
-        else:      # v_s - v_bus: the source conducts where it is >= 0
-            drive = self.v_s - vb
+        i_src = np.empty(n)
+        to_current = p.c_bus / dt if p.r_source == 0.0 else 1.0 / p.r_source
         for a, b, path, source_on in spans:
-            if stiff and path in _BUS_PATHS:
-                drive[a:b] += (dt / p.c_bus) * il[a:b]
-            if not (drive[a:b].min() >= 0.0 if source_on
-                    else drive[a:b].max() < 0.0 if stiff else drive[a:b].max() <= 0.0):
+            margin = _source_margin(scn, self.v_s, il[a:b], vb[a:b], vo[a:b], path)
+            if not (margin.min() >= 0.0 if source_on else margin.max() <= 0.0):
                 return False
+            i_src[a:b] = margin * to_current if source_on else 0.0
             if path == "D2" and not x[0, a + 1:b + 1].min() > 0.0:
                 return False
             if path == "D1" and not x[0, a + 1:b + 1].max() < 0.0:
@@ -628,15 +626,11 @@ class _Engine:
                 and 0.0 <= lo[3] and hi[3] <= 1.0):
             return False
 
-        i_src = drive * (p.c_bus / dt if stiff else 1.0 / p.r_source)
-        for a, b, _, source_on in spans:
-            if not source_on:
-                i_src[a:b] = 0.0
-        bat = scn.battery
-        emf = bat.v_emf_empty + (bat.v_emf_full - bat.v_emf_empty) * sc
-        v_batt = emf + bat.r_int * il
-        e = self.e
-        e[:, 0] = (self.e_src, self.e_load, self.e_batt, self.e_link)
+        emf = self.emf(sc)
+        v_batt = emf + scn.battery.r_int * il
+        i_link = (vb - vo) * (1.0 / p.r_link)
+        e = self.energy
+        e[:, 0] = self.meters
         e[0, 1:] = dt * vb * i_src
         e[1, 1:] = (dt / p.r_load) * vo * vo
         e[2, 1:] = dt * emf * il
@@ -657,29 +651,19 @@ class _Engine:
         np.less(steps, self.on1, out=s1_a[rows])
         np.less(steps, self.on2, out=s2_a[rows])
 
-        self.i_l, self.v_bus, self.v_o, self.soc = x[:, n].tolist()
+        self.plant = x[:, n].tolist()
         self.t = float(times[n])
-        self.e_src, self.e_load, self.e_batt, self.e_link = e[:, n].tolist()
-        self.acc_i = float(il.sum())
-        self.acc_vl = float(vo.sum())
-        self.acc_vb = float(v_batt.sum())
+        self.meters = e[:, n].tolist()
+        self.sums = [float(il.sum()), float(vo.sum()), float(v_batt.sum())]
         self.k += n
         return True
 
     def _span(self, a: int, b: int, path: str) -> tuple[int, int, str, bool]:
-        """Fill self.x[:, a + 1:b + 1] from self.x[:, a] along `path`, the
-        source regime taken from the state at step a as the scalar kernel
-        would take it."""
-        p = self.scenario.params
+        """Fill self.x[:, a + 1:b + 1] from self.x[:, a] along `path`, in
+        the source regime that `_source_margin` gives the state at step a;
+        `period` checks that the regime holds over the span."""
         x = self.x
-        i_l, v_bus, v_o, _ = x[:, a].tolist()
-        if p.r_source > 0.0:
-            source_on = self.v_s >= v_bus
-        else:
-            i_branch = i_l if path in _BUS_PATHS else 0.0
-            i_link = (v_bus - v_o) * (1.0 / p.r_link)
-            source_on = self.v_s >= v_bus + self.scenario.dt * (-i_branch - i_link) \
-                * (1.0 / p.c_bus)
+        source_on = _source_margin(self.scenario, self.v_s, *x[:3, a].tolist(), path) >= 0.0
         key = (path, source_on, self.v_s)
         stack = self.stacks.get(key)
         if stack is None:
@@ -714,10 +698,11 @@ class _Engine:
         rec, off_grid = divmod(self.k, self.scenario.record_decimation)
         if not off_grid:
             j = (self.k - 1) % self.n_period
+            i_l, v_bus, v_o, soc = self.plant
             for col, value in zip(self.cols, (
-                    self.t, self.i_l, self.v_bus, self.v_o, self.v_batt(), self.soc,
-                    MODE_CODES[self.ctrl.mode], self.ctrl.duty, j < self.on1, j < self.on2,
-                    self.e_src, self.e_load, self.e_batt, self.e_link)):
+                    self.t, i_l, v_bus, v_o, self.emf(soc) + self.scenario.battery.r_int * i_l,
+                    soc, MODE_CODES[self.ctrl.mode], self.ctrl.duty, j < self.on1,
+                    j < self.on2, *self.meters)):
                 col[rec] = value
 
     def trace(self) -> Trace:

@@ -94,9 +94,22 @@ def test_soc_saturating_mid_period_matches_scalar():
     assert np.all(trace.mode == sim.MODE_CODES[Mode.CHARGING])
 
 
-@pytest.mark.parametrize("r_source", [50.0, 0.0], ids=["weak", "stiff"])
-def test_source_regime_changes_match_scalar(r_source):
+@pytest.mark.parametrize("r_source, max_declined", [(50.0, 2), (0.0, 133)],
+                         ids=["weak", "stiff"])
+def test_source_regime_changes_match_scalar(r_source, max_declined, monkeypatch):
+    """The period kernel takes the periods in which the source keeps one
+    regime, and declines no more periods than it did when first pinned."""
+    taken = []
+    kernel = sim._Engine.period
+
+    def counted(eng):
+        taken.append(kernel(eng))
+        return taken[-1]
+
+    monkeypatch.setattr(sim._Engine, "period", counted)
     assert_matches_scalar(source_at_bus_scenario(r_source))
+    assert len(taken) == 200
+    assert taken.count(False) <= max_declined
 
 
 @pytest.mark.parametrize("dec", [1, 3])

@@ -231,6 +231,24 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "i_limit must be positive" in err
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("lines, message", [
+        ("init_v_c_o = 500", "initial_state.v_c_o = 500 exceeds v_limit"),
+        ("init_i_l = 1000", "initial_state.i_l = 1000 exceeds i_limit"),
+        ("init_v_c_bus = -300", "initial_state.v_c_bus = -300 exceeds v_limit"),
+        ("fixed_duty = 0.6\ninitial_mode = discharging",
+         "initial_duty has no effect with fixed_duty")])
+    def test_inconsistent_start_is_input_error(self, scenarios_dir, tmp_path, capsys,
+                                               lines, message):
+        """A start state beyond the divergence bounds, or an initial_duty
+        that fixed_duty overrides, is an input error, not a divergence."""
+        text = (scenarios_dir / "quick.scenario").read_text()
+        path = tmp_path / "start.scenario"
+        path.write_text(text + lines + "\n")
+        assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "x.csv").exists()
+
     def test_invalid_window_writes_no_trace(self, scenarios_dir, tmp_path, capsys):
         """A trace shorter than the steady window fails before the write."""
         text = (scenarios_dir / "quick.scenario").read_text()

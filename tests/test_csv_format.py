@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bdcsim import _trace_csv
 from bdcsim._trace_csv import csv_block
 from bdcsim.sim import MODE_NAMES, TRACE_COLUMNS, Trace, _CSV_BLOCK, _TRACE_FORMAT
 
@@ -100,6 +101,29 @@ def test_multi_block_trace_matches_printf(tmp_path):
     trace.to_csv(path)
     header = (",".join(TRACE_COLUMNS) + "\r\n").encode()
     assert path.read_bytes() == header + printf_rows(trace)
+
+
+def test_aliased_columns_are_formatted_once(tmp_path, monkeypatch):
+    """A run's i_batt is its i_l array: the writer formats the cells of
+    the shared array once per block, and the bytes stay printf's."""
+    rng = np.random.default_rng(11)
+    n = 2 * _CSV_BLOCK + 5
+    trace = make_trace(rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.integers(-6, 5, n),
+                       np.arange(n) * 2.5e-6, rng)
+    trace.i_batt = trace.i_l
+    calls = []
+    general9 = _trace_csv._general9
+
+    def counted(x):
+        calls.append(len(x))
+        return general9(x)
+
+    monkeypatch.setattr(_trace_csv, "_general9", counted)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    header = (",".join(TRACE_COLUMNS) + "\r\n").encode()
+    assert path.read_bytes() == header + printf_rows(trace)
+    assert len(calls) == 6 * 3
 
 
 @pytest.mark.parametrize("code", [len(MODE_NAMES), -1])

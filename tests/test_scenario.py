@@ -226,6 +226,25 @@ class TestRejectedValues:
             parse_scenario_text(MINIMAL + f"initial_duty = {duty}\n")
         assert parse_scenario_text(MINIMAL + "initial_duty = 1\n").initial_duty == 1.0
 
+    @pytest.mark.parametrize("line, field", [
+        ("init_i_l = 1000", "i_l"), ("init_i_l = -100.5", "i_l"),
+        ("init_v_c_bus = -300", "v_c_bus"), ("init_v_c_o = 500", "v_c_o"),
+        ("init_v_c_o = 200\nv_limit = 199", "v_c_o")])
+    def test_start_state_outside_divergence_bounds(self, line, field):
+        with pytest.raises(ScenarioParseError, match=f"initial_state.{field} = .* exceeds"):
+            parse_scenario_text(MINIMAL + line + "\n")
+
+    def test_start_state_on_divergence_bounds(self):
+        scn = parse_scenario_text(
+            MINIMAL + "init_i_l = -100\ninit_v_c_bus = 200\ninit_v_c_o = -200\n")
+        assert (scn.initial_state.i_l, scn.initial_state.v_c_o) == (-100.0, -200.0)
+
+    def test_initial_duty_with_fixed_duty(self):
+        with pytest.raises(ScenarioParseError,
+                           match="initial_duty has no effect with fixed_duty"):
+            parse_scenario_text(MINIMAL + "initial_duty = 0.3\nfixed_duty = 0.6\n"
+                                "initial_mode = discharging\n")
+
     def test_duplicate_key_reports_second_line(self):
         text = MINIMAL.replace("l_p = 1m", "l_p = 1m\nl_p = 2m")
         second = text.splitlines().index("l_p = 2m") + 1
@@ -256,10 +275,10 @@ EVERY_KEY = {
                   "r_source": 0.5, "r_link": 0.03},
     "battery": {"v_emf_full": 13.0, "v_emf_empty": 11.0, "r_int": 0.05,
                 "capacity": 3600.0, "soc": 0.3},
-    "controller": {"v_ref_load": 20.0, "i_charge_ref": 2.0, "i_discharge_ref": 1.5,
-                   "v_float": 14.0, "v_bus_low": 11.0, "v_bus_high": 19.0,
-                   "duty_step": 0.002, "duty_min": 0.05, "duty_max": 0.9,
-                   "i_deadband": 0.02, "v_deadband": 0.2},
+    "controller": {"v_ref_load": 20.0, "i_charge_ref": 2.0, "v_float": 14.0,
+                   "v_bus_low": 11.0, "v_bus_high": 19.0, "duty_step": 0.002,
+                   "duty_min": 0.05, "duty_max": 0.9, "i_deadband": 0.02,
+                   "v_deadband": 0.2},
     "sim": {"t_end": 2e-3, "dt": 2e-6, "record_decimation": 5, "i_limit": 50.0,
             "v_limit": 150.0, "fixed_duty": 0.4, "initial_mode": Mode.CHARGING,
             "initial_duty": 0.3, "init_i_l": 0.5, "init_v_c_bus": 22.0,
@@ -269,6 +288,15 @@ EVERY_KEY = {
 
 def _text(value):
     return value.value if isinstance(value, Mode) else repr(value)
+
+
+def _document(without: str) -> str:
+    """A scenario document that sets every key in EVERY_KEY but `without`:
+    fixed_duty excludes initial_duty, so no document can set both."""
+    return "[source]\nuntil=10m volts=24\nuntil=20m from=24 to=0\n" + "".join(
+        f"[{section}]\n" + "".join(f"{k} = {_text(v)}\n" for k, v in keys.items()
+                                  if k != without)
+        for section, keys in EVERY_KEY.items())
 
 
 class TestRoundTrip:
@@ -282,22 +310,23 @@ class TestRoundTrip:
         state = {"init_" + f.name for f in fields(CircuitState) if f.name != "t"}
         assert set(EVERY_KEY["sim"]) == scalars | state
 
-        text = "[source]\nuntil=1 volts=24\n" + "".join(
-            f"[{section}]\n" + "".join(f"{k} = {_text(v)}\n" for k, v in keys.items())
-            for section, keys in EVERY_KEY.items())
-        scn = parse_scenario_text(text)
-        built = {"converter": scn.params, "battery": scn.battery,
-                 "controller": scn.controller, "sim": scn}
-        for section, keys in EVERY_KEY.items():
-            for key, value in keys.items():
-                obj = built[section]
-                if key.startswith("init_"):
-                    obj, key = scn.initial_state, key[len("init_"):]
-                got = getattr(obj, key)
-                assert got == value and type(got) is type(value), (section, key)
-                field = {f.name: f for f in fields(type(obj))}[key]
-                assert got != field.default, (section, key)
-        assert scn.initial_state.t == 0.0
+        for without in ("initial_duty", "fixed_duty"):
+            scn = parse_scenario_text(_document(without))
+            built = {"converter": scn.params, "battery": scn.battery,
+                     "controller": scn.controller, "sim": scn}
+            for section, keys in EVERY_KEY.items():
+                for key, value in keys.items():
+                    obj = built[section]
+                    if key.startswith("init_"):
+                        obj, key = scn.initial_state, key[len("init_"):]
+                    got = getattr(obj, key)
+                    field = {f.name: f for f in fields(type(obj))}[key]
+                    if key == without:
+                        assert got == field.default, (section, key)
+                        continue
+                    assert got == value and type(got) is type(value), (section, key)
+                    assert got != field.default, (section, key)
+            assert scn.initial_state.t == 0.0
 
     def test_every_design_key(self):
         values = {"pv_voltage": 30.0, "pv_current": 2.0, "battery_voltage": 13.0,
@@ -331,9 +360,7 @@ _LINES = st.one_of(
 )
 _BASES = [
     MINIMAL.splitlines(),
-    ("[source]\nuntil=10m volts=24\nuntil=20m from=24 to=0\n" + "".join(
-        f"[{section}]\n" + "".join(f"{k} = {_text(v)}\n" for k, v in keys.items())
-        for section, keys in EVERY_KEY.items())).splitlines(),
+    _document("initial_duty").splitlines(),
     TestDesignParsing.DESIGN.splitlines(),
 ]
 

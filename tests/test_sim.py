@@ -18,6 +18,7 @@ from bdcsim.sim import (
     SourceSegment,
     TRACE_COLUMNS,
     Trace,
+    _source_margin,
     _step_map,
     run,
     steady_window,
@@ -169,6 +170,7 @@ class TestKernelLaw:
         assert trace.v_batt_terminal[0] == pytest.approx(v_batt, rel=1e-12)
         assert trace.time[1] == scn.dt
         for v_s in (25.0, 20.0):
+            assert (_source_margin(scn, v_s, *x[:3], path) >= 0.0) == (v_s > x[1])
             m = _step_map(scn, path, v_s > x[1], v_s)
             mapped = m @ np.array([*x, 1.0])
             expected = closed_form_step(path, *x, v_s, params, battery, scn.dt)[:4]
@@ -295,7 +297,8 @@ class TestGating:
         duty and mode.  The last sample repeats the gates of the last step."""
         scn = make_scenario(t_end=6 / 20e3,
                             src=0.0 if mode is Mode.DISCHARGING else 24.0,
-                            initial_mode=mode, initial_duty=0.3,
+                            initial_mode=mode,
+                            initial_duty=None if mode is Mode.TRICKLE else 0.3,
                             fixed_duty=0.35 if mode is Mode.TRICKLE else None,
                             initial_state=warm_state())
         trace = run(scn)
