@@ -10,6 +10,7 @@ steady-state duty of the respective mode.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 
@@ -22,6 +23,9 @@ class RegulationRow:
     i_out: float       # A
 
     def __post_init__(self) -> None:
+        for name in ("setting", "v_out", "i_out"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.v_out < 0.0 or self.i_out < 0.0:
             raise ValueError("v_out and i_out must be non-negative")
 

@@ -18,9 +18,10 @@ and one source regime an Euler step is a fixed affine map x <- A x + b on
 (i_l, v_c_bus, v_c_o, soc), and with the duty fixed between carrier wraps a
 period is at most two such maps, the on-interval and the off-interval.
 Stacked powers A^k, built once per path, regime and hold voltage, give
-every state of the period from one vector-matrix product per interval; the
-samples, the controller's accumulators and the energy meters follow from
-slices, sums and cumulative sums.  The period kernel declines a period,
+every state of the period from one vector-matrix product per interval, in
+one buffer laid out like the recorded samples; the samples, the period's
+averages that the next tick reads and the energy meters follow from one
+slice, sums and cumulative sums.  The period kernel declines a period,
 which the scalar kernel then takes from its start, when the source voltage
 changes within it (a ramp or a segment end), the DCM clamp would fire (the
 D2 or D1 current reaches zero), the source changes regime (the stiff-source
@@ -274,7 +275,8 @@ class Trace:
 def trace_from_csv(path) -> Trace:
     """Read a trace CSV written by :meth:`Trace.to_csv`; the energy meters
     are not in the file and read back as zeros.  A malformed row raises
-    ValueError with the path and numpy's row and column."""
+    ValueError with the path and numpy's row and column, a non-finite value
+    with the path, the column and the file line (blank lines not counted)."""
     with open(path) as fh:
         if tuple(fh.readline().rstrip("\n").split(",")) != TRACE_COLUMNS:
             raise ValueError(f"{path}: not a trace CSV (unexpected header)")
@@ -287,16 +289,23 @@ def trace_from_csv(path) -> Trace:
                     converters={_MODE_COLUMN: _MODE_CODE.__getitem__})
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from exc
+    # Each column is checked as it is copied, so the check's temporary adds no peak memory.
+    cols = {}
+    for name, dtype, _ in _TRACE_FORMAT:
+        col = cols[name] = np.ascontiguousarray(rows[name])
+        if dtype == np.float64 and not np.isfinite(col).all():
+            i = int(np.argmin(np.isfinite(col)))
+            raise ValueError(f"{path}: line {i + 2}: {name} is {col[i]}, not finite")
     n = len(rows)
-    return Trace(**{name: np.ascontiguousarray(rows[name]) for name in TRACE_COLUMNS},
-                 e_source=np.zeros(n), e_load=np.zeros(n),
+    return Trace(**cols, e_source=np.zeros(n), e_load=np.zeros(n),
                  e_battery=np.zeros(n), e_link=np.zeros(n))
 
 
-# The arrays an integration records, in the order the kernels fill them:
-# the trace CSV columns but i_batt (which is i_l), then the energy meters.
-_RECORDED = tuple((name, dtype) for name, dtype, _ in _TRACE_FORMAT if name != "i_batt") \
-    + tuple((name, np.float64) for name in ("e_source", "e_load", "e_battery", "e_link"))
+# The float rows of a recorded sample, in the order the kernels fill them:
+# time, the state (i_l, v_c_bus, v_c_o, soc) in `_step_map`'s order, the
+# battery terminal voltage, then the energy meters.  i_batt is the i_l row.
+_STEP_ROWS = ("time", "i_l", "v_c_bus", "v_c_o", "soc", "v_batt_terminal",
+              "e_source", "e_load", "e_battery", "e_link")
 # Conduction paths on which the bus carries the inductor current.
 _BUS_PATHS = ("S1", "D1")
 # The period kernel costs some fifty numpy calls whatever the period's
@@ -355,14 +364,15 @@ class _Engine:
     """One integration of a scenario from its start state: the state carried
     between kernel calls, and the trace arrays it records into.
 
-    It carries three lists in the row order of the period kernel's buffers
-    (`plant` = [i_l, v_bus, v_o, soc], `meters` = [e_source, e_load,
-    e_battery, e_link] and the last period's `sums` of i_l, v_o and v_batt),
-    the time t, the controller state `ctrl`, the gate counts `on1` and `on2`
-    of the current period, the source voltage and the time until which it
-    holds, and k, the steps taken.  It derives from k what follows from it:
-    the row of the next sample (ceil(k / record_decimation)), whether the
-    sums are a whole period's (k > 0) and the last step's gates.
+    It records into `rec`, one row per name of `_STEP_ROWS` and one column
+    per sample, and into the typed arrays `mode`, `duty`, `s1` and `s2`.  It
+    carries `plant` = [i_l, v_bus, v_o, soc] and `meters` = [e_source,
+    e_load, e_battery, e_link] in that row order, `avgs` = the averages of
+    i_l, v_o and v_batt that the next tick reads (the start state's values
+    until a period is taken), the time t, the controller state `ctrl`, the
+    gate counts `on1` and `on2` of the current period, the source voltage
+    and the time until which it holds, and k, the steps taken.  It derives
+    from k the column of the next sample and the last step's gates.
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
     :meth:`period` the batched one; :func:`_drive` calls them, and every
@@ -381,29 +391,27 @@ class _Engine:
         self.ctrl = initial_controller_state(scenario.controller, mode=mode, duty=duty)
         self.on1 = self.on2 = 0
         self.meters = [0.0] * 4
-        self.sums = [0.0] * 3               # read once k > 0
+        self.avgs = [state.i_l, state.v_c_o,
+                     self.emf(state.soc) + scenario.battery.r_int * state.i_l]
         self.v_s = math.nan
         self.v_s_until = -math.inf
         self.k = 0                          # steps taken
         n_rec = self.n_steps // scenario.record_decimation + 1
-        self.cols = tuple(np.empty(n_rec, dtype) for _, dtype in _RECORDED)
+        self.rec = np.empty((len(_STEP_ROWS), n_rec))
+        self.mode, self.duty, self.s1, self.s2 = (
+            np.empty(n_rec, _TRACE_DTYPE[name]) for name in ("mode", "duty", "s1", "s2"))
         self.stacks = None                  # batched-period buffers, made on first use
 
     def tick(self) -> None:
         """The controller at a carrier wrap: mode and duty from the last
-        period's averages (the instantaneous values on a cold start), unless
-        the duty is fixed; then the gate counts of the period that starts."""
+        period's averages, unless the duty is fixed; then the gate counts
+        of the period that starts."""
         if self.t >= self.v_s_until:
             self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
         if self.scenario.fixed_duty is None:
             cfg = self.scenario.controller
-            i_l, _, v_o, soc = self.plant
-            if self.k > 0:
-                avg_i, avg_vl, avg_vb = (s / self.n_period for s in self.sums)
-            else:
-                avg_i, avg_vl = i_l, v_o
-                avg_vb = self.emf(soc) + self.scenario.battery.r_int * i_l
-            mode = select_mode(self.v_s, avg_vb, soc, self.ctrl.mode, cfg)
+            avg_i, avg_vl, avg_vb = self.avgs
+            mode = select_mode(self.v_s, avg_vb, self.plant[3], self.ctrl.mode, cfg)
             self.ctrl = regulate(avg_vl, avg_i, avg_vb, replace(self.ctrl, mode=mode), cfg)
         # The on-step counts of S1 (charging) and S2 (discharging).
         on_steps = round(self.ctrl.duty * self.n_period)
@@ -463,10 +471,10 @@ class _Engine:
         e_src, e_load, e_batt, e_link = self.meters
         v_s = self.v_s
         v_s_until = self.v_s_until
-        rec = -(-self.k // dec)             # row of the next sample
-        j_rec = rec * dec - self.k          # its step in this period
-        (time_a, i_l_a, v_bus_a, v_o_a, v_batt_a, soc_a, mode_a, duty_a, s1_a,
-         s2_a, e_src_a, e_load_a, e_batt_a, e_link_a) = self.cols
+        col = -(-self.k // dec)             # column of the next sample
+        j_rec = col * dec - self.k          # its step in this period
+        samples = self.rec.T                # samples[col] takes a tuple faster than rec[:, col]
+        mode_a, duty_a, s1_a, s2_a = self.mode, self.duty, self.s1, self.s2
 
         for j in range(n_steps):            # j: steps since the carrier wrap
             if t >= v_s_until:
@@ -477,21 +485,12 @@ class _Engine:
             s2 = j < on2
 
             if j == j_rec:
-                time_a[rec] = t
-                i_l_a[rec] = i_l
-                v_bus_a[rec] = v_bus
-                v_o_a[rec] = v_o
-                v_batt_a[rec] = v_batt
-                soc_a[rec] = soc
-                mode_a[rec] = mode_code
-                duty_a[rec] = duty
-                s1_a[rec] = s1
-                s2_a[rec] = s2
-                e_src_a[rec] = e_src
-                e_load_a[rec] = e_load
-                e_batt_a[rec] = e_batt
-                e_link_a[rec] = e_link
-                rec += 1
+                samples[col] = (t, i_l, v_bus, v_o, soc, v_batt, e_src, e_load, e_batt, e_link)
+                mode_a[col] = mode_code
+                duty_a[col] = duty
+                s1_a[col] = s1
+                s2_a[col] = s2
+                col += 1
                 j_rec += dec
 
             if s1:  # buck switch
@@ -560,7 +559,7 @@ class _Engine:
         self.plant = [i_l, v_bus, v_o, soc]
         self.t = t
         self.meters = [e_src, e_load, e_batt, e_link]
-        self.sums = [acc_i, acc_vl, acc_vb]
+        self.avgs = [acc_i / self.n_period, acc_vl / self.n_period, acc_vb / self.n_period]
         self.v_s = v_s
         self.v_s_until = v_s_until
         self.k += n_steps
@@ -582,19 +581,19 @@ class _Engine:
         if self.stacks is None:
             self.stacks = {}
             self.dts = np.full(n + 1, dt)
-            self.times = np.empty(n + 1)
-            self.x = np.empty((4, n + 1))   # i_l, v_bus, v_o, soc before each step
+            self.buf = np.empty((len(_STEP_ROWS), n + 1))  # the rows before each step
             self.x_next = np.empty((4, n + 1))
             self.xh = np.ones(5)
-            self.energy = np.empty((4, n + 1))  # the meters before each step
             self.steps = np.arange(n)
-        times = self.times
+            self.lo = np.array([-scn.i_limit, -scn.v_limit, -scn.v_limit, 0.0])
+            self.hi = np.array([scn.i_limit, scn.v_limit, scn.v_limit, 1.0])
+        buf = self.buf
         self.dts[0] = self.t
-        np.add.accumulate(self.dts, out=times)  # t + dt + dt ..., as the scalar kernel
-        if times[n - 1] >= self.v_s_until:
+        np.add.accumulate(self.dts, out=buf[0])  # t + dt + dt ..., as the scalar kernel
+        if buf[0, n - 1] >= self.v_s_until:
             return False
 
-        x = self.x
+        x = buf[1:5]
         x[:, 0] = self.plant
         on = self.on1 + self.on2  # one of them is zero
         spans = []
@@ -617,19 +616,13 @@ class _Engine:
                 return False
             if path == "D1" and not x[0, a + 1:b + 1].max() < 0.0:
                 return False
-        lo = x[:, 1:].min(axis=1).tolist()
-        hi = x[:, 1:].max(axis=1).tolist()
-        i_limit = scn.i_limit
-        v_limit = scn.v_limit
-        if not (-i_limit <= lo[0] and hi[0] <= i_limit and -v_limit <= lo[1]
-                and hi[1] <= v_limit and -v_limit <= lo[2] and hi[2] <= v_limit
-                and 0.0 <= lo[3] and hi[3] <= 1.0):
+        if not ((self.lo <= x[:, 1:].min(axis=1)) & (x[:, 1:].max(axis=1) <= self.hi)).all():
             return False
 
         emf = self.emf(sc)
-        v_batt = emf + scn.battery.r_int * il
+        v_batt = np.add(emf, scn.battery.r_int * il, out=buf[5, :n])
         i_link = (vb - vo) * (1.0 / p.r_link)
-        e = self.energy
+        e = buf[6:]
         e[:, 0] = self.meters
         e[0, 1:] = dt * vb * i_src
         e[1, 1:] = (dt / p.r_load) * vo * vo
@@ -638,31 +631,29 @@ class _Engine:
         np.cumsum(e, axis=1, out=e)
 
         dec = scn.record_decimation
-        rec = -(-self.k // dec)             # row of the next sample
-        sel = slice(rec * dec - self.k, n, dec)
+        col = -(-self.k // dec)             # column of the next sample
+        sel = slice(col * dec - self.k, n, dec)
         steps = self.steps[sel]
-        rows = slice(rec, rec + len(steps))
-        cols = self.cols
-        for col, values in zip(cols[:6] + cols[10:], (times, il, vb, vo, v_batt, sc, *e)):
-            col[rows] = values[sel]
-        mode_a, duty_a, s1_a, s2_a = cols[6:10]
-        mode_a[rows] = MODE_CODES[self.ctrl.mode]
-        duty_a[rows] = self.ctrl.duty
-        np.less(steps, self.on1, out=s1_a[rows])
-        np.less(steps, self.on2, out=s2_a[rows])
+        cols = slice(col, col + len(steps))
+        self.rec[:, cols] = buf[:, sel]
+        self.mode[cols] = MODE_CODES[self.ctrl.mode]
+        self.duty[cols] = self.ctrl.duty
+        np.less(steps, self.on1, out=self.s1[cols])
+        np.less(steps, self.on2, out=self.s2[cols])
 
         self.plant = x[:, n].tolist()
-        self.t = float(times[n])
+        self.t = float(buf[0, n])
         self.meters = e[:, n].tolist()
-        self.sums = [float(il.sum()), float(vo.sum()), float(v_batt.sum())]
+        self.avgs = [float(row.sum()) / n for row in (il, vo, v_batt)]
         self.k += n
         return True
 
     def _span(self, a: int, b: int, path: str) -> tuple[int, int, str, bool]:
-        """Fill self.x[:, a + 1:b + 1] from self.x[:, a] along `path`, in
-        the source regime that `_source_margin` gives the state at step a;
-        `period` checks that the regime holds over the span."""
-        x = self.x
+        """Fill the state rows of self.buf at steps a + 1 .. b from those at
+        step a along `path`, in the source regime that `_source_margin`
+        gives the state at step a; `period` checks that the regime holds
+        over the span."""
+        x = self.buf[1:5]
         source_on = _source_margin(self.scenario, self.v_s, *x[:3, a].tolist(), path) >= 0.0
         key = (path, source_on, self.v_s)
         stack = self.stacks.get(key)
@@ -695,20 +686,22 @@ class _Engine:
     def finish(self) -> None:
         """Record the final instant when it falls on the decimation grid,
         with the gates of the last step."""
-        rec, off_grid = divmod(self.k, self.scenario.record_decimation)
+        col, off_grid = divmod(self.k, self.scenario.record_decimation)
         if not off_grid:
             j = (self.k - 1) % self.n_period
-            i_l, v_bus, v_o, soc = self.plant
-            for col, value in zip(self.cols, (
-                    self.t, i_l, v_bus, v_o, self.emf(soc) + self.scenario.battery.r_int * i_l,
-                    soc, MODE_CODES[self.ctrl.mode], self.ctrl.duty, j < self.on1,
-                    j < self.on2, *self.meters)):
-                col[rec] = value
+            i_l, _, _, soc = self.plant
+            v_batt = self.emf(soc) + self.scenario.battery.r_int * i_l
+            self.rec[:, col] = (self.t, *self.plant, v_batt, *self.meters)
+            self.mode[col] = MODE_CODES[self.ctrl.mode]
+            self.duty[col] = self.ctrl.duty
+            self.s1[col] = j < self.on1
+            self.s2[col] = j < self.on2
 
     def trace(self) -> Trace:
-        """The recorded arrays; every row is filled once k reaches n_steps."""
-        cols = {name: col for (name, _), col in zip(_RECORDED, self.cols)}
-        return Trace(i_batt=cols["i_l"], **cols)
+        """The recorded arrays; every column is filled once k reaches n_steps."""
+        rows = dict(zip(_STEP_ROWS, self.rec))
+        return Trace(i_batt=rows["i_l"], mode=self.mode, duty=self.duty, s1=self.s1,
+                     s2=self.s2, **rows)
 
 
 def _drive(scenario: Scenario, batched: bool) -> Trace:

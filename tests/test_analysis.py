@@ -191,6 +191,15 @@ class TestRegulationCsv:
         with pytest.raises(ValueError, match="row 3"):
             read_regulation_csv(path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("column", ["setting", "v_out", "i_out"])
+    def test_rejects_non_finite_value(self, tmp_path, column, value):
+        row = {"setting": "25", "v_out": "24.05", "i_out": "1"} | {column: value}
+        path = tmp_path / "bad.csv"
+        path.write_text("setting,v_out,i_out\n20,24.0,1\n" + ",".join(row.values()) + "\n")
+        with pytest.raises(ValueError, match=f"row 3: {column} must be finite"):
+            read_regulation_csv(path)
+
     def test_rejects_wrong_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("volts,amps\n1,2\n")

@@ -58,6 +58,21 @@ def soc_saturation_scenario() -> sim.Scenario:
                                    t=0.0))
 
 
+def soc_depletion_scenario() -> sim.Scenario:
+    """Boost discharging a tiny, nearly empty battery with the source
+    collapsed: SoC reaches 0 a few periods in and stays clamped there."""
+    return sim.Scenario(
+        params=ConverterParams(**STAGE),
+        battery=BatteryModel(v_emf_full=12.6, v_emf_empty=11.8, r_int=0.1,
+                             capacity=0.05, soc=0.02),
+        controller=ControllerConfig(duty_step=0.002),
+        source=sim.SourceProfile.constant(0.0),
+        t_end=2e-3, dt=50e-9, record_decimation=1,
+        initial_mode=Mode.DISCHARGING, initial_duty=0.5,
+        initial_state=CircuitState(i_l=-4.0, v_c_bus=24.0, v_c_o=23.95, soc=0.02,
+                                   t=0.0))
+
+
 def source_at_bus_scenario(r_source: float) -> sim.Scenario:
     """Boost discharging with the source held at the rail voltage: the bus
     ripples across it, so the source conducts (or clamps the bus, when
@@ -92,6 +107,15 @@ def test_soc_saturating_mid_period_matches_scalar():
     assert trace.soc[0] < 1.0 and len(full) > 0
     assert full[0] % scn.steps_per_period != 0, "saturation should fall mid-period"
     assert np.all(trace.mode == sim.MODE_CODES[Mode.CHARGING])
+
+
+def test_soc_depleting_mid_period_matches_scalar():
+    scn = soc_depletion_scenario()
+    trace = assert_matches_scalar(scn)
+    empty = np.flatnonzero(trace.soc == 0.0)
+    assert trace.soc[0] > 0.0 and len(empty) > 0
+    assert empty[0] % scn.steps_per_period != 0, "depletion should fall mid-period"
+    assert np.all(trace.mode == sim.MODE_CODES[Mode.DISCHARGING])
 
 
 @pytest.mark.parametrize("r_source, max_declined", [(50.0, 2), (0.0, 133)],

@@ -91,6 +91,13 @@ class TestAnalyzeCommand:
     def test_missing_file_is_input_error(self):
         assert main(["analyze", "/nonexistent/nothing.csv"]) == 1
 
+    @pytest.mark.parametrize("row", ["25,nan,1", "inf,24.05,1"])
+    def test_non_finite_regulation_value_is_input_error(self, tmp_path, capsys, row):
+        path = tmp_path / "reg.csv"
+        path.write_text(f"setting,v_out,i_out\n20,24.0,1\n{row}\n")
+        assert main(["analyze", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_trace_analysis(self, scenarios_dir, tmp_path, capsys):
         out_csv = tmp_path / "quick.csv"
         assert main(["simulate", str(scenarios_dir / "quick.scenario"),
@@ -119,6 +126,22 @@ class TestAnalyzeCommand:
         assert "--inductance and --switching-frequency" in err
         assert "row" not in err
 
+
+    @pytest.mark.parametrize("column, value", [("v_c_o", "nan"), ("i_l", "inf")])
+    def test_non_finite_trace_value_is_input_error(self, scenarios_dir, tmp_path, capsys,
+                                                   column, value):
+        out_csv = tmp_path / "quick.csv"
+        main(["simulate", str(scenarios_dir / "quick.scenario"), "--output", str(out_csv)])
+        capsys.readouterr()
+        lines = out_csv.read_bytes().split(b"\r\n")
+        cells = lines[5].split(b",")
+        cells[lines[0].split(b",").index(column.encode())] = value.encode()
+        lines[5] = b",".join(cells)
+        out_csv.write_bytes(b"\r\n".join(lines))
+        assert main(["analyze", str(out_csv), "--inductance", "1m",
+                     "--switching-frequency", "20k"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"line 6: {column}" in err
 
     @pytest.mark.parametrize("frequency", ["0", "-20k"])
     def test_non_positive_switching_frequency(self, scenarios_dir, tmp_path, capsys,

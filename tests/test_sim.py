@@ -388,6 +388,16 @@ class TestTraceCsv:
         assert main(["analyze", str(path), *PLANT_FLAGS]) == 1
         assert str(path) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("name", [n for n in TRACE_COLUMNS if n not in ("mode", "s1", "s2")])
+    def test_non_finite_value_names_column_and_line(self, name, value, tmp_path):
+        cells = GOOD_ROW.split(",")
+        cells[TRACE_COLUMNS.index(name)] = value
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + GOOD_ROW + "\n" + ",".join(cells) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {name} is")):
+            trace_from_csv(path)
+
     def test_header_only_is_an_empty_trace(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(",".join(TRACE_COLUMNS) + "\r\n")
