@@ -9,28 +9,33 @@ happen between steps, which is why a high-order smooth integrator would buy
 nothing here.
 
 Two kernels take the steps and one driver (`_drive`) calls them: a
-controller tick at every carrier wrap, then one kernel call for the period
-that starts there, so every kernel call starts at a wrap.  The scalar
+controller tick at every carrier wrap, then one kernel call from there, so
+every kernel call starts at a wrap and every wrap ticks once.  The scalar
 kernel (`_Engine.euler`, used alone by `_integrate`, the reference) takes
 one Euler step at a time.  The period kernel (`_Engine.period`) serves
 `run()`: the converter is switched-affine, so within one conduction path
 and one source regime an Euler step is a fixed affine map x <- A x + b on
-(i_l, v_c_bus, v_c_o, soc), and with the duty fixed between carrier wraps a
-period is at most two such maps, the on-interval and the off-interval.
-Stacked powers A^k, built once per path, regime and hold voltage, give
-every state of the period from one vector-matrix product per interval, in
-one buffer laid out like the recorded samples; the samples, the period's
-averages that the next tick reads and the energy meters follow from one
-slice, sums and cumulative sums.  The period kernel declines a period,
-which the scalar kernel then takes from its start, when the source voltage
-changes within it (a ramp or a segment end), the DCM clamp would fire (the
-D2 or D1 current reaches zero), the source changes regime (the stiff-source
-clamp, or i_src >= 0 for r_source > 0), SoC leaves [0, 1] or a state leaves
-the divergence bounds.  It also leaves a partial period at the end of the
-horizon, and every period shorter than _MIN_BATCH_STEPS steps, to the
-scalar kernel.  Its float columns agree with the scalar kernel's to within
-1e-9 of each column's magnitude; the time base, the controller's decisions
-and the gates are identical.
+(i_l, v_c_bus, v_c_o, soc), and with the gate counts fixed between
+carrier wraps a period is at most two such maps, the on-interval and the
+off-interval.  Stacked powers A^k, built once per path, regime and hold
+voltage, give every state of a period from one product per interval.
+While the controller keeps the mode and the gate counts (it holds its
+duty inside its deadbands, or moves it by less than one step of the
+gate grid), every period repeats the same two maps, so one call takes a
+stretch of periods, envelope following made exact by the affine maps:
+the powers of the period map give the state at each wrap, and the ticks
+inside the stretch run in order on the stretch's per-period averages.
+The samples, those averages and the energy meters follow from one
+slice, sums and cumulative sums over the stretch.  The period kernel
+declines a period, which the scalar kernel then takes from its start,
+when the source voltage changes within it (a ramp or a segment end), the
+DCM clamp would fire (the D2 or D1 current reaches zero), the source
+changes regime (the stiff-source clamp, or i_src >= 0 for r_source > 0),
+SoC leaves [0, 1] or a state leaves the divergence bounds.  It also leaves
+a partial period at the end of the horizon, and every period shorter than
+_MIN_BATCH_STEPS steps, to the scalar kernel.  Its float columns agree
+with the scalar kernel's to within 1e-9 of each column's magnitude; the
+time base, the controller's decisions and the gates are identical.
 
 The PV source only ever sources current, like a diode-isolated panel: with
 r_source = 0 the bus is clamped to the profile voltage whenever that voltage
@@ -41,8 +46,10 @@ profile voltage (panel-side sensing), not the converter-held bus.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
+import re
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -77,8 +84,15 @@ _TRACE_FORMAT = (
 )
 TRACE_COLUMNS = tuple(name for name, _, _ in _TRACE_FORMAT)
 _TRACE_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in _TRACE_FORMAT])
-_MODE_COLUMN = TRACE_COLUMNS.index("mode")
 _MODE_CODE = {name: code for code, name in MODE_NAMES.items()}
+# Reading: the mode column as bytes one wider than the longest mode name,
+# so that a longer name cannot match a mode once cut to that width, and
+# rows parsed per np.loadtxt call, which bound the block held beside the
+# columns.
+_READ_DTYPE = np.dtype([
+    (name, f"S{max(map(len, _MODE_CODE)) + 1}" if name == "mode" else dtype)
+    for name, dtype, _ in _TRACE_FORMAT])
+_READ_BLOCK = 1 << 16
 # Rows formatted per write: bounds the byte matrix and the digit arrays
 # held at once, and keeps them in cache.
 _CSV_BLOCK = 1 << 13
@@ -275,30 +289,65 @@ class Trace:
 def trace_from_csv(path) -> Trace:
     """Read a trace CSV written by :meth:`Trace.to_csv`; the energy meters
     are not in the file and read back as zeros.  A malformed row raises
-    ValueError with the path and numpy's row and column, a non-finite value
-    with the path, the column and the file line (blank lines not counted)."""
-    with open(path) as fh:
-        if tuple(fh.readline().rstrip("\n").split(",")) != TRACE_COLUMNS:
+    ValueError with the path and numpy's row and column, counted from the
+    first data row; an unknown mode or a non-finite value, with the path,
+    the column and the file line."""
+    # Columns for as many rows as the file has line feeds, no fewer than
+    # its data rows: the rows are parsed from bytes, where a bare \r ends
+    # no line.
+    with open(path, "rb") as fh:
+        ends = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
+    cols = {name: np.empty(ends, dtype) for name, dtype, _ in _TRACE_FORMAT}
+    n = 0
+    with open(path, "rb") as fh, warnings.catch_warnings():
+        header = fh.readline().decode(errors="replace").rstrip("\r\n")
+        if tuple(header.split(",")) != TRACE_COLUMNS:
             raise ValueError(f"{path}: not a trace CSV (unexpected header)")
-        try:
-            with warnings.catch_warnings():
-                # A header-only file is an empty trace, not a warning.
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                rows = np.loadtxt(
-                    fh, dtype=_TRACE_DTYPE, delimiter=",", comments=None, ndmin=1,
-                    converters={_MODE_COLUMN: _MODE_CODE.__getitem__})
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from exc
-    # Each column is checked as it is copied, so the check's temporary adds no peak memory.
-    cols = {}
+        # A header-only file, a last block that ends the file or a blank
+        # line (which a block does not count as a row) is no warning.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
+        while True:
+            try:
+                rows = np.loadtxt(fh, dtype=_READ_DTYPE, delimiter=",", comments=None,
+                                  ndmin=1, max_rows=_READ_BLOCK)
+            except ValueError as exc:
+                message = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + n}", str(exc))
+                raise ValueError(f"{path}: {message}") from exc
+            block = slice(n, n + len(rows))
+            for name in TRACE_COLUMNS:
+                if name != "mode":
+                    cols[name][block] = rows[name]
+            codes = cols["mode"][block]
+            codes[...] = -1
+            for name, code in _MODE_CODE.items():
+                codes[rows["mode"] == name.encode()] = code
+            if (codes < 0).any():
+                i = int(np.argmax(codes < 0))
+                raise ValueError(f"{path}: line {_file_line(path, n + i)}: "
+                                 f"mode {rows['mode'][i].decode(errors='replace')!r} is not "
+                                 f"one of {', '.join(_MODE_CODE)}")
+            n += len(rows)
+            if len(rows) < _READ_BLOCK:
+                break
     for name, dtype, _ in _TRACE_FORMAT:
-        col = cols[name] = np.ascontiguousarray(rows[name])
+        col = cols[name] = cols[name][:n]
         if dtype == np.float64 and not np.isfinite(col).all():
             i = int(np.argmin(np.isfinite(col)))
-            raise ValueError(f"{path}: line {i + 2}: {name} is {col[i]}, not finite")
-    n = len(rows)
+            raise ValueError(f"{path}: line {_file_line(path, i)}: {name} is {col[i]}, "
+                             f"not finite")
     return Trace(**cols, e_source=np.zeros(n), e_load=np.zeros(n),
                  e_battery=np.zeros(n), e_link=np.zeros(n))
+
+
+def _file_line(path, row: int) -> int:
+    """The file line, from 1 at the header, of data row `row`, from 0;
+    np.loadtxt skips empty lines, so they are counted here."""
+    with open(path, "rb") as fh:
+        lines = enumerate(fh, 1)
+        next(lines)
+        data = (line_no for line_no, line in lines if line.rstrip(b"\r\n"))
+        return next(itertools.islice(data, row, None))
 
 
 # The float rows of a recorded sample, in the order the kernels fill them:
@@ -308,11 +357,20 @@ _STEP_ROWS = ("time", "i_l", "v_c_bus", "v_c_o", "soc", "v_batt_terminal",
               "e_source", "e_load", "e_battery", "e_link")
 # Conduction paths on which the bus carries the inductor current.
 _BUS_PATHS = ("S1", "D1")
-# The period kernel costs some fifty numpy calls whatever the period's
-# length, so short periods are faster through the scalar kernel; the two
-# break even near 64 steps per period (the golden trickle, boost and ramp
-# cases, Python 3.11 and numpy 2.4 on a 2-core x86 host).
+# A period-kernel call costs the overhead of its numpy calls whatever the
+# period's length, so short periods are faster through the scalar kernel;
+# the two break even near 64 steps per period (the golden trickle, boost
+# and ramp cases, Python 3.11 and numpy 2.4 on a 2-core x86 host).
+# Batches share that cost only while the gate counts hold: at 20 steps per
+# period the open-loop golden boost case ran 3x faster batched, but the
+# trickle and DCM cases, whose gates change or whose periods decline every
+# period, ran 2.5-3x slower.
 _MIN_BATCH_STEPS = 64
+# The most steps one period-kernel call takes (one period at least).  The
+# batch buffers, made once at this size, hold some 150 bytes per step;
+# 2^13 keeps them under 2% of a line-regulation point's peak memory, and
+# 2^14, at twice the memory, ran those points at most 8% faster.
+_BATCH_STEPS = 1 << 13
 
 
 def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.ndarray:
@@ -345,6 +403,21 @@ def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.
     return m
 
 
+def _power_stack(m: np.ndarray, count: int) -> np.ndarray:
+    """M^k for k = 0 .. count, stacked along the first axis; M is 5x5."""
+    p = np.empty((count + 1, 5, 5))
+    p[0] = np.eye(5)
+    k = 0
+    if count:
+        p[1] = m
+        k = 1
+    while k < count:  # p[k + j] = p[j] @ p[k]: doubles the powers known
+        j = min(k, count - k)
+        np.matmul(p[1:j + 1], p[k], out=p[k + 1:k + j + 1])
+        k += j
+    return p
+
+
 def _source_margin(scenario: Scenario, v_s, i_l, v_bus, v_o, path: str):
     """How far the source is from blocking on a step along `path` from
     (i_l, v_bus, v_o), floats or arrays: v_s - v_bus, or for a stiff source
@@ -372,11 +445,16 @@ class _Engine:
     until a period is taken), the time t, the controller state `ctrl`, the
     gate counts `on1` and `on2` of the current period, the source voltage
     and the time until which it holds, and k, the steps taken.  It derives
-    from k the column of the next sample and the last step's gates.
+    from k the column of the next sample and the last step's gates.  For
+    the period kernel it keeps `ticked`, the k of the last tick, `held`,
+    whether that tick kept the mode and the gate counts, and `batch`, the
+    periods the next call tries after such a tick.
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
     :meth:`period` the batched one; :func:`_drive` calls them, and every
-    kernel call starts at a carrier wrap, right after a tick.
+    kernel call starts at a carrier wrap, right after its tick.  A batch
+    ticks the wraps inside it itself, and the wrap it stops at when a tick
+    there moved the gate counts.
     """
 
     def __init__(self, scenario: Scenario):
@@ -396,6 +474,9 @@ class _Engine:
         self.v_s = math.nan
         self.v_s_until = -math.inf
         self.k = 0                          # steps taken
+        self.ticked = -1
+        self.held = False
+        self.batch = 1
         n_rec = self.n_steps // scenario.record_decimation + 1
         self.rec = np.empty((len(_STEP_ROWS), n_rec))
         self.mode, self.duty, self.s1, self.s2 = (
@@ -405,9 +486,10 @@ class _Engine:
     def tick(self) -> None:
         """The controller at a carrier wrap: mode and duty from the last
         period's averages, unless the duty is fixed; then the gate counts
-        of the period that starts."""
+        of the period that starts, and whether they and the mode held."""
         if self.t >= self.v_s_until:
             self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
+        before = (self.ctrl.mode, self.on1, self.on2)
         if self.scenario.fixed_duty is None:
             cfg = self.scenario.controller
             avg_i, avg_vl, avg_vb = self.avgs
@@ -417,6 +499,8 @@ class _Engine:
         on_steps = round(self.ctrl.duty * self.n_period)
         self.on1 = on_steps if self.ctrl.mode is Mode.CHARGING else 0
         self.on2 = on_steps if self.ctrl.mode is Mode.DISCHARGING else 0
+        self.held = (self.ctrl.mode, self.on1, self.on2) == before
+        self.ticked = self.k
 
     def emf(self, soc):
         """Battery EMF at a state of charge (a float or an array)."""
@@ -564,97 +648,195 @@ class _Engine:
         self.v_s_until = v_s_until
         self.k += n_steps
 
-    def period(self) -> bool:
-        """The batched kernel: one whole carrier period from its wrap, the
-        tick taken, as one vector-matrix product per gate interval with
-        the stacked powers of that interval's step map.
+    def period(self) -> int:
+        """The batched kernel: whole carrier periods from a wrap whose tick
+        is taken, as many as it can; returns how many it took.
 
-        Returns False, with nothing changed, when the period is not affine
-        on each interval: the source voltage changes within it, or the DCM
-        clamp, a change of source regime, the SoC clamp or a bound would
-        act.  The scalar kernel then takes the period.
+        The gate counts fix a period's two spans, on-interval and
+        off-interval, each one affine step map raised to the span's length;
+        their product is the period map.  While ticks keep the mode and the
+        gate counts, every period repeats those maps: the period map's
+        powers give the state at each wrap, and one product of the span
+        starts with a span's stacked powers gives every other state of every
+        period.
+
+        After a tick that kept them the kernel tries `batch` periods, else
+        one, but never past _BATCH_STEPS steps (one period at least), the
+        last whole period or the source's next change.  It takes the periods
+        before the first that fails a check (the DCM clamp, a change of
+        source regime, the SoC clamp or a bound would act) and ticks the
+        wraps between them in order, up to the first tick that moves the
+        mode or the gate counts: that tick stands for its wrap, whose period
+        the next call takes.  `batch` doubles when the kernel takes all it
+        tried and drops to 1 when a check or a tick stops it.
+
+        Returns 0, with the run's state unchanged, when the first period
+        fails a check or the source changes within it; the scalar kernel
+        then takes that period.
         """
         scn = self.scenario
         p = scn.params
         dt = scn.dt
         n = self.n_period
         if self.stacks is None:
+            size = max(_BATCH_STEPS, n)     # the most steps one call takes
+            self.max_batch = size // n
             self.stacks = {}
-            self.dts = np.full(n + 1, dt)
-            self.buf = np.empty((len(_STEP_ROWS), n + 1))  # the rows before each step
-            self.x_next = np.empty((4, n + 1))
-            self.xh = np.ones(5)
-            self.steps = np.arange(n)
-            self.lo = np.array([-scn.i_limit, -scn.v_limit, -scn.v_limit, 0.0])
-            self.hi = np.array([scn.i_limit, scn.v_limit, scn.v_limit, 1.0])
+            self.plan = None                # the spans of the period map in `powers`
+            self.dts = np.full(size + 1, dt)
+            # The rows before each step: time, the state and v_batt in
+            # `buf`, and the meters in `e` as pairs (e_source, e_load) and
+            # (e_battery, e_link), so that a complex cumulative sum adds up
+            # two meters at once.
+            self.buf = np.empty((6, size + 1))
+            self.e = np.empty((2, size + 1, 2))
+            self.xs = np.empty((size + 1, 4))   # the states, step-major
+            self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
+            self.starts = np.ones((self.max_batch, 5))  # a span's starts, as (x, 1)
+            self.duties = np.empty(self.max_batch)     # each period's duty
+            self.i_src = np.empty(size)
+            self.period_of, self.phase = np.divmod(np.arange(size), n)
+            self.lo = np.array([[-scn.i_limit], [-scn.v_limit], [-scn.v_limit], [0.0]])
+            self.hi = np.array([[scn.i_limit], [scn.v_limit], [scn.v_limit], [1.0]])
+        m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
         buf = self.buf
         self.dts[0] = self.t
-        np.add.accumulate(self.dts, out=buf[0])  # t + dt + dt ..., as the scalar kernel
-        if buf[0, n - 1] >= self.v_s_until:
-            return False
+        time = np.add.accumulate(self.dts[:m * n + 1], out=buf[0, :m * n + 1])
+        if time[n - 1] >= self.v_s_until:  # on a ramp, every period
+            return 0
+        if time[m * n - 1] >= self.v_s_until:
+            # The periods whose every step comes before the source changes.
+            m = int(np.searchsorted(time[n - 1::n], self.v_s_until))
 
-        x = buf[1:5]
-        x[:, 0] = self.plant
+        # The spans, from the first period's states, and the powers of the
+        # period map, kept while the spans stay the same.
         on = self.on1 + self.on2  # one of them is zero
+        x0 = self.x0
+        x0[:4] = self.plant
+        x = x0
         spans = []
         if on:
-            spans.append(self._span(0, on, "S1" if self.on1 else "S2"))
+            spans.append(self._span(0, on, "S1" if self.on1 else "S2", x0))
+            x = x0 @ spans[0][3][:, on]     # the state at step `on`
         if on < n:
-            i_l = x[0, on]
+            i_l = x[0]
             spans.append(self._span(on, n, "D2" if i_l > 0.0 else "D1" if i_l < 0.0
-                                    else "idle"))
+                                    else "idle", x))
+        plan = (on, *(key for _, _, key, _ in spans))
+        if plan != self.plan:
+            phi = np.eye(5)                 # the period map on (x, 1) as a row vector
+            for a, b, _, stack in spans:
+                span_map = np.eye(5)
+                span_map[:, :4] = stack[:, b - a]
+                phi = phi @ span_map
+            self.plan, self.powers = plan, _power_stack(phi, m)
+        elif len(self.powers) <= m:
+            self.powers = _power_stack(self.powers[1], m)
 
-        il, vb, vo, sc = x[:, :n]
-        i_src = np.empty(n)
+        # Every state of the m periods: the wraps, then each span's steps.
+        big_n = m * n
+        wraps = x0 @ self.powers[:m + 1]
+        xs = self.xs[:big_n + 1]
+        xs[::n] = wraps[:, :4]
+        per = xs[:big_n].reshape(m, n, 4)
+        for a, b, _, stack in spans:
+            top = min(b, n - 1)             # step n is the next wrap
+            if top == a:
+                continue
+            if a:
+                starts = self.starts[:m]
+                starts[:, :4] = per[:, a]
+            else:
+                starts = wraps[:m]
+            np.matmul(starts, stack[:, 1:top - a + 1].reshape(5, -1),
+                      out=per[:, a + 1:top + 1].reshape(m, -1))
+        x = buf[1:5, :big_n + 1]
+        x[...] = xs.T
+
+        # The checks, per period, on its steps 0 .. n - 1 and 1 .. n: the
+        # batch keeps the periods before the first that fails.
+        before = x[:, :big_n].reshape(4, m, n)
+        after = x[:, 1:].reshape(4, m, n)
+        ok = ((self.lo <= after.min(axis=2)) & (after.max(axis=2) <= self.hi)).all(axis=0)
+        il, vb, vo = before[:3]
+        i_src = self.i_src[:big_n].reshape(m, n)
         to_current = p.c_bus / dt if p.r_source == 0.0 else 1.0 / p.r_source
-        for a, b, path, source_on in spans:
-            margin = _source_margin(scn, self.v_s, il[a:b], vb[a:b], vo[a:b], path)
-            if not (margin.min() >= 0.0 if source_on else margin.max() <= 0.0):
-                return False
-            i_src[a:b] = margin * to_current if source_on else 0.0
-            if path == "D2" and not x[0, a + 1:b + 1].min() > 0.0:
-                return False
-            if path == "D1" and not x[0, a + 1:b + 1].max() < 0.0:
-                return False
-        if not ((self.lo <= x[:, 1:].min(axis=1)) & (x[:, 1:].max(axis=1) <= self.hi)).all():
-            return False
+        for a, b, (path, source_on, _), _ in spans:
+            margin = _source_margin(scn, self.v_s, il[:, a:b], vb[:, a:b], vo[:, a:b], path)
+            if source_on:
+                ok &= margin.min(axis=1) >= 0.0
+                np.multiply(margin, to_current, out=i_src[:, a:b])
+            else:
+                ok &= margin.max(axis=1) <= 0.0
+                i_src[:, a:b] = 0.0
+            if path in ("S1", "S2"):
+                continue
+            # i_l at steps a .. b; from a wrap, at steps 1 .. b, as the
+            # period before checked its step n.
+            i_l = after[0, :, max(a - 1, 0):b]
+            if path == "D2":
+                ok &= i_l.min(axis=1) > 0.0
+            elif path == "D1":
+                ok &= i_l.max(axis=1) < 0.0
+            else:
+                ok &= i_l[:, 0] == 0.0
+        fit = m if ok.all() else int(ok.argmin())
+        if not fit:
+            self.batch = 1
+            return 0
 
+        big_n = fit * n
+        il, vb, vo, sc = x[:, :big_n]
         emf = self.emf(sc)
-        v_batt = np.add(emf, scn.battery.r_int * il, out=buf[5, :n])
+        np.add(emf, scn.battery.r_int * il, out=buf[5, :big_n])  # v_batt
         i_link = (vb - vo) * (1.0 / p.r_link)
-        e = buf[6:]
-        e[:, 0] = self.meters
-        e[0, 1:] = dt * vb * i_src
-        e[1, 1:] = (dt / p.r_load) * vo * vo
-        e[2, 1:] = dt * emf * il
-        e[3, 1:] = (dt * p.r_link) * i_link * i_link
-        np.cumsum(e, axis=1, out=e)
+        e = self.e[:, :big_n + 1]
+        e[0, 0], e[1, 0] = self.meters[:2], self.meters[2:]
+        np.multiply(dt * vb, self.i_src[:big_n], out=e[0, 1:, 0])
+        np.multiply((dt / p.r_load) * vo, vo, out=e[0, 1:, 1])
+        np.multiply(dt * emf, il, out=e[1, 1:, 0])
+        np.multiply((dt * p.r_link) * i_link, i_link, out=e[1, 1:, 1])
+        pairs = e.view(np.complex128)[..., 0]
+        np.cumsum(pairs, axis=1, out=pairs)
+        # Each period's averages of i_l, v_o and v_batt, and where it ends.
+        avgs = (buf[1:6:2, :big_n].reshape(3, fit, n).sum(axis=2) / n).T.tolist()
+        times = time[n:big_n + 1:n].tolist()
+        plants = x[:, n::n].T.tolist()
+
+        # Wrap by wrap to the end of the batch, ticking inside it.
+        mode, on1, on2, k0 = self.ctrl.mode, self.on1, self.on2, self.k
+        self.duties[0] = self.ctrl.duty
+        for taken in range(1, fit + 1):
+            self.t, self.plant, self.avgs = times[taken - 1], plants[taken - 1], avgs[taken - 1]
+            self.k = k0 + taken * n
+            if taken < fit:
+                self.tick()
+                if not self.held:
+                    break
+                self.duties[taken] = self.ctrl.duty
+        (e_source, e_load), (e_battery, e_link) = e[:, taken * n].tolist()
+        self.meters = [e_source, e_load, e_battery, e_link]
 
         dec = scn.record_decimation
-        col = -(-self.k // dec)             # column of the next sample
-        sel = slice(col * dec - self.k, n, dec)
-        steps = self.steps[sel]
-        cols = slice(col, col + len(steps))
-        self.rec[:, cols] = buf[:, sel]
-        self.mode[cols] = MODE_CODES[self.ctrl.mode]
-        self.duty[cols] = self.ctrl.duty
-        np.less(steps, self.on1, out=self.s1[cols])
-        np.less(steps, self.on2, out=self.s2[cols])
+        col = -(-k0 // dec)                 # column of the next sample
+        sel = slice(col * dec - k0, taken * n, dec)
+        phase = self.phase[sel]
+        cols = slice(col, col + len(phase))
+        self.rec[:6, cols] = buf[:, sel]
+        self.rec[6:, cols].reshape(2, 2, -1)[...] = e[:, sel].transpose(0, 2, 1)
+        self.mode[cols] = MODE_CODES[mode]
+        self.duty[cols] = self.duties[self.period_of[sel]]
+        np.less(phase, on1, out=self.s1[cols])
+        np.less(phase, on2, out=self.s2[cols])
+        self.batch = min(2 * m, self.max_batch) if taken == m else 1
+        return taken
 
-        self.plant = x[:, n].tolist()
-        self.t = float(buf[0, n])
-        self.meters = e[:, n].tolist()
-        self.avgs = [float(row.sum()) / n for row in (il, vo, v_batt)]
-        self.k += n
-        return True
-
-    def _span(self, a: int, b: int, path: str) -> tuple[int, int, str, bool]:
-        """Fill the state rows of self.buf at steps a + 1 .. b from those at
-        step a along `path`, in the source regime that `_source_margin`
-        gives the state at step a; `period` checks that the regime holds
-        over the span."""
-        x = self.buf[1:5]
-        source_on = _source_margin(self.scenario, self.v_s, *x[:3, a].tolist(), path) >= 0.0
+    def _span(self, a: int, b: int, path: str, x) -> tuple:
+        """Steps a .. b of a period along `path`, in the source regime that
+        `_source_margin` gives the state x at step a: (a, b, (path,
+        source_on, v_s), the stacked powers of that step map).  `period`
+        checks that the path and the regime hold over the span."""
+        source_on = _source_margin(self.scenario, self.v_s, *x[:3].tolist(), path) >= 0.0
         key = (path, source_on, self.v_s)
         stack = self.stacks.get(key)
         if stack is None:
@@ -663,25 +845,15 @@ class _Engine:
             if self.stacks and next(iter(self.stacks))[2] != self.v_s:
                 self.stacks.clear()
             stack = self.stacks[key] = self._powers(_step_map(self.scenario, *key))
-        self.xh[:4] = x[:, a]
-        np.matmul(self.xh, stack.reshape(5, -1), out=self.x_next.reshape(-1))
-        x[:, a + 1:b + 1] = self.x_next[:, 1:b - a + 1]
-        return a, b, path, source_on
+        return a, b, key, stack
 
     def _powers(self, m: np.ndarray) -> np.ndarray:
-        """M^k for k = 0 .. steps_per_period, laid out as stack[j, i, k] =
-        (M^k)[i, j] over the four state rows, so that one vector-matrix
-        product with (x, 1) gives the state after every k steps."""
-        n = self.n_period
-        p = np.empty((n + 1, 5, 5))
-        p[0] = np.eye(5)
-        p[1] = m
-        k = 1
-        while k < n:  # p[k + j] = p[j] @ p[k]: doubles the powers known
-            j = min(k, n - k)
-            np.matmul(p[1:j + 1], p[k], out=p[k + 1:k + j + 1])
-            k += j
-        return np.ascontiguousarray(p[:, :4, :].transpose(2, 1, 0))
+        """M^k for k = 0 .. steps_per_period, laid out step-major as
+        stack[j, k, i] = (M^k)[i, j] over the four state rows, so that one
+        vector-matrix product of (x, 1) with stack[:, :k + 1] gives the
+        state after each of 0 .. k steps, one state after another."""
+        return np.ascontiguousarray(
+            _power_stack(m, self.n_period)[:, :4, :].transpose(2, 0, 1))
 
     def finish(self) -> None:
         """Record the final instant when it falls on the decimation grid,
@@ -705,16 +877,18 @@ class _Engine:
 
 
 def _drive(scenario: Scenario, batched: bool) -> Trace:
-    """The engine's one loop: a controller tick at every carrier wrap, then
-    the period through the batched kernel when `batched`, the period is
-    whole and the kernel takes it, else through the scalar kernel; the
-    final instant is recorded when it falls on the decimation grid."""
+    """The engine's one loop: a controller tick at every carrier wrap the
+    period kernel has not ticked, then the period kernel when `batched` and
+    a whole period is left, for as many periods as it takes; the scalar
+    kernel for a period it declines or a partial one.  The final instant is
+    recorded when it falls on the decimation grid."""
     eng = _Engine(scenario)
     n, n_steps = eng.n_period, eng.n_steps
     # A batch run past a divergence may overflow; the scalar rerun reports it.
     with np.errstate(all="ignore"):
         while eng.k < n_steps:
-            eng.tick()
+            if eng.ticked < eng.k:          # a batch may have ticked this wrap
+                eng.tick()
             if not (batched and n_steps - eng.k >= n and eng.period()):
                 eng.euler(min(n, n_steps - eng.k))
     eng.finish()
@@ -731,11 +905,12 @@ def _integrate(scenario: Scenario) -> Trace:
 def run(scenario: Scenario) -> Trace:
     """Run the scenario from its initial state to t_end; returns the trace.
 
-    With at least _MIN_BATCH_STEPS steps per period, each whole carrier
-    period goes through the batched kernel, and any period it declines, or
-    a partial one at the end, through the scalar kernel; with fewer, every
-    step is scalar.  Deterministic: identical scenarios produce
-    bit-identical traces.
+    With at least _MIN_BATCH_STEPS steps per period, whole carrier periods
+    go through the batched kernel, a stretch of them per call while the
+    controller keeps the mode and the gate counts, and any period it
+    declines, or a partial one at the end, through the scalar kernel; with
+    fewer, every step is scalar.  Deterministic: identical scenarios
+    produce bit-identical traces.
     """
     return _drive(scenario, scenario.steps_per_period >= _MIN_BATCH_STEPS)
 

@@ -1,10 +1,11 @@
 """run() against the scalar kernel.
 
 `sim._integrate` steps the plant one explicit Euler step at a time and is
-the reference.  `run()` may advance whole carrier periods at once, which
-sums in another order, so its float columns are held to the reference
-within a tolerance scaled by each column's largest magnitude, while the
-time base, the controller's decisions and the gates must match exactly.
+the reference.  `run()` may advance whole carrier periods at once, and a
+stretch of periods with the same gate counts in one call, which sums in
+another order, so its float columns are held to the reference within a
+tolerance scaled by each column's largest magnitude, while the time base,
+the controller's decisions and the gates must match exactly.
 The golden cases run 20 steps per period, which run() steps with the
 scalar kernel alone, so they are also run at 64 steps per period, where
 the period kernel takes over.
@@ -88,6 +89,45 @@ def source_at_bus_scenario(r_source: float) -> sim.Scenario:
         initial_mode=Mode.DISCHARGING, initial_duty=0.52)
 
 
+def weak_point_scenario(volts: float) -> sim.Scenario:
+    """A shortened point of the line-regulation sweep: the weak source of
+    `source_at_bus_scenario` at `volts`.  At 1000 steps per period the
+    comparator's 2e-5 duty steps seldom move the gate counts, so most
+    ticks keep them."""
+    return replace(source_at_bus_scenario(50.0), source=sim.SourceProfile.constant(volts))
+
+
+def open_loop_buck(**changes) -> sim.Scenario:
+    """Buck charging an ideal 12 V battery at a fixed duty, 64 steps per
+    period: every tick keeps the gate counts."""
+    f_s = STAGE["f_s"]
+    scn = sim.Scenario(
+        params=ConverterParams(**STAGE, r_source=0.5), battery=BatteryModel.ideal(12.0),
+        controller=ControllerConfig(), source=sim.SourceProfile.constant(24.0),
+        t_end=40 / f_s, dt=1.0 / (f_s * 64), record_decimation=3,
+        fixed_duty=0.5, initial_mode=Mode.CHARGING,
+        initial_state=CircuitState(i_l=2.85, v_c_bus=23.5, v_c_o=23.4, soc=0.5, t=0.0))
+    return replace(scn, **changes)
+
+
+def log_batches(monkeypatch) -> list:
+    """Patches the period kernel to log, per call, the periods a batch
+    could try (`batch`, or 1 after a tick that moved the gate counts), the
+    periods it took, and whether the wrap it stopped at was ticked (a tick
+    that moved the gate counts stopped it, or it declined)."""
+    calls = []
+    kernel = sim._Engine.period
+
+    def logged(eng):
+        offered = eng.batch if eng.held else 1
+        taken = kernel(eng)
+        calls.append((offered, taken, eng.ticked == eng.k))
+        return taken
+
+    monkeypatch.setattr(sim._Engine, "period", logged)
+    return calls
+
+
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_match_scalar(name, scenarios_dir):
     assert_matches_scalar(parse_scenario_file(scenarios_dir / f"{name}.scenario"))
@@ -122,7 +162,8 @@ def test_soc_depleting_mid_period_matches_scalar():
                          ids=["weak", "stiff"])
 def test_source_regime_changes_match_scalar(r_source, max_declined, monkeypatch):
     """The period kernel takes the periods in which the source keeps one
-    regime, and declines no more periods than it did when first pinned."""
+    regime, and declines no more periods than it did when first pinned;
+    each call returns how many periods it took."""
     taken = []
     kernel = sim._Engine.period
 
@@ -132,8 +173,9 @@ def test_source_regime_changes_match_scalar(r_source, max_declined, monkeypatch)
 
     monkeypatch.setattr(sim._Engine, "period", counted)
     assert_matches_scalar(source_at_bus_scenario(r_source))
-    assert len(taken) == 200
-    assert taken.count(False) <= max_declined
+    declined = taken.count(0)
+    assert sum(taken) + declined == 200     # each period taken or declined once
+    assert declined <= max_declined
 
 
 @pytest.mark.parametrize("dec", [1, 3])
@@ -180,3 +222,108 @@ def test_divergence_matches_scalar():
     assert str(fast.value) == str(ref.value)
     assert fast.value.t == ref.value.t
     assert round(ref.value.t / scn.dt) % scn.steps_per_period != 0
+
+
+def test_line_sweep_point_batches_most_periods(monkeypatch):
+    """A weak-source point as the line-regulation sweep runs it takes
+    most of its periods in batches of eight (the step cap at 1000 steps
+    per period) and still matches the scalar kernel."""
+    calls = log_batches(monkeypatch)
+    assert_matches_scalar(weak_point_scenario(25.0))
+    assert sum(taken for _, taken, _ in calls) == 200
+    assert sum(taken for _, taken, _ in calls if taken == 8) >= 100
+    assert max(offered for offered, _, _ in calls) == sim._BATCH_STEPS // 1000 == 8
+
+
+def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
+    """A duty step that moves the gate counts stops a batch at the wrap
+    it lands on: the batch keeps the periods before it, and that tick
+    stands for the wrap (the next call takes its period)."""
+    calls = log_batches(monkeypatch)
+    assert_matches_scalar(weak_point_scenario(20.0))
+    stopped = [(offered, taken) for offered, taken, ticked in calls
+               if ticked and 0 < taken < offered]
+    assert stopped and all(offered == 8 for offered, _ in stopped)
+
+
+def test_open_loop_batches_double(monkeypatch):
+    """With the duty fixed every tick keeps the gate counts, so the batch
+    doubles from one period up to the whole periods left."""
+    calls = log_batches(monkeypatch)
+    assert_matches_scalar(open_loop_buck())
+    assert [taken for _, taken, _ in calls] == [1, 2, 4, 8, 16, 9]
+
+
+def test_batch_stops_at_source_segment_end(monkeypatch):
+    """A batch takes only the periods before the source voltage steps and
+    counts as taken whole; the period with the step goes to the scalar
+    kernel, and batching goes on at the new voltage."""
+    f_s = STAGE["f_s"]
+    calls = log_batches(monkeypatch)
+    assert_matches_scalar(open_loop_buck(source=sim.SourceProfile(segments=(
+        sim.SourceSegment(until=10.5 / f_s, v_start=24.0, v_end=24.0),
+        sim.SourceSegment(until=1.0, v_start=24.5, v_end=24.5)))))
+    assert [taken for _, taken, _ in calls] == [1, 2, 4, 3, 0, 6, 12, 11]
+
+
+def test_batch_reaches_partial_last_period(monkeypatch):
+    """The batch stops at the last whole period; the scalar kernel takes
+    the half period after it, which ends off the decimation grid."""
+    f_s = STAGE["f_s"]
+    calls = log_batches(monkeypatch)
+    scn = open_loop_buck(t_end=20.5 / f_s)
+    trace = assert_matches_scalar(scn)
+    assert [taken for _, taken, _ in calls] == [1, 2, 4, 8, 5]
+    assert len(trace) == round(scn.t_end / scn.dt) // 3 + 1
+
+
+@pytest.mark.parametrize("case", ["dcm", "soc", "source"])
+def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
+    """A period inside a batch fails a check: the DCM clamp at a duty too
+    small for continuous conduction, the SoC clamp of a battery filling
+    up, or a weak source that starts to conduct as a boost-held bus sags
+    below it.  The batch keeps the periods before it and the scalar
+    kernel takes that period."""
+    if case == "dcm":
+        scn = open_loop_buck(fixed_duty=0.45, initial_state=CircuitState(
+            i_l=3.0, v_c_bus=24.0, v_c_o=23.95, soc=0.5, t=0.0))
+    elif case == "source":
+        scn = open_loop_buck(
+            params=ConverterParams(**{**STAGE, "r_load": 20.0}, r_source=50.0),
+            source=sim.SourceProfile.constant(23.0), t_end=60 / STAGE["f_s"],
+            fixed_duty=0.45, initial_mode=Mode.DISCHARGING,
+            initial_state=CircuitState(i_l=-2.0, v_c_bus=24.0, v_c_o=24.0, soc=0.5, t=0.0))
+    else:
+        base = soc_saturation_scenario()
+        scn = replace(base, fixed_duty=0.55, initial_duty=None,
+                      battery=replace(base.battery, soc=0.975),
+                      initial_state=replace(base.initial_state, soc=0.975))
+    calls = log_batches(monkeypatch)
+    trace = assert_matches_scalar(scn)
+    takes = [taken for _, taken, _ in calls]
+    cut = next(i for i, (offered, taken, _) in enumerate(calls) if 0 < taken < offered)
+    assert takes[cut + 1] == 0, "the failing period goes to the scalar kernel"
+    if case == "dcm":
+        assert (trace.i_l == 0.0).any()
+    elif case == "source":
+        assert trace.v_c_bus[0] > 23.0 > trace.v_c_bus.min()
+    else:
+        assert (trace.soc == 1.0).any()
+
+
+def test_every_wrap_ticks_once(monkeypatch):
+    """The controller runs once per carrier wrap whether a batch or a
+    single period crosses it: as many select_mode and regulate calls as
+    wraps, and as many as the scalar kernel makes."""
+    counts = {}
+    for name in ("select_mode", "regulate"):
+        def counted(*args, _fn=getattr(sim, name), _name=name):
+            counts[_name] = counts.get(_name, 0) + 1
+            return _fn(*args)
+        monkeypatch.setattr(sim, name, counted)
+    scn = weak_point_scenario(30.0)
+    sim.run(scn)
+    fast, counts = counts, {}
+    sim._integrate(scn)
+    wraps = -(-round(scn.t_end / scn.dt) // scn.steps_per_period)
+    assert fast == counts == {"select_mode": wraps, "regulate": wraps}

@@ -7,6 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bdcsim import sim
 from bdcsim.cli import main
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
 from bdcsim.control import ControllerConfig, Mode, pwm_gate
@@ -397,6 +398,32 @@ class TestTraceCsv:
         path.write_text(",".join(TRACE_COLUMNS) + "\n" + GOOD_ROW + "\n" + ",".join(cells) + "\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}: line 3: {name} is")):
             trace_from_csv(path)
+
+    def test_non_finite_value_after_a_blank_line_names_its_file_line(self, tmp_path):
+        """np.loadtxt skips blank lines; the line named is the file's."""
+        cells = GOOD_ROW.split(",")
+        cells[TRACE_COLUMNS.index("v_c_o")] = "nan"
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + GOOD_ROW + "\n\n" + ",".join(cells) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: v_c_o is nan")):
+            trace_from_csv(path)
+
+    def test_rows_past_the_first_block_keep_their_numbers(self, tmp_path, monkeypatch):
+        """The file is parsed in blocks of rows; a row's number in an error
+        counts from the first data row of the file, not of its block."""
+        monkeypatch.setattr(sim, "_READ_BLOCK", 2)
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + (GOOD_ROW + "\n") * 4
+                        + BAD_ROWS["bad float"] + "\n" + BAD_ROWS["unknown mode"] + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: could not convert string "
+                                                       "'abc' to float64 at row 4,")):
+            trace_from_csv(path)
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + (GOOD_ROW + "\n") * 4 + "\n"
+                        + BAD_ROWS["unknown mode"] + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 7: mode 'resting'")):
+            trace_from_csv(path)
+        path.write_text(",".join(TRACE_COLUMNS) + "\n" + (GOOD_ROW + "\n") * 5)
+        assert len(trace_from_csv(path)) == 5
 
     def test_header_only_is_an_empty_trace(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
