@@ -8,8 +8,9 @@ inductor current is positive when it flows from the bus node toward the
 battery, so positive i_l charges the battery and the boost (discharging)
 direction runs i_l negative.
 
-This module holds the value types only; the plant law and the time
-stepping live in :mod:`bdcsim.sim`.
+This module holds the value types only; the plant law, one table of the
+conduction paths (`_PATHS`), and the time stepping live in
+:mod:`bdcsim.sim`.
 """
 
 from __future__ import annotations

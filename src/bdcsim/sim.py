@@ -6,36 +6,27 @@ those wrap instants and the commanded duty is quantized to the step grid,
 mirroring timer-resolution quantization in a real microcontroller.  Topology
 changes (gate edges, diode handoff, the discontinuous-conduction clamp)
 happen between steps, which is why a high-order smooth integrator would buy
-nothing here.
+nothing here.  The plant law is stated once, in `_PATHS`, a table of the
+conduction paths (S1, S2, D2, D1, idle) that both kernels read.
 
 Two kernels take the steps and one driver (`_drive`) calls them: a
 controller tick at every carrier wrap, then one kernel call from there, so
 every kernel call starts at a wrap and every wrap ticks once.  The scalar
 kernel (`_Engine.euler`, used alone by `_integrate`, the reference) takes
 one Euler step at a time.  The period kernel (`_Engine.period`) serves
-`run()`: the converter is switched-affine, so within one conduction path
-and one source regime an Euler step is a fixed affine map x <- A x + b on
-(i_l, v_c_bus, v_c_o, soc), and with the gate counts fixed between
-carrier wraps a period is at most two such maps, the on-interval and the
-off-interval.  Stacked powers A^k, built once per path, regime and hold
-voltage, give every state of a period from one product per interval.
-While the controller keeps the mode and the gate counts (it holds its
-duty inside its deadbands, or moves it by less than one step of the
-gate grid), every period repeats the same two maps, so one call takes a
-stretch of periods, envelope following made exact by the affine maps:
-the powers of the period map give the state at each wrap, and the ticks
-inside the stretch run in order on the stretch's per-period averages.
-The samples, those averages and the energy meters follow from one
-slice, sums and cumulative sums over the stretch.  The period kernel
-declines a period, which the scalar kernel then takes from its start,
-when the source voltage changes within it (a ramp or a segment end), the
-DCM clamp would fire (the D2 or D1 current reaches zero), the source
-changes regime (the stiff-source clamp, or i_src >= 0 for r_source > 0),
-SoC leaves [0, 1] or a state leaves the divergence bounds.  It also leaves
-a partial period at the end of the horizon, and every period shorter than
-_MIN_BATCH_STEPS steps, to the scalar kernel.  Its float columns agree
-with the scalar kernel's to within 1e-9 of each column's magnitude; the
-time base, the controller's decisions and the gates are identical.
+`run()`: within one path and one source regime an Euler step is a fixed
+affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc), so stacked powers
+of the maps give every state of a period, and of a stretch of periods
+while the controller keeps the mode and the gate counts, from a few
+products.  It declines a period, which the scalar kernel then takes from
+its start, when the source voltage changes within it (a ramp or a segment
+end), or the DCM clamp, a change of source regime (the stiff-source clamp,
+or i_src >= 0 for r_source > 0), the SoC clamp or a divergence bound would
+act.  It also leaves a partial period at the end of the horizon, and every
+period shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its
+float columns agree with the scalar kernel's to within 1e-9 of each
+column's magnitude; the time base, the controller's decisions and the
+gates are identical.
 
 The PV source only ever sources current, like a diode-isolated panel: with
 r_source = 0 the bus is clamped to the profile voltage whenever that voltage
@@ -240,8 +231,11 @@ class Scenario:
 class Trace:
     """Recorded waveforms, uniformly sampled after decimation.
 
-    The e_* arrays are cumulative energy meters (J) used by the balance
-    checks; they are not part of the CSV export format.
+    `duty` is the controller's duty register.  The gates use it quantised
+    to the step grid, round(duty * n) / n with n steps per period, so the
+    two differ by up to 1 / (2n); `analyze`'s ripple prediction reads the
+    register value.  The e_* arrays are cumulative energy meters (J) used
+    by the balance checks; they are not part of the CSV export format.
     """
 
     time: np.ndarray
@@ -355,8 +349,20 @@ def _file_line(path, row: int) -> int:
 # battery terminal voltage, then the energy meters.  i_batt is the i_l row.
 _STEP_ROWS = ("time", "i_l", "v_c_bus", "v_c_o", "soc", "v_batt_terminal",
               "e_source", "e_load", "e_battery", "e_link")
-# Conduction paths on which the bus carries the inductor current.
-_BUS_PATHS = ("S1", "D1")
+# The plant law, one entry per conduction path, each one linear circuit.
+# The switch node sits at a*r_on*i_l + v0*v_f, plus v_bus where the high
+# side conducts and the bus carries i_l (`bus`); the inductor sees it less
+# v_batt.  A switch conducts either sign of i_l (sign None); with both gates
+# off the path is the one whose `sign` i_l has, and a step that would not
+# keep it ends at i_l = 0, on idle (the DCM clamp), as every idle step does.
+_PATHS = {      # a, v0, bus, sign
+    "S1": (-1.0, 0.0, True, None),
+    "S2": (-1.0, 0.0, False, None),
+    "D2": (0.0, -1.0, False, 1.0),
+    "D1": (0.0, 1.0, True, -1.0),
+    "idle": (0.0, 0.0, False, 0.0),
+}
+_OFF_PATHS = {law[3]: path for path, law in _PATHS.items() if law[3] is not None}
 # A period-kernel call costs the overhead of its numpy calls whatever the
 # period's length, so short periods are faster through the scalar kernel;
 # the two break even near 64 steps per period (the golden trickle, boost
@@ -373,28 +379,32 @@ _MIN_BATCH_STEPS = 64
 _BATCH_STEPS = 1 << 13
 
 
+def _off_path(i_l: float) -> str:
+    """The path with both gates off: the one whose sign i_l has."""
+    return _OFF_PATHS[(i_l > 0.0) - (i_l < 0.0)]
+
+
 def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.ndarray:
-    """One explicit Euler step along a conduction path ("S1", "S2", "D2",
-    "D1" or "idle") as a homogeneous 5x5 matrix on (i_l, v_c_bus, v_c_o,
-    soc, 1), with the source at v_s conducting (r_source > 0) or clamping
-    the bus (stiff source) when `source_on`.  It holds while the path and
-    the source regime do: the DCM, source and SoC clamps are not in it."""
+    """One explicit Euler step along a conduction path of `_PATHS` as a
+    homogeneous 5x5 matrix on (i_l, v_c_bus, v_c_o, soc, 1), with the source
+    at v_s conducting (r_source > 0) or clamping the bus (stiff source) when
+    `source_on`.  It holds while the path and the source regime do: the
+    DCM, source and SoC clamps are not in it, except on idle, whose clamp
+    holds i_l at zero on every step."""
     p, b, dt = scenario.params, scenario.battery, scenario.dt
+    a, v0, bus, sign = _PATHS[path]
     m = np.zeros((5, 5))
-    if path != "idle":
-        # i_l + dt/L * (v_switch - v_batt), v_switch = a*i_l + c*v_bus + v0.
-        a, c, v0 = {"S1": (-p.r_on, 1.0, 0.0), "S2": (-p.r_on, 0.0, 0.0),
-                    "D2": (0.0, 0.0, -p.v_f), "D1": (0.0, 1.0, p.v_f)}[path]
+    if sign != 0:                           # on idle i_l stays at zero
         h = dt / p.l_p
-        m[0] = (1.0 + h * (a - b.r_int), h * c, 0.0,
-                -h * (b.v_emf_full - b.v_emf_empty), h * (v0 - b.v_emf_empty))
+        m[0] = (1.0 + h * (a * p.r_on - b.r_int), h if bus else 0.0, 0.0,
+                -h * (b.v_emf_full - b.v_emf_empty), h * (v0 * p.v_f - b.v_emf_empty))
     if source_on and p.r_source == 0.0:
         m[1, 4] = v_s
     else:
         # v_bus + dt/C_bus * (i_src - i_branch - (v_bus - v_o)/r_link).
         g = dt / p.c_bus
         y = 1.0 / p.r_source if source_on else 0.0
-        m[1] = (-g if path in _BUS_PATHS else 0.0, 1.0 - g * (y + 1.0 / p.r_link),
+        m[1] = (-g if bus else 0.0, 1.0 - g * (y + 1.0 / p.r_link),
                 g / p.r_link, 0.0, g * y * v_s)
     h = dt / p.c_o
     m[2] = (0.0, h / p.r_link, 1.0 - h * (1.0 / p.r_link + 1.0 / p.r_load), 0.0, 0.0)
@@ -428,7 +438,7 @@ def _source_margin(scenario: Scenario, v_s, i_l, v_bus, v_o, path: str):
     if p.r_source == 0.0:
         g = scenario.dt / p.c_bus
         margin += g * ((v_bus - v_o) * (1.0 / p.r_link))
-        if path in _BUS_PATHS:
+        if _PATHS[path][2]:                 # the bus carries i_l
             margin += g * i_l
     return margin
 
@@ -461,6 +471,9 @@ class _Engine:
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
         self.n_steps = round(scenario.t_end / scenario.dt)
+        p = scenario.params
+        self.laws = {path: (a * p.r_on, v0 * p.v_f, bus, sign)   # in ohms and volts
+                     for path, (a, v0, bus, sign) in _PATHS.items()}
         state = scenario.start_state()
         self.plant = [state.i_l, state.v_c_bus, state.v_c_o, state.soc]
         self.t = state.t
@@ -512,14 +525,14 @@ class _Engine:
         wrap, at most one period's worth, recording the pre-update state at
         each decimation point.
 
-        Each step: source voltage, battery EMF, PWM gating, then one update
-        with pre-update values on the right-hand side.  The plant law: an
-        on-gate wins outright; with both gates off the body diode matching
-        the current sign conducts (D2 for positive, D1 for negative current)
-        and the current clamps at zero instead of reversing (discontinuous
-        conduction); the bus node loses the inductor current only while the
-        high side (S1 or D1) conducts.  Raises :class:`SimulationDiverged`
-        when a state magnitude leaves the bounds.
+        Each step: source voltage, battery EMF, then one update with
+        pre-update values on the right-hand side, along the path that
+        `period` takes: the gate's switch up to the gate edge, then the path
+        whose sign the current has (`_off_path`).  The path changes only
+        there and where the DCM clamp stops the current, which leaves it
+        idle.  One inductor update and one clamp, with the coefficients of
+        `_PATHS`, serve every path.  Raises :class:`SimulationDiverged` when
+        a state magnitude leaves the bounds.
         """
         scn = self.scenario
         p = scn.params
@@ -535,8 +548,7 @@ class _Engine:
         inv_r_load = 1.0 / p.r_load
         inv_r_link = 1.0 / p.r_link
         r_link = p.r_link
-        r_on = p.r_on
-        v_f = p.v_f
+        laws = self.laws
         r_source = p.r_source
         inv_r_source = 1.0 / r_source if r_source > 0.0 else 0.0
         c_bus_over_dt = p.c_bus / dt
@@ -548,8 +560,10 @@ class _Engine:
         duty = self.ctrl.duty
         on1 = self.on1
         on2 = self.on2
+        on = on1 + on2                      # the gate edge; one of them is zero
 
         i_l, v_bus, v_o, soc = self.plant
+        a, v0, bus, sign = laws["S1" if on1 else "S2"]   # up to the gate edge
         t = self.t
         acc_i = acc_vl = acc_vb = 0.0       # the period's sums, from its wrap
         e_src, e_load, e_batt, e_link = self.meters
@@ -565,37 +579,27 @@ class _Engine:
                 v_s, v_s_until = source.evaluate(t)
             emf = emf_base + emf_span * soc
             v_batt = emf + r_int * i_l
-            s1 = j < on1
-            s2 = j < on2
 
             if j == j_rec:
                 samples[col] = (t, i_l, v_bus, v_o, soc, v_batt, e_src, e_load, e_batt, e_link)
                 mode_a[col] = mode_code
                 duty_a[col] = duty
-                s1_a[col] = s1
-                s2_a[col] = s2
+                s1_a[col] = j < on1
+                s2_a[col] = j < on2
                 col += 1
                 j_rec += dec
 
-            if s1:  # buck switch
-                i_l2 = i_l + dt * ((v_bus - r_on * i_l) - v_batt) * inv_l
+            if j == on:                     # the gate edge: the off path from here on
+                a, v0, bus, sign = laws[_off_path(i_l)]
+            v_sw = a * i_l + v0             # the switch node
+            i_branch = 0.0
+            if bus:
+                v_sw += v_bus
                 i_branch = i_l
-            elif s2:  # boost switch
-                i_l2 = i_l + dt * ((-r_on * i_l) - v_batt) * inv_l
-                i_branch = 0.0
-            elif i_l > 0.0:  # D2 freewheels
-                i_l2 = i_l + dt * ((-v_f) - v_batt) * inv_l
-                if i_l2 < 0.0:
-                    i_l2 = 0.0
-                i_branch = 0.0
-            elif i_l < 0.0:  # D1 returns the current to the bus
-                i_l2 = i_l + dt * ((v_bus + v_f) - v_batt) * inv_l
-                if i_l2 > 0.0:
-                    i_l2 = 0.0
-                i_branch = i_l
-            else:  # idle at zero current
+            i_l2 = i_l + dt * (v_sw - v_batt) * inv_l
+            if sign is not None and i_l2 * sign <= 0.0:   # the DCM clamp
                 i_l2 = 0.0
-                i_branch = 0.0
+                a, v0, bus, sign = laws["idle"]
             i_link = (v_bus - v_o) * inv_r_link
             if r_source > 0.0:
                 i_src = (v_s - v_bus) * inv_r_source
@@ -719,9 +723,7 @@ class _Engine:
             spans.append(self._span(0, on, "S1" if self.on1 else "S2", x0))
             x = x0 @ spans[0][3][:, on]     # the state at step `on`
         if on < n:
-            i_l = x[0]
-            spans.append(self._span(on, n, "D2" if i_l > 0.0 else "D1" if i_l < 0.0
-                                    else "idle", x))
+            spans.append(self._span(on, n, _off_path(float(x[0])), x))
         plan = (on, *(key for _, _, key, _ in spans))
         if plan != self.plan:
             phi = np.eye(5)                 # the period map on (x, 1) as a row vector
@@ -769,17 +771,13 @@ class _Engine:
             else:
                 ok &= margin.max(axis=1) <= 0.0
                 i_src[:, a:b] = 0.0
-            if path in ("S1", "S2"):
-                continue
-            # i_l at steps a .. b; from a wrap, at steps 1 .. b, as the
-            # period before checked its step n.
-            i_l = after[0, :, max(a - 1, 0):b]
-            if path == "D2":
-                ok &= i_l.min(axis=1) > 0.0
-            elif path == "D1":
-                ok &= i_l.max(axis=1) < 0.0
-            else:
-                ok &= i_l[:, 0] == 0.0
+            sign = _PATHS[path][3]
+            if sign is not None:
+                # i_l keeps the path's sign at steps a .. b (from a wrap, 1 .. b,
+                # as the period before checked its step n); idle's map holds 0.
+                i_l = after[0, :, max(a - 1, 0):b]
+                ok &= (i_l.min(axis=1) > 0.0 if sign > 0 else i_l.max(axis=1) < 0.0 if sign < 0
+                       else i_l[:, 0] == 0.0)
         fit = m if ok.all() else int(ok.argmin())
         if not fit:
             self.batch = 1

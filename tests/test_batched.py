@@ -20,7 +20,7 @@ from bdcsim import sim
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
 from bdcsim.control import ControllerConfig, Mode
 from bdcsim.scenario import parse_scenario_file
-from test_golden import GOLDEN, STAGE, build
+from test_golden import GOLDEN, STAGE, build, trace_digest
 
 EXACT = ("time", "mode", "duty", "s1", "s2")
 CLOSE = ("i_l", "v_c_bus", "v_c_o", "v_batt_terminal", "i_batt", "soc",
@@ -28,9 +28,20 @@ CLOSE = ("i_l", "v_c_bus", "v_c_o", "v_batt_terminal", "i_batt", "soc",
 REL = 1e-9
 
 BUNDLED = ("boost_discharge", "buck_charge", "mode_transition", "quick", "source_ramp")
+# test_golden.trace_digest of the scalar kernel's trace of each bundled
+# scenario, pinned bit for bit like the golden cases (quick is one).  The
+# scalar kernel computes in Python floats, so no BLAS build moves them.
+SCALAR_DIGESTS = {
+    "boost_discharge": "43065fee614dc972222a75937e938890bf1813a795979b0c35d76237d1908864",
+    "buck_charge": "3f85fbfb01887a0e1f586a48d79b31ee8dd77f0a6366e34a96bb7a3b54b124ba",
+    "mode_transition": "4382fd0733152b90ba0c49b856ae5e7f449519be5272fb13137daa77355c3762",
+    "quick": GOLDEN["quick"],
+    "source_ramp": "ea850453ed615ec7c507fd8e5da2ef894b150d0f0d25724268536435bff5e3a1",
+}
 
 
 def assert_matches_scalar(scn):
+    """run() against the scalar kernel; returns both traces."""
     fast = sim.run(scn)
     ref = sim._integrate(scn)
     for name in EXACT:
@@ -41,7 +52,7 @@ def assert_matches_scalar(scn):
         worst = float(np.max(np.abs(a - b), initial=0.0))
         tol = REL * float(np.max(np.abs(b), initial=0.0))
         assert worst <= tol, f"{name}: deviation {worst:.3g} above {tol:.3g}"
-    return fast
+    return fast, ref
 
 
 def soc_saturation_scenario() -> sim.Scenario:
@@ -130,7 +141,8 @@ def log_batches(monkeypatch) -> list:
 
 @pytest.mark.parametrize("name", BUNDLED)
 def test_bundled_scenarios_match_scalar(name, scenarios_dir):
-    assert_matches_scalar(parse_scenario_file(scenarios_dir / f"{name}.scenario"))
+    _, ref = assert_matches_scalar(parse_scenario_file(scenarios_dir / f"{name}.scenario"))
+    assert trace_digest(ref) == SCALAR_DIGESTS[name]
 
 
 @pytest.mark.parametrize("steps", [20, 64])
@@ -142,7 +154,7 @@ def test_golden_cases_match_scalar(name, steps, scenarios_dir):
 
 def test_soc_saturating_mid_period_matches_scalar():
     scn = soc_saturation_scenario()
-    trace = assert_matches_scalar(scn)
+    trace, _ = assert_matches_scalar(scn)
     full = np.flatnonzero(trace.soc == 1.0)
     assert trace.soc[0] < 1.0 and len(full) > 0
     assert full[0] % scn.steps_per_period != 0, "saturation should fall mid-period"
@@ -151,7 +163,7 @@ def test_soc_saturating_mid_period_matches_scalar():
 
 def test_soc_depleting_mid_period_matches_scalar():
     scn = soc_depletion_scenario()
-    trace = assert_matches_scalar(scn)
+    trace, _ = assert_matches_scalar(scn)
     empty = np.flatnonzero(trace.soc == 0.0)
     assert trace.soc[0] > 0.0 and len(empty) > 0
     assert empty[0] % scn.steps_per_period != 0, "depletion should fall mid-period"
@@ -199,7 +211,7 @@ def test_partial_last_period_matches_scalar(dec, monkeypatch):
         return taken[-1]
 
     monkeypatch.setattr(sim._Engine, "period", counted)
-    trace = assert_matches_scalar(scn)
+    trace, _ = assert_matches_scalar(scn)
     assert taken == [True, True]
     n_steps = round(scn.t_end / scn.dt)
     assert n_steps == 160
@@ -272,7 +284,7 @@ def test_batch_reaches_partial_last_period(monkeypatch):
     f_s = STAGE["f_s"]
     calls = log_batches(monkeypatch)
     scn = open_loop_buck(t_end=20.5 / f_s)
-    trace = assert_matches_scalar(scn)
+    trace, _ = assert_matches_scalar(scn)
     assert [taken for _, taken, _ in calls] == [1, 2, 4, 8, 5]
     assert len(trace) == round(scn.t_end / scn.dt) // 3 + 1
 
@@ -299,7 +311,7 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
                       battery=replace(base.battery, soc=0.975),
                       initial_state=replace(base.initial_state, soc=0.975))
     calls = log_batches(monkeypatch)
-    trace = assert_matches_scalar(scn)
+    trace, _ = assert_matches_scalar(scn)
     takes = [taken for _, taken, _ in calls]
     cut = next(i for i, (offered, taken, _) in enumerate(calls) if 0 < taken < offered)
     assert takes[cut + 1] == 0, "the failing period goes to the scalar kernel"

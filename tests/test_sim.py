@@ -13,6 +13,7 @@ from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
 from bdcsim.control import ControllerConfig, Mode, pwm_gate
 from bdcsim.sim import (
     MODE_CODES,
+    MODE_NAMES,
     Scenario,
     SimulationDiverged,
     SourceProfile,
@@ -25,6 +26,7 @@ from bdcsim.sim import (
     steady_window,
     trace_from_csv,
 )
+from test_golden import GOLDEN, build
 
 PARAMS = ConverterParams(v_bus_nominal=24.0, l_p=1e-3, c_bus=1000e-6, c_o=250e-6,
                          f_s=20e3, r_load=10.0)
@@ -144,6 +146,11 @@ def closed_form_step(path, i_l, v_bus, v_o, soc, v_s, p, b, dt):
 
 
 class TestKernelLaw:
+    def test_every_path_of_the_plant_law_is_checked(self):
+        """A path added to the engine's plant table fails here until
+        test_one_step_matches_closed_form checks it."""
+        assert set(KERNEL_PATHS) == set(sim._PATHS)
+
     @pytest.mark.parametrize("lossy", [False, True], ids=["ideal", "lossy"])
     @pytest.mark.parametrize("path", sorted(KERNEL_PATHS))
     def test_one_step_matches_closed_form(self, path, lossy):
@@ -224,6 +231,20 @@ class TestOpenLoop:
         assert trace.i_l.min() >= 0.0
         assert (trace.i_l == 0.0).any(), "expected the current to reach the clamp"
 
+    def test_clamped_current_stays_idle(self):
+        """Once the DCM clamp stops the current, the path is idle for the
+        rest of the period, even where the diode that conducted would be
+        forward-biased again: D1 freewheels from a bus just above the
+        battery, and a light rail then pulls the bus below it."""
+        params = ConverterParams(v_bus_nominal=12.0, l_p=1e-6, c_bus=10e-6, c_o=10e-6,
+                                 f_s=20e3, r_load=1.0)
+        scn = make_scenario(t_end=1 / 20e3, dt=1e-7, src=0.0, params=params,
+                            fixed_duty=0.0, initial_mode=Mode.TRICKLE,
+                            initial_state=warm_state(i_l=-0.01, v_bus=12.5, v_o=12.5))
+        trace = run(scn)
+        assert trace.i_l[0] < 0.0 and (trace.i_l[1:] == 0.0).all()
+        assert trace.v_c_bus[-1] < 11.0
+
 
 class TestRun:
     def test_deterministic(self):
@@ -292,25 +313,35 @@ class TestRun:
 
 
 class TestGating:
-    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
-    def test_samples_match_pwm_gate(self, mode):
-        """Every recorded gate pair equals pwm_gate at that carrier phase,
-        duty and mode.  The last sample repeats the gates of the last step."""
-        scn = make_scenario(t_end=6 / 20e3,
-                            src=0.0 if mode is Mode.DISCHARGING else 24.0,
-                            initial_mode=mode,
-                            initial_duty=None if mode is Mode.TRICKLE else 0.3,
-                            fixed_duty=0.35 if mode is Mode.TRICKLE else None,
-                            initial_state=warm_state())
+    @pytest.mark.parametrize("case", [*Mode, *sorted(GOLDEN)],
+                             ids=lambda c: c.value if isinstance(c, Mode) else f"golden-{c}")
+    def test_samples_match_pwm_gate(self, case, scenarios_dir):
+        """Every recorded gate pair equals pwm_gate at its step's carrier
+        phase, the duty the gates use, round(duty * n) / n, and the recorded
+        mode; the last sample, at t_end, repeats the gates of the last step.
+        Each mode runs alone, and the golden cases add mode transitions,
+        DCM and trickle."""
+        if isinstance(case, Mode):
+            scn = make_scenario(t_end=6 / 20e3,
+                                src=0.0 if case is Mode.DISCHARGING else 24.0,
+                                initial_mode=case,
+                                initial_duty=None if case is Mode.TRICKLE else 0.3,
+                                fixed_duty=0.35 if case is Mode.TRICKLE else None,
+                                initial_state=warm_state())
+        else:
+            scn = build(case, scenarios_dir)
         trace = run(scn)
-        n = scn.steps_per_period
-        assert set(trace.mode.tolist()) == {MODE_CODES[mode]}
-        assert len(set(trace.duty.tolist())) > 1 or mode is Mode.TRICKLE
-        for j in range(len(trace) - 1):
-            on_steps = round(trace.duty[j] * n)
-            gates = pwm_gate((j % n) / n, on_steps / n, mode)
-            assert (trace.s1[j], trace.s2[j]) == (gates.s1_on, gates.s2_on), j
-        assert (trace.s1[-1], trace.s2[-1]) == (trace.s1[-2], trace.s2[-2])
+        if isinstance(case, Mode):
+            assert set(trace.mode.tolist()) == {MODE_CODES[case]}
+            assert len(set(trace.duty.tolist())) > 1 or case is Mode.TRICKLE
+        n, n_steps = scn.steps_per_period, round(scn.t_end / scn.dt)
+        steps = np.arange(len(trace)) * scn.record_decimation
+        assert steps[-1] == n_steps
+        steps[-1] -= 1
+        for i, j in enumerate(steps.tolist()):
+            mode = Mode(MODE_NAMES[int(trace.mode[i])])
+            gates = pwm_gate((j % n) / n, round(trace.duty[i] * n) / n, mode)
+            assert (trace.s1[i], trace.s2[i]) == (gates.s1_on, gates.s2_on), i
 
 
 class TestSteadyWindow:
