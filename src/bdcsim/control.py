@@ -10,7 +10,7 @@ discharging regulates the load-rail voltage through the boost leg.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .circuit import GateCommand
@@ -98,8 +98,16 @@ def select_mode(v_bus: float, v_batt: float, soc: float, prev: Mode,
     return Mode.CHARGING
 
 
+# The leg each mode drives, as (S1, S2): the buck leg charges, the boost leg
+# discharges, and trickle drives neither.  The legs never conduct together,
+# so shoot-through cannot be commanded.
+_LEGS = {Mode.CHARGING: (True, False), Mode.DISCHARGING: (False, True),
+         Mode.TRICKLE: (False, False)}
+
+
 def pwm_gate(carrier_phase: float, duty: float, mode: Mode) -> GateCommand:
-    """Gate command for the current carrier phase.
+    """Gate command for the current carrier phase: the mode's leg (see
+    `gate_steps`) conducts while the phase is below the duty.
 
     Charging drives the buck leg S1, discharging the boost leg S2, and
     trickle keeps both switches off to disconnect bus and battery.  The two
@@ -111,11 +119,18 @@ def pwm_gate(carrier_phase: float, duty: float, mode: Mode) -> GateCommand:
     if not 0.0 <= duty <= 1.0:
         raise ValueError(f"duty must be in [0, 1], got {duty}")
     active = carrier_phase < duty
-    if mode is Mode.CHARGING:
-        return GateCommand(s1_on=active, s2_on=False)
-    if mode is Mode.DISCHARGING:
-        return GateCommand(s1_on=False, s2_on=active)
-    return GateCommand(s1_on=False, s2_on=False)
+    s1, s2 = _LEGS[mode]
+    return GateCommand(s1_on=active and s1, s2_on=active and s2)
+
+
+def gate_steps(duty: float, mode: Mode, n: int) -> tuple[int, int]:
+    """The on-step counts (S1, S2) of a period of n steps: the duty
+    quantised to the step grid, round(duty * n) (half to even), on the
+    mode's leg and zero on the other, so that at phase j / n and duty
+    on / n `pwm_gate` gives the same gates."""
+    on = round(duty * n)
+    s1, s2 = _LEGS[mode]
+    return (on if s1 else 0), (on if s2 else 0)
 
 
 def regulate(meas_v_load: float, meas_i_batt: float, meas_v_batt: float,
@@ -131,7 +146,8 @@ def regulate(meas_v_load: float, meas_i_batt: float, meas_v_batt: float,
     cannot act on them, and the hold is what lets the increment law settle
     instead of hunting around the setpoint.  Duty saturates to
     [duty_min, duty_max] after every update.  Trickle leaves the state
-    untouched.
+    untouched, and so does an update that keeps the duty and the phase:
+    `st` itself is returned.
     """
     if st.mode is Mode.TRICKLE:
         return st
@@ -149,7 +165,9 @@ def regulate(meas_v_load: float, meas_i_batt: float, meas_v_batt: float,
             duty += _increment(cfg.v_float - meas_v_batt, cfg.v_deadband,
                                cfg.duty_step)
     duty = min(max(duty, cfg.duty_min), cfg.duty_max)
-    return replace(st, duty=duty, cc_cv_phase=phase)
+    if duty == st.duty and phase is st.cc_cv_phase:
+        return st
+    return ControllerState(mode=st.mode, duty=duty, cc_cv_phase=phase)
 
 
 def _increment(error: float, deadband: float, step: float) -> float:

@@ -18,15 +18,20 @@ one Euler step at a time.  The period kernel (`_Engine.period`) serves
 affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc), so stacked powers
 of the maps give every state of a period, and of a stretch of periods
 while the controller keeps the mode and the gate counts, from a few
-products.  It declines a period, which the scalar kernel then takes from
-its start, when the source voltage changes within it (a ramp or a segment
-end), or the DCM clamp, a change of source regime (the stiff-source clamp,
-or i_src >= 0 for r_source > 0), the SoC clamp or a divergence bound would
-act.  It also leaves a partial period at the end of the horizon, and every
-period shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its
-float columns agree with the scalar kernel's to within 1e-9 of each
-column's magnitude; the time base, the controller's decisions and the
-gates are identical.
+products.  It takes the energy meters and the period averages by span
+quadrature: over k steps of one map from a span's start y a meter adds
+y H_k y^T, with H_k the discrete Gramian sum of the meter's one-step form
+(`_meter_forms`), evaluated on the grid of the recorded samples from three
+states of each gate interval.  It declines a period, which the scalar
+kernel then takes from its start, when the source voltage changes within
+it (a ramp or a segment end), or the DCM clamp, a change of source regime
+(the stiff-source clamp, or i_src >= 0 for r_source > 0), the SoC clamp
+or a divergence bound would act.  It also leaves a partial period at the
+end of the horizon, and every period shorter than _MIN_BATCH_STEPS steps,
+to the scalar kernel.  Its float columns, the meters and the averages that
+the controller reads included, agree with the scalar kernel's to within
+1e-9 of each column's magnitude; the time base, the controller's
+decisions and the gates are identical.
 
 The PV source only ever sources current, like a diode-isolated panel: with
 r_source = 0 the bus is clamped to the profile voltage whenever that voltage
@@ -42,14 +47,16 @@ import math
 import os
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .circuit import BatteryModel, CircuitState, ConverterParams
 from .control import (
     ControllerConfig,
+    ControllerState,
     Mode,
+    gate_steps,
     initial_controller_state,
     regulate,
     select_mode,
@@ -105,6 +112,15 @@ class SourceSegment:
     v_start: float            # V at the start of the segment
     v_end: float              # V at `until` (equal to v_start for a hold)
 
+    def evaluate(self, t: float, t_start: float) -> tuple[float, float]:
+        """Voltage at time t, for the segment that starts at t_start, and the
+        time until which it stays the same: `until` for a hold, t itself on
+        a ramp."""
+        if self.v_start == self.v_end:
+            return self.v_start, self.until
+        frac = (t - t_start) / (self.until - t_start)
+        return self.v_start + (self.v_end - self.v_start) * frac, t
+
 
 @dataclass(frozen=True)
 class SourceProfile:
@@ -132,15 +148,19 @@ class SourceProfile:
         """Voltage at time t and the time until which it stays the same: the
         segment end for a hold, t itself on a ramp, infinity after the last
         segment."""
+        seg, t_start = self.locate(t)
+        return seg.evaluate(t, t_start)
+
+    def locate(self, t: float) -> tuple[SourceSegment, float]:
+        """The segment that holds at time t and its start; after the last
+        segment, a hold of its end voltage until infinity."""
         t_seg_start = 0.0
         for seg in self.segments:
             if t < seg.until:
-                if seg.v_start == seg.v_end:
-                    return seg.v_start, seg.until
-                frac = (t - t_seg_start) / (seg.until - t_seg_start)
-                return seg.v_start + (seg.v_end - seg.v_start) * frac, t
+                return seg, t_seg_start
             t_seg_start = seg.until
-        return self.segments[-1].v_end, math.inf
+        v = self.segments[-1].v_end
+        return SourceSegment(until=math.inf, v_start=v, v_end=v), t_seg_start
 
 
 @dataclass(frozen=True)
@@ -373,10 +393,30 @@ _OFF_PATHS = {law[3]: path for path, law in _PATHS.items() if law[3] is not None
 # period, ran 2.5-3x slower.
 _MIN_BATCH_STEPS = 64
 # The most steps one period-kernel call takes (one period at least).  The
-# batch buffers, made once at this size, hold some 150 bytes per step;
-# 2^13 keeps them under 2% of a line-regulation point's peak memory, and
-# 2^14, at twice the memory, ran those points at most 8% faster.
+# batch buffers, made once at this size, hold some 90 bytes per step; 2^13
+# keeps them under 2% of a line-regulation point's peak memory, and 2^14,
+# at twice the memory, ran those points at most 8% faster.
 _BATCH_STEPS = 1 << 13
+# The period kernel's quadrature basis y = (i_l, v_c_bus - v_c_o, v_c_o - v_s,
+# soc, 1), x = T y (`_Engine._quadrature`): in x the forms of the meters square states of some 24 V
+# to give increments of the bus-to-rail drop, tens of mV, and lose a factor
+# of 10^6 to cancellation; in y that drop, and a bus clamped to v_s, are
+# states of their own.  `_FEATURES` are y's monomials, the rows of the
+# products that the quadrature tables weight: y itself, then the ten
+# products of its four states.
+_FEATURES = np.array([(i, 4) for i in range(5)]
+                     + [(i, j) for i in range(4) for j in range(i, 4)]).T
+# The most multiply-adds of one matrix product: OpenBLAS takes a larger one
+# on several threads, and waking them cost 10-30x the product's own time
+# (2 cores, OpenBLAS 0.3 with its default threshold of 2^18).
+_GEMM_MACS = 1 << 18
+# The most plans whose sample grids the period kernel keeps: gate counts that
+# hunt back and forth find theirs again.
+_GRIDS = 16
+# The outputs of a span's quadrature over the whole span: the four meters in
+# `_STEP_ROWS`' order, then the sums of i_l, v_c_o and v_batt that give a
+# period's averages.
+_QUAD_OUTPUTS = 7
 
 
 def _off_path(i_l: float) -> str:
@@ -443,6 +483,26 @@ def _source_margin(scenario: Scenario, v_s, i_l, v_bus, v_o, path: str):
     return margin
 
 
+def _meter_forms(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.ndarray:
+    """The energy meters' increments over one Euler step along `path`, left
+    Riemann as `_Engine.euler` takes them, as symmetric 5x5 forms Q on
+    x = (i_l, v_c_bus, v_c_o, soc, 1), each increment x Q x^T, in the order
+    e_source, e_load, e_battery, e_link.  The source current is the
+    `_source_margin` times the source's conductance (C_bus/dt for a stiff
+    source) where the source conducts (or clamps the bus), else zero."""
+    p, b, dt = scenario.params, scenario.battery, scenario.dt
+    e = np.eye(5)
+    i_src = np.zeros(5)
+    if source_on:
+        to_current = p.c_bus / dt if p.r_source == 0.0 else 1.0 / p.r_source
+        i_src = _source_margin(scenario, v_s * e[4], e[0], e[1], e[2], path) * to_current
+    emf = (b.v_emf_full - b.v_emf_empty) * e[3] + b.v_emf_empty * e[4]
+    i_link = (e[1] - e[2]) / p.r_link
+    q = np.array([np.outer(dt * e[1], i_src), np.outer((dt / p.r_load) * e[2], e[2]),
+                  np.outer(dt * emf, e[0]), np.outer((dt * p.r_link) * i_link, i_link)])
+    return (q + q.transpose(0, 2, 1)) / 2
+
+
 class _Engine:
     """One integration of a scenario from its start state: the state carried
     between kernel calls, and the trace arrays it records into.
@@ -502,17 +562,17 @@ class _Engine:
         of the period that starts, and whether they and the mode held."""
         if self.t >= self.v_s_until:
             self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
-        before = (self.ctrl.mode, self.on1, self.on2)
+        ctrl = self.ctrl
+        before = (ctrl.mode, self.on1, self.on2)
         if self.scenario.fixed_duty is None:
             cfg = self.scenario.controller
             avg_i, avg_vl, avg_vb = self.avgs
-            mode = select_mode(self.v_s, avg_vb, self.plant[3], self.ctrl.mode, cfg)
-            self.ctrl = regulate(avg_vl, avg_i, avg_vb, replace(self.ctrl, mode=mode), cfg)
-        # The on-step counts of S1 (charging) and S2 (discharging).
-        on_steps = round(self.ctrl.duty * self.n_period)
-        self.on1 = on_steps if self.ctrl.mode is Mode.CHARGING else 0
-        self.on2 = on_steps if self.ctrl.mode is Mode.DISCHARGING else 0
-        self.held = (self.ctrl.mode, self.on1, self.on2) == before
+            mode = select_mode(self.v_s, avg_vb, self.plant[3], ctrl.mode, cfg)
+            if mode is not ctrl.mode:
+                ctrl = ControllerState(mode=mode, duty=ctrl.duty, cc_cv_phase=ctrl.cc_cv_phase)
+            self.ctrl = ctrl = regulate(avg_vl, avg_i, avg_vb, ctrl, cfg)
+        self.on1, self.on2 = gate_steps(ctrl.duty, ctrl.mode, self.n_period)
+        self.held = (ctrl.mode, self.on1, self.on2) == before
         self.ticked = self.k
 
     def emf(self, soc):
@@ -574,9 +634,12 @@ class _Engine:
         samples = self.rec.T                # samples[col] takes a tuple faster than rec[:, col]
         mode_a, duty_a, s1_a, s2_a = self.mode, self.duty, self.s1, self.s2
 
+        seg = None                          # the source segment last found, from seg_start
         for j in range(n_steps):            # j: steps since the carrier wrap
             if t >= v_s_until:
-                v_s, v_s_until = source.evaluate(t)
+                if seg is None or t >= seg.until:
+                    seg, seg_start = source.locate(t)
+                v_s, v_s_until = seg.evaluate(t, seg_start)
             emf = emf_base + emf_span * soc
             v_batt = emf + r_int * i_l
 
@@ -662,7 +725,25 @@ class _Engine:
         gate counts, every period repeats those maps: the period map's
         powers give the state at each wrap, and one product of the span
         starts with a span's stacked powers gives every other state of every
-        period.
+        period, which the checks read (`_states`).
+
+        The meters and the periods' averages come from span quadrature, not
+        from the steps.  Within a span each step is the affine map M, so
+        over k steps from the span's start y each meter adds y H_k y^T,
+        H_k = sum_{i<k} (M^i)^T Q M^i the discrete Gramian sum of its
+        one-step form Q (`_meter_forms`), and each of i_l, v_c_o and v_batt
+        sums to a linear function of y.  The samples lie on a grid of every
+        g-th step, g = gcd(n, dec).  Each span is read at three states: its
+        start, its first grid point and its last (`_grid`); one product of
+        their monomials with the plan's weights gives every span's meters
+        up to its first grid point, its sums and its meters over the span,
+        for every period of the stretch; a cumulative sum over the spans
+        gives the meters where each starts; and one product per span with
+        its map's table of H at every g-th step (`_quadrature`) gives the
+        meters along its grid, of which a strided slice are the samples.
+        No meter or average is summed step by step.  They agree with the
+        scalar kernel's per-step sums to within 1e-9 of each column's
+        magnitude.
 
         After a tick that kept them the kernel tries `batch` periods, else
         one, but never past _BATCH_STEPS steps (one period at least), the
@@ -676,30 +757,29 @@ class _Engine:
 
         Returns 0, with the run's state unchanged, when the first period
         fails a check or the source changes within it; the scalar kernel
-        then takes that period.
+        then takes that period.  A period that failed a check in the last
+        call is declined without being computed again when it starts with
+        the same spans (`failed`).
         """
         scn = self.scenario
-        p = scn.params
-        dt = scn.dt
         n = self.n_period
+        dec = scn.record_decimation
         if self.stacks is None:
             size = max(_BATCH_STEPS, n)     # the most steps one call takes
             self.max_batch = size // n
             self.stacks = {}
             self.plan = None                # the spans of the period map in `powers`
-            self.dts = np.full(size + 1, dt)
-            # The rows before each step: time, the state and v_batt in
-            # `buf`, and the meters in `e` as pairs (e_source, e_load) and
-            # (e_battery, e_link), so that a complex cumulative sum adds up
-            # two meters at once.
-            self.buf = np.empty((6, size + 1))
-            self.e = np.empty((2, size + 1, 2))
+            self.quads = {}                 # the quadrature tables, by step map
+            self.grids = {}                 # the plans' sample grids, least recent first
+            self.failed = None              # (wrap, plan) of a period that failed a check
+            self.dts = np.full(size + 1, scn.dt)
+            self.buf = np.empty((5, size + 1))     # the rows before each step: time, the state
             self.xs = np.empty((size + 1, 4))   # the states, step-major
+            self.ys = np.ones((6 * self.max_batch, 5))  # the spans' states, as (y, 1)
             self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
             self.starts = np.ones((self.max_batch, 5))  # a span's starts, as (x, 1)
             self.duties = np.empty(self.max_batch)     # each period's duty
-            self.i_src = np.empty(size)
-            self.period_of, self.phase = np.divmod(np.arange(size), n)
+            self.period_of, self.phase = np.divmod(np.arange(size, dtype=np.int32), n)
             self.lo = np.array([[-scn.i_limit], [-scn.v_limit], [-scn.v_limit], [0.0]])
             self.hi = np.array([[scn.i_limit], [scn.v_limit], [scn.v_limit], [1.0]])
         m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
@@ -724,7 +804,12 @@ class _Engine:
             x = x0 @ spans[0][3][:, on]     # the state at step `on`
         if on < n:
             spans.append(self._span(on, n, _off_path(float(x[0])), x))
-        plan = (on, *(key for _, _, key, _ in spans))
+        plan = (on, *(span[2] for span in spans))
+        if (self.k, plan) == self.failed:
+            # The period that failed a check in the last call, from the
+            # same state along the same maps: it fails it again.
+            self.batch = 1
+            return 0
         if plan != self.plan:
             phi = np.eye(5)                 # the period map on (x, 1) as a row vector
             for a, b, _, stack in spans:
@@ -734,10 +819,84 @@ class _Engine:
             self.plan, self.powers = plan, _power_stack(phi, m)
         elif len(self.powers) <= m:
             self.powers = _power_stack(self.powers[1], m)
+        fit = self._states(m, spans)
+        if not fit:
+            self.batch = 1
+            return 0
 
-        # Every state of the m periods: the wraps, then each span's steps.
+        # The meters and each period's sums by quadrature, from three states
+        # of each span: its start, its first and its last grid point.
+        k0 = self.k
+        first = -k0 % dec                   # the first sample's step
+        g = math.gcd(n, dec)
+        steps, weights, layout, width = self._grid(first % g, spans)
+        count = len(steps) // self.max_batch * fit
+        ys = self.ys[:count]
+        np.take(self.xs, steps[:count], axis=0, out=ys[:, :4])
+        ys[:, 1] -= ys[:, 2]                # to the quadrature basis
+        ys[:, 2] -= self.v_s
+        monomials = (ys[:, _FEATURES[0]] * ys[:, _FEATURES[1]]).reshape(fit, len(spans), 3, -1)
+        # Per span: its meters up to its first grid point, its sums, its meters.
+        sums = (monomials.reshape(fit, -1) @ weights).reshape(fit, len(spans), -1)
+        meters = np.empty((fit * len(spans) + 1, 4))     # at each span's start
+        meters[0] = self.meters
+        meters[1:] = sums[:, :, 7:].reshape(-1, 4)
+        np.cumsum(meters, axis=0, out=meters)
+        avgs = (sums[:, :, 4:7].sum(axis=1) / n).tolist()
+        times = time[n:fit * n + 1:n].tolist()
+        plants = buf[1:5, n:fit * n + 1:n].T.tolist()
+
+        # Wrap by wrap to the end of the batch, ticking inside it.
+        mode, on1, on2 = self.ctrl.mode, self.on1, self.on2
+        self.duties[0] = self.ctrl.duty
+        for taken in range(1, fit + 1):
+            self.t, self.plant, self.avgs = times[taken - 1], plants[taken - 1], avgs[taken - 1]
+            self.k = k0 + taken * n
+            if taken < fit:
+                self.tick()
+                if not self.held:
+                    break
+                self.duties[taken] = self.ctrl.duty
+        self.meters = meters[len(spans) * taken].tolist()
+        if taken == fit < m:                # the next period failed a check
+            self.failed = (self.k, plan)
+
+        col = -(-k0 // dec)                 # column of the next sample
+        sel = slice(col * dec - k0, taken * n, dec)
+        phase = self.phase[sel]
+        cols = slice(col, col + len(phase))
+        rec = self.rec
+        rec[:5, cols] = buf[:, sel]
+        np.add(self.emf(rec[4, cols]), scn.battery.r_int * rec[1, cols], out=rec[5, cols])
+        # The meters at each span's first grid point, then along its grid;
+        # the grid's points, period after period, are every g-th step.
+        at_first = np.empty((taken, len(spans), 4 + monomials.shape[3]))
+        np.add(meters[:len(spans) * taken].reshape(taken, len(spans), 4), sums[:taken, :, :4],
+               out=at_first[:, :, -4:])
+        at_first[:, :, :-4] = monomials[:taken, :, 1]
+        grid = np.empty((taken, 4 * width))
+        for i, (point, points, table) in enumerate(layout):
+            rows = max(1, _GEMM_MACS // (table.shape[0] * 4 * points)) if points else 0
+            for a in range(0, taken if points else 0, rows):
+                np.matmul(at_first[a:a + rows, i], table[:, :4 * points],
+                          out=grid[a:a + rows, 4 * point:4 * (point + points)])
+        rec[6:, cols] = grid.reshape(-1, 4)[first // g::dec // g][:len(phase)].T
+        self.mode[cols] = MODE_CODES[mode]
+        self.duty[cols] = self.duties[self.period_of[sel]]
+        np.less(phase, on1, out=self.s1[cols])
+        np.less(phase, on2, out=self.s2[cols])
+        self.batch = min(2 * m, self.max_batch) if taken == m else 1
+        return taken
+
+    def _states(self, m: int, spans: list) -> int:
+        """Every state of m periods from the wrap state `x0`, into `buf`'s
+        state rows: the wraps from the period map's powers, then each span's
+        steps.  Returns how many periods come before the first that fails a
+        check, on its steps 0 .. n - 1 and 1 .. n."""
+        scn = self.scenario
+        n = self.n_period
         big_n = m * n
-        wraps = x0 @ self.powers[:m + 1]
+        wraps = self.x0 @ self.powers[:m + 1]
         xs = self.xs[:big_n + 1]
         xs[::n] = wraps[:, :4]
         per = xs[:big_n].reshape(m, n, 4)
@@ -752,25 +911,16 @@ class _Engine:
                 starts = wraps[:m]
             np.matmul(starts, stack[:, 1:top - a + 1].reshape(5, -1),
                       out=per[:, a + 1:top + 1].reshape(m, -1))
-        x = buf[1:5, :big_n + 1]
+        x = self.buf[1:5, :big_n + 1]
         x[...] = xs.T
 
-        # The checks, per period, on its steps 0 .. n - 1 and 1 .. n: the
-        # batch keeps the periods before the first that fails.
         before = x[:, :big_n].reshape(4, m, n)
         after = x[:, 1:].reshape(4, m, n)
         ok = ((self.lo <= after.min(axis=2)) & (after.max(axis=2) <= self.hi)).all(axis=0)
         il, vb, vo = before[:3]
-        i_src = self.i_src[:big_n].reshape(m, n)
-        to_current = p.c_bus / dt if p.r_source == 0.0 else 1.0 / p.r_source
         for a, b, (path, source_on, _), _ in spans:
             margin = _source_margin(scn, self.v_s, il[:, a:b], vb[:, a:b], vo[:, a:b], path)
-            if source_on:
-                ok &= margin.min(axis=1) >= 0.0
-                np.multiply(margin, to_current, out=i_src[:, a:b])
-            else:
-                ok &= margin.max(axis=1) <= 0.0
-                i_src[:, a:b] = 0.0
+            ok &= margin.min(axis=1) >= 0.0 if source_on else margin.max(axis=1) <= 0.0
             sign = _PATHS[path][3]
             if sign is not None:
                 # i_l keeps the path's sign at steps a .. b (from a wrap, 1 .. b,
@@ -778,56 +928,7 @@ class _Engine:
                 i_l = after[0, :, max(a - 1, 0):b]
                 ok &= (i_l.min(axis=1) > 0.0 if sign > 0 else i_l.max(axis=1) < 0.0 if sign < 0
                        else i_l[:, 0] == 0.0)
-        fit = m if ok.all() else int(ok.argmin())
-        if not fit:
-            self.batch = 1
-            return 0
-
-        big_n = fit * n
-        il, vb, vo, sc = x[:, :big_n]
-        emf = self.emf(sc)
-        np.add(emf, scn.battery.r_int * il, out=buf[5, :big_n])  # v_batt
-        i_link = (vb - vo) * (1.0 / p.r_link)
-        e = self.e[:, :big_n + 1]
-        e[0, 0], e[1, 0] = self.meters[:2], self.meters[2:]
-        np.multiply(dt * vb, self.i_src[:big_n], out=e[0, 1:, 0])
-        np.multiply((dt / p.r_load) * vo, vo, out=e[0, 1:, 1])
-        np.multiply(dt * emf, il, out=e[1, 1:, 0])
-        np.multiply((dt * p.r_link) * i_link, i_link, out=e[1, 1:, 1])
-        pairs = e.view(np.complex128)[..., 0]
-        np.cumsum(pairs, axis=1, out=pairs)
-        # Each period's averages of i_l, v_o and v_batt, and where it ends.
-        avgs = (buf[1:6:2, :big_n].reshape(3, fit, n).sum(axis=2) / n).T.tolist()
-        times = time[n:big_n + 1:n].tolist()
-        plants = x[:, n::n].T.tolist()
-
-        # Wrap by wrap to the end of the batch, ticking inside it.
-        mode, on1, on2, k0 = self.ctrl.mode, self.on1, self.on2, self.k
-        self.duties[0] = self.ctrl.duty
-        for taken in range(1, fit + 1):
-            self.t, self.plant, self.avgs = times[taken - 1], plants[taken - 1], avgs[taken - 1]
-            self.k = k0 + taken * n
-            if taken < fit:
-                self.tick()
-                if not self.held:
-                    break
-                self.duties[taken] = self.ctrl.duty
-        (e_source, e_load), (e_battery, e_link) = e[:, taken * n].tolist()
-        self.meters = [e_source, e_load, e_battery, e_link]
-
-        dec = scn.record_decimation
-        col = -(-k0 // dec)                 # column of the next sample
-        sel = slice(col * dec - k0, taken * n, dec)
-        phase = self.phase[sel]
-        cols = slice(col, col + len(phase))
-        self.rec[:6, cols] = buf[:, sel]
-        self.rec[6:, cols].reshape(2, 2, -1)[...] = e[:, sel].transpose(0, 2, 1)
-        self.mode[cols] = MODE_CODES[mode]
-        self.duty[cols] = self.duties[self.period_of[sel]]
-        np.less(phase, on1, out=self.s1[cols])
-        np.less(phase, on2, out=self.s2[cols])
-        self.batch = min(2 * m, self.max_batch) if taken == m else 1
-        return taken
+        return m if ok.all() else int(ok.argmin())
 
     def _span(self, a: int, b: int, path: str, x) -> tuple:
         """Steps a .. b of a period along `path`, in the source regime that
@@ -838,10 +939,12 @@ class _Engine:
         key = (path, source_on, self.v_s)
         stack = self.stacks.get(key)
         if stack is None:
-            # Keep the stacks of the current hold voltage only (160 bytes per
-            # step of a period each): a source seldom returns to a voltage.
+            # Keep the stacks and the quadrature tables of the current hold
+            # voltage only (160 bytes per step of a period each, and some
+            # 730 / g): a source seldom returns to a voltage.
             if self.stacks and next(iter(self.stacks))[2] != self.v_s:
                 self.stacks.clear()
+                self.quads.clear()
             stack = self.stacks[key] = self._powers(_step_map(self.scenario, *key))
         return a, b, key, stack
 
@@ -852,6 +955,106 @@ class _Engine:
         state after each of 0 .. k steps, one state after another."""
         return np.ascontiguousarray(
             _power_stack(m, self.n_period)[:, :4, :].transpose(2, 0, 1))
+
+    def _quadrature(self, key: tuple, count: int) -> tuple:
+        """The quadrature tables of a step map M in the quadrature basis
+        (`_FEATURES`), as weights on the monomials of the state y where
+        they start, for r = 0 .. min(dec, n) steps and for j g steps, j = 0
+        .. count, g = gcd(n, dec).  Over r steps the meters are
+        H_r = sum_{i<r} (M^i)^T Q M^i, with Q their `_meter_forms`, and the
+        sums of i_l, v_c_o and v_batt linear in y; over kg steps they follow
+        by doubling, H_(k+i)g = H_kg + (M^kg)^T H_ig M^kg.  Returns the
+        `_QUAD_OUTPUTS` over r steps; a table whose columns give, point by
+        point and meter by meter, the meters over j g steps from its first
+        rows and the meters at y from its last four; and the sums over j g
+        steps, on y's first five monomials."""
+        scn = self.scenario
+        b = scn.battery
+        t = np.eye(5)                       # x = T y
+        t[1, 2] = 1.0
+        t[1:3, 4] = key[2]
+        t_inv = np.eye(5)
+        t_inv[1, 2] = -1.0
+        t_inv[2, 4] = -key[2]
+        powers = _power_stack(t_inv @ _step_map(scn, *key) @ t,
+                              min(scn.record_decimation, self.n_period))
+        steps = powers[:-1]
+        forms = np.zeros((len(powers), _QUAD_OUTPUTS, 5, 5))
+        forms[1:, :4] = (steps.transpose(0, 2, 1)[:, None] @ (t.T @ _meter_forms(scn, *key) @ t)
+                         @ steps[:, None])
+        # A row c as the form of y -> c y, which holds where y_4 = 1.
+        rows = np.array([(1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, 0.0),
+                         (b.r_int, 0.0, 0.0, b.v_emf_full - b.v_emf_empty, b.v_emf_empty)])
+        lin = (rows @ t) @ steps / 2
+        forms[1:, 4:, :, 4] += lin
+        forms[1:, 4:, 4, :] += lin
+        # A symmetric form weighs y_i y_j by its (i, j) and (j, i) entries.
+        i, j = _FEATURES
+        small = np.cumsum(forms, axis=0)[..., i, j] * np.where(i == j, 1.0, 2.0)
+        g = math.gcd(self.n_period, scn.record_decimation)
+        grid = np.zeros((count + 1, *small.shape[1:]))
+        grid[1] = small[g]
+        p, k = powers[g], 1                 # p = M^kg
+        while k < count:
+            # w @ kron weighs y's monomials as w weighs those of p y.
+            kron = p[i][:, i] * p[j][:, j] + (i != j) * (p[i][:, j] * p[j][:, i])
+            n_new = min(k, count - k)
+            grid[k + 1:k + n_new + 1] = grid[k] + (grid[1:n_new + 1].reshape(-1, len(i))
+                                                   @ kron).reshape(n_new, *grid.shape[1:])
+            p = p @ p
+            k += n_new
+        table = np.concatenate([grid[:, :4].transpose(2, 0, 1).reshape(grid.shape[2], -1),
+                                np.tile(np.eye(4), count + 1)])
+        return small, table, grid[:, 4:, :5].copy()
+
+    def _grid(self, c0: int, spans: list) -> tuple:
+        """The grid of the samples for the plan's spans: every g-th step of
+        a period from step c0, g = gcd(n, dec), which holds the samples of
+        every period, whatever its first.  Each span is read at three
+        states: its start a, its first grid point a + c and its last.
+        Returns the steps of those states, span after span and period after
+        period; the weights on their monomials of each span's meters up to
+        its first grid point, its sums of i_l, v_c_o and v_batt and its
+        meters over the span; per span its first grid column, its points
+        and the table of its grid (`_quadrature`); and the grid points of a
+        period.  Kept per plan and c0, the _GRIDS most recent."""
+        key = (self.plan, c0)
+        grid = self.grids.pop(key, None)
+        if grid is None:
+            n = self.n_period
+            g = math.gcd(n, self.scenario.record_decimation)
+            feats = len(_FEATURES[0])
+            weights = np.zeros((len(spans), 3, feats, len(spans), 4 + _QUAD_OUTPUTS))
+            offsets, layout, col = [], [], 0
+            for i, (a, end, map_key, _) in enumerate(spans):
+                c, length = (c0 - a) % g, end - a
+                points = len(range(c, length, g))
+                quad = self.quads.get(map_key)
+                if quad is None or len(quad[2]) < points:   # grown with some room
+                    quad = self.quads[map_key] = self._quadrature(
+                        map_key, min(n // g, points + n // g // 16))
+                small, table, sums = quad
+                head, body, tail = weights[i, :, :, i].transpose(0, 2, 1)
+                if points:
+                    last = c + (points - 1) * g
+                    head[:7] = small[c]         # up to the first grid point
+                    body[4:7, :5] = sums[points - 1]    # to the last one
+                    body[7:] = table[:feats, 4 * points - 4:4 * points].T
+                    tail[4:7] = small[length - last, 4:]    # to the span's end
+                    tail[7:] = small[length - last, :4]
+                    offsets.append((a, a + c, a + last))
+                else:                       # length <= c < g
+                    head[:7] = small[length]
+                    offsets.append((a, a, a))
+                head[7:] = head[:4]
+                layout.append((col, points, table))
+                col += points
+            steps = np.add.outer(np.arange(0, self.max_batch * n, n), offsets).ravel()
+            grid = (steps, weights.reshape(-1, weights.shape[3] * weights.shape[4]), layout, col)
+            while self.grids and len(self.grids) >= _GRIDS:
+                del self.grids[next(iter(self.grids))]
+        self.grids[key] = grid
+        return grid
 
     def finish(self) -> None:
         """Record the final instant when it falls on the decimation grid,

@@ -124,19 +124,78 @@ def open_loop_buck(**changes) -> sim.Scenario:
 def log_batches(monkeypatch) -> list:
     """Patches the period kernel to log, per call, the periods a batch
     could try (`batch`, or 1 after a tick that moved the gate counts), the
-    periods it took, and whether the wrap it stopped at was ticked (a tick
-    that moved the gate counts stopped it, or it declined)."""
+    periods it took, whether the wrap it stopped at was ticked (a tick
+    that moved the gate counts stopped it, or it declined), and whether it
+    computed the states of its periods."""
     calls = []
-    kernel = sim._Engine.period
+    kernel, states = sim._Engine.period, sim._Engine._states
+    computed = []
 
     def logged(eng):
         offered = eng.batch if eng.held else 1
+        computed.clear()
         taken = kernel(eng)
-        calls.append((offered, taken, eng.ticked == eng.k))
+        calls.append((offered, taken, eng.ticked == eng.k, bool(computed)))
         return taken
 
+    def counted(eng, *args):
+        computed.append(True)
+        return states(eng, *args)
+
     monkeypatch.setattr(sim._Engine, "period", logged)
+    monkeypatch.setattr(sim._Engine, "_states", counted)
     return calls
+
+
+@pytest.mark.parametrize("source", ["conducts", "blocks", "stiff"])
+@pytest.mark.parametrize("path", sorted(sim._PATHS))
+def test_quadrature_tables_match_steps(path, source):
+    """The period kernel's quadrature tables over r <= dec steps of one
+    path, from a state y: the meters y H_r y^T and the sums y S_r of i_l,
+    v_c_o and v_batt, against the scalar kernel's per-step sums over the
+    same r steps.  The stiff source starts below the bus it then clamps:
+    on the clamp its current is v_s less the bus's unclamped next value
+    times C_bus/dt, which carries that value's rounding, some 1e-10 of it,
+    in either kernel."""
+    r_source, v_s = {"conducts": (50.0, 30.0), "blocks": (50.0, 20.0),
+                     "stiff": (0.0, 24.1)}[source]
+    i_l = {"S1": 3.0, "S2": -3.0, "D2": 3.0, "D1": -3.0, "idle": 0.0}[path]
+    scn = replace(weak_point_scenario(v_s),
+                  params=ConverterParams(**{**STAGE, "r_load": 20.0}, r_source=r_source,
+                                         r_on=0.05, v_f=0.7),
+                  battery=BatteryModel(v_emf_full=12.6, v_emf_empty=11.8, r_int=0.1,
+                                       capacity=7200.0, soc=0.5),
+                  initial_state=CircuitState(i_l=i_l, v_c_bus=24.0, v_c_o=23.976, soc=0.5,
+                                             t=0.0))
+    state = (i_l, 24.0, 23.976, 0.5)
+    source_on = sim._source_margin(scn, v_s, *state[:3], path) >= 0.0
+    assert source_on == (source != "blocks")
+    tables = sim._Engine(scn)._quadrature((path, source_on, v_s), 1)[0]
+    y = np.array([i_l, 24.0 - 23.976, 23.976 - v_s, 0.5, 1.0])
+    monomials = y[sim._FEATURES[0]] * y[sim._FEATURES[1]]
+    dec = scn.record_decimation
+    assert len(tables) == dec + 1
+    for r in range(1, dec + 1):
+        eng = sim._Engine(scn)
+        eng.on1 = eng.n_period if path == "S1" else 0
+        eng.on2 = eng.n_period if path == "S2" else 0
+        eng.euler(r)
+        want = [*eng.meters, *(avg * eng.n_period for avg in eng.avgs)]
+        names = CLOSE[6:] + ("i_l", "v_c_o", "v_batt")
+        for name, g, w in zip(names, tables[r] @ monomials, want):
+            assert abs(g - w) <= 1e-12 * abs(w), (r, name, g, w)
+
+
+@pytest.mark.parametrize("dec", [3, 5])
+def test_sample_grid_off_the_period_matches_scalar(dec, monkeypatch):
+    """64 steps per period with samples every 3 or 5 steps: the samples
+    fall on other steps of every period, and the gate edge (32 steps on)
+    falls between them."""
+    calls = log_batches(monkeypatch)
+    scn = open_loop_buck(record_decimation=dec)
+    assert scn.steps_per_period % dec and round(scn.fixed_duty * 64) % dec
+    assert_matches_scalar(scn)
+    assert [taken for _, taken, *_ in calls] == [1, 2, 4, 8, 16, 9]
 
 
 @pytest.mark.parametrize("name", BUNDLED)
@@ -242,9 +301,9 @@ def test_line_sweep_point_batches_most_periods(monkeypatch):
     per period) and still matches the scalar kernel."""
     calls = log_batches(monkeypatch)
     assert_matches_scalar(weak_point_scenario(25.0))
-    assert sum(taken for _, taken, _ in calls) == 200
-    assert sum(taken for _, taken, _ in calls if taken == 8) >= 100
-    assert max(offered for offered, _, _ in calls) == sim._BATCH_STEPS // 1000 == 8
+    assert sum(taken for _, taken, *_ in calls) == 200
+    assert sum(taken for _, taken, *_ in calls if taken == 8) >= 100
+    assert max(offered for offered, *_ in calls) == sim._BATCH_STEPS // 1000 == 8
 
 
 def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
@@ -253,7 +312,7 @@ def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
     stands for the wrap (the next call takes its period)."""
     calls = log_batches(monkeypatch)
     assert_matches_scalar(weak_point_scenario(20.0))
-    stopped = [(offered, taken) for offered, taken, ticked in calls
+    stopped = [(offered, taken) for offered, taken, ticked, _ in calls
                if ticked and 0 < taken < offered]
     assert stopped and all(offered == 8 for offered, _ in stopped)
 
@@ -263,7 +322,7 @@ def test_open_loop_batches_double(monkeypatch):
     doubles from one period up to the whole periods left."""
     calls = log_batches(monkeypatch)
     assert_matches_scalar(open_loop_buck())
-    assert [taken for _, taken, _ in calls] == [1, 2, 4, 8, 16, 9]
+    assert [taken for _, taken, *_ in calls] == [1, 2, 4, 8, 16, 9]
 
 
 def test_batch_stops_at_source_segment_end(monkeypatch):
@@ -275,7 +334,7 @@ def test_batch_stops_at_source_segment_end(monkeypatch):
     assert_matches_scalar(open_loop_buck(source=sim.SourceProfile(segments=(
         sim.SourceSegment(until=10.5 / f_s, v_start=24.0, v_end=24.0),
         sim.SourceSegment(until=1.0, v_start=24.5, v_end=24.5)))))
-    assert [taken for _, taken, _ in calls] == [1, 2, 4, 3, 0, 6, 12, 11]
+    assert [taken for _, taken, *_ in calls] == [1, 2, 4, 3, 0, 6, 12, 11]
 
 
 def test_batch_reaches_partial_last_period(monkeypatch):
@@ -285,7 +344,7 @@ def test_batch_reaches_partial_last_period(monkeypatch):
     calls = log_batches(monkeypatch)
     scn = open_loop_buck(t_end=20.5 / f_s)
     trace, _ = assert_matches_scalar(scn)
-    assert [taken for _, taken, _ in calls] == [1, 2, 4, 8, 5]
+    assert [taken for _, taken, *_ in calls] == [1, 2, 4, 8, 5]
     assert len(trace) == round(scn.t_end / scn.dt) // 3 + 1
 
 
@@ -295,7 +354,9 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
     small for continuous conduction, the SoC clamp of a battery filling
     up, or a weak source that starts to conduct as a boost-held bus sags
     below it.  The batch keeps the periods before it and the scalar
-    kernel takes that period."""
+    kernel takes that period.  The next call, at its wrap, declines it
+    without computing its states again when it starts with the batch's
+    spans."""
     if case == "dcm":
         scn = open_loop_buck(fixed_duty=0.45, initial_state=CircuitState(
             i_l=3.0, v_c_bus=24.0, v_c_o=23.95, soc=0.5, t=0.0))
@@ -312,9 +373,12 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
                       initial_state=replace(base.initial_state, soc=0.975))
     calls = log_batches(monkeypatch)
     trace, _ = assert_matches_scalar(scn)
-    takes = [taken for _, taken, _ in calls]
-    cut = next(i for i, (offered, taken, _) in enumerate(calls) if 0 < taken < offered)
+    takes = [taken for _, taken, *_ in calls]
+    cut = next(i for i, (offered, taken, *_) in enumerate(calls) if 0 < taken < offered)
     assert takes[cut + 1] == 0, "the failing period goes to the scalar kernel"
+    # The source case's failing period starts its off-interval with the
+    # source conducting: other spans than the batch's, computed afresh.
+    assert calls[cut + 1][3] == (case == "source"), "a failing period is computed once"
     if case == "dcm":
         assert (trace.i_l == 0.0).any()
     elif case == "source":

@@ -9,6 +9,7 @@ from bdcsim.control import (
     ControllerConfig,
     ControllerState,
     Mode,
+    gate_steps,
     initial_controller_state,
     pwm_gate,
     regulate,
@@ -125,6 +126,20 @@ class TestPwmGate:
                     g = pwm_gate(phase, duty, mode)
                     assert not (g.s1_on and g.s2_on)
 
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_gate_steps_are_the_gates_at_the_quantised_duty(self, mode):
+        """gate_steps rounds duty * n half to even, as the engine gates,
+        and pwm_gate at phase j / n and that duty gives its gates."""
+        n = 20
+        for duty in (0.0, 0.025, 0.075, 0.3, 0.5125, 1.0):
+            on1, on2 = gate_steps(duty, mode, n)
+            on = round(duty * n)
+            assert (on1, on2) == {Mode.CHARGING: (on, 0), Mode.DISCHARGING: (0, on),
+                                  Mode.TRICKLE: (0, 0)}[mode]
+            for j in range(n):
+                g = pwm_gate(j / n, on / n, mode)
+                assert (g.s1_on, g.s2_on) == (j < on1, j < on2)
+
     def test_rejects_bad_phase(self):
         with pytest.raises(ValueError, match="carrier_phase"):
             pwm_gate(1.0, 0.5, Mode.CHARGING)
@@ -176,6 +191,12 @@ class TestRegulate:
     def test_trickle_leaves_state_untouched(self):
         st = ctrl(Mode.TRICKLE, 0.37)
         assert regulate(10.0, 0.0, 12.0, st, CFG) is st
+
+    def test_held_duty_returns_the_state_itself(self):
+        st = ctrl(Mode.DISCHARGING, 0.50)
+        assert regulate(24.0, 0.0, 12.0, st, CFG) is st
+        moved = regulate(23.0, 0.0, 12.0, st, CFG)
+        assert moved is not st and moved.mode is st.mode
 
     def test_duty_saturates(self):
         near_max = ctrl(Mode.DISCHARGING, CFG.duty_max - 0.001)
