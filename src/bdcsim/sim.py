@@ -397,26 +397,18 @@ _MIN_BATCH_STEPS = 64
 # keeps them under 2% of a line-regulation point's peak memory, and 2^14,
 # at twice the memory, ran those points at most 8% faster.
 _BATCH_STEPS = 1 << 13
-# The period kernel's quadrature basis y = (i_l, v_c_bus - v_c_o, v_c_o - v_s,
-# soc, 1), x = T y (`_Engine._quadrature`): in x the forms of the meters square states of some 24 V
-# to give increments of the bus-to-rail drop, tens of mV, and lose a factor
-# of 10^6 to cancellation; in y that drop, and a bus clamped to v_s, are
-# states of their own.  `_FEATURES` are y's monomials, the rows of the
-# products that the quadrature tables weight: y itself, then the ten
-# products of its four states.
+# The monomials of a state y = (y_0 .. y_3, 1) on which the quadrature
+# tables weigh (`_Engine._quadrature`) and the period kernel evaluates them:
+# y itself, then the ten products of its four states.
 _FEATURES = np.array([(i, 4) for i in range(5)]
                      + [(i, j) for i in range(4) for j in range(i, 4)]).T
 # The most multiply-adds of one matrix product: OpenBLAS takes a larger one
 # on several threads, and waking them cost 10-30x the product's own time
-# (2 cores, OpenBLAS 0.3 with its default threshold of 2^18).
+# (2 cores, OpenBLAS 0.3 with its default threshold of 2^18).  Cutting the
+# sample-grid products into row blocks under it ran buck_charge's run() at a
+# median 0.150 s against 0.173 s, and line_sweep's points at 0.288 s against
+# 0.280 s (8 alternating runs each).
 _GEMM_MACS = 1 << 18
-# The most plans whose sample grids the period kernel keeps: gate counts that
-# hunt back and forth find theirs again.
-_GRIDS = 16
-# The outputs of a span's quadrature over the whole span: the four meters in
-# `_STEP_ROWS`' order, then the sums of i_l, v_c_o and v_batt that give a
-# period's averages.
-_QUAD_OUTPUTS = 7
 
 
 def _off_path(i_l: float) -> str:
@@ -770,7 +762,6 @@ class _Engine:
             self.stacks = {}
             self.plan = None                # the spans of the period map in `powers`
             self.quads = {}                 # the quadrature tables, by step map
-            self.grids = {}                 # the plans' sample grids, least recent first
             self.failed = None              # (wrap, plan) of a period that failed a check
             self.dts = np.full(size + 1, scn.dt)
             self.buf = np.empty((5, size + 1))     # the rows before each step: time, the state
@@ -779,7 +770,7 @@ class _Engine:
             self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
             self.starts = np.ones((self.max_batch, 5))  # a span's starts, as (x, 1)
             self.duties = np.empty(self.max_batch)     # each period's duty
-            self.period_of, self.phase = np.divmod(np.arange(size, dtype=np.int32), n)
+            self.period_of, self.phase = np.divmod(np.arange(size), n)
             self.lo = np.array([[-scn.i_limit], [-scn.v_limit], [-scn.v_limit], [0.0]])
             self.hi = np.array([[scn.i_limit], [scn.v_limit], [scn.v_limit], [1.0]])
         m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
@@ -817,6 +808,7 @@ class _Engine:
                 span_map[:, :4] = stack[:, b - a]
                 phi = phi @ span_map
             self.plan, self.powers = plan, _power_stack(phi, m)
+            self.grid = None                # its sample grid, made when a period is taken
         elif len(self.powers) <= m:
             self.powers = _power_stack(self.powers[1], m)
         fit = self._states(m, spans)
@@ -826,28 +818,27 @@ class _Engine:
 
         # The meters and each period's sums by quadrature, from three states
         # of each span: its start, its first and its last grid point.
-        k0 = self.k
-        first = -k0 % dec                   # the first sample's step
-        g = math.gcd(n, dec)
-        steps, weights, layout, width = self._grid(first % g, spans)
-        count = len(steps) // self.max_batch * fit
-        ys = self.ys[:count]
-        np.take(self.xs, steps[:count], axis=0, out=ys[:, :4])
+        if self.grid is None:
+            self.grid = self._grid(spans)
+        steps, weights, layout = self.grid
+        ys = self.ys[:len(steps) // self.max_batch * fit]
+        np.take(self.xs, steps[:len(ys)], axis=0, out=ys[:, :4])
         ys[:, 1] -= ys[:, 2]                # to the quadrature basis
         ys[:, 2] -= self.v_s
         monomials = (ys[:, _FEATURES[0]] * ys[:, _FEATURES[1]]).reshape(fit, len(spans), 3, -1)
-        # Per span: its meters up to its first grid point, its sums, its meters.
+        # Per span: its meters over the span, its sums and its meters up to
+        # its first grid point.
         sums = (monomials.reshape(fit, -1) @ weights).reshape(fit, len(spans), -1)
         meters = np.empty((fit * len(spans) + 1, 4))     # at each span's start
         meters[0] = self.meters
-        meters[1:] = sums[:, :, 7:].reshape(-1, 4)
+        meters[1:] = sums[:, :, :4].reshape(-1, 4)
         np.cumsum(meters, axis=0, out=meters)
         avgs = (sums[:, :, 4:7].sum(axis=1) / n).tolist()
         times = time[n:fit * n + 1:n].tolist()
         plants = buf[1:5, n:fit * n + 1:n].T.tolist()
 
         # Wrap by wrap to the end of the batch, ticking inside it.
-        mode, on1, on2 = self.ctrl.mode, self.on1, self.on2
+        mode, on1, on2, k0 = self.ctrl.mode, self.on1, self.on2, self.k
         self.duties[0] = self.ctrl.duty
         for taken in range(1, fit + 1):
             self.t, self.plant, self.avgs = times[taken - 1], plants[taken - 1], avgs[taken - 1]
@@ -871,16 +862,17 @@ class _Engine:
         # The meters at each span's first grid point, then along its grid;
         # the grid's points, period after period, are every g-th step.
         at_first = np.empty((taken, len(spans), 4 + monomials.shape[3]))
-        np.add(meters[:len(spans) * taken].reshape(taken, len(spans), 4), sums[:taken, :, :4],
+        np.add(meters[:len(spans) * taken].reshape(taken, len(spans), 4), sums[:taken, :, 7:],
                out=at_first[:, :, -4:])
         at_first[:, :, :-4] = monomials[:taken, :, 1]
-        grid = np.empty((taken, 4 * width))
+        g = math.gcd(n, dec)
+        grid = np.empty((taken, 4 * (n // g)))
         for i, (point, points, table) in enumerate(layout):
-            rows = max(1, _GEMM_MACS // (table.shape[0] * 4 * points)) if points else 0
+            rows = max(1, _GEMM_MACS // (len(table) * 4 * points)) if points else taken
             for a in range(0, taken if points else 0, rows):
                 np.matmul(at_first[a:a + rows, i], table[:, :4 * points],
                           out=grid[a:a + rows, 4 * point:4 * (point + points)])
-        rec[6:, cols] = grid.reshape(-1, 4)[first // g::dec // g][:len(phase)].T
+        rec[6:, cols] = grid.reshape(-1, 4)[-k0 % dec // g::dec // g][:len(phase)].T
         self.mode[cols] = MODE_CODES[mode]
         self.duty[cols] = self.duties[self.period_of[sel]]
         np.less(phase, on1, out=self.s1[cols])
@@ -957,17 +949,22 @@ class _Engine:
             _power_stack(m, self.n_period)[:, :4, :].transpose(2, 0, 1))
 
     def _quadrature(self, key: tuple, count: int) -> tuple:
-        """The quadrature tables of a step map M in the quadrature basis
-        (`_FEATURES`), as weights on the monomials of the state y where
-        they start, for r = 0 .. min(dec, n) steps and for j g steps, j = 0
-        .. count, g = gcd(n, dec).  Over r steps the meters are
+        """The quadrature tables of a step map M, as weights on the
+        monomials (`_FEATURES`) of the state y where they start, for r = 0
+        .. min(dec, n) steps and for j g steps, j = 0 .. count, g = gcd(n,
+        dec).  They take the basis y = (i_l, v_c_bus - v_c_o, v_c_o - v_s,
+        soc, 1), x = T y: in x the meters' forms square states of some 24 V
+        to give increments of the bus-to-rail drop, tens of mV, and lose a
+        factor of 10^6 to cancellation; in y that drop, and a bus clamped to
+        v_s, are states of their own.  Over r steps the meters are
         H_r = sum_{i<r} (M^i)^T Q M^i, with Q their `_meter_forms`, and the
         sums of i_l, v_c_o and v_batt linear in y; over kg steps they follow
         by doubling, H_(k+i)g = H_kg + (M^kg)^T H_ig M^kg.  Returns the
-        `_QUAD_OUTPUTS` over r steps; a table whose columns give, point by
-        point and meter by meter, the meters over j g steps from its first
-        rows and the meters at y from its last four; and the sums over j g
-        steps, on y's first five monomials."""
+        weights of the four meters and the three sums over r steps, (r, 15,
+        7); a table whose columns give, point by point and meter by meter,
+        the meters over j g steps from its first rows and the meters at y
+        from its last four; and the sums over j g steps, on y's first five
+        monomials."""
         scn = self.scenario
         b = scn.battery
         t = np.eye(5)                       # x = T y
@@ -979,7 +976,7 @@ class _Engine:
         powers = _power_stack(t_inv @ _step_map(scn, *key) @ t,
                               min(scn.record_decimation, self.n_period))
         steps = powers[:-1]
-        forms = np.zeros((len(powers), _QUAD_OUTPUTS, 5, 5))
+        forms = np.zeros((len(powers), 7, 5, 5))
         forms[1:, :4] = (steps.transpose(0, 2, 1)[:, None] @ (t.T @ _meter_forms(scn, *key) @ t)
                          @ steps[:, None])
         # A row c as the form of y -> c y, which holds where y_4 = 1.
@@ -1003,58 +1000,45 @@ class _Engine:
                                                    @ kron).reshape(n_new, *grid.shape[1:])
             p = p @ p
             k += n_new
-        table = np.concatenate([grid[:, :4].transpose(2, 0, 1).reshape(grid.shape[2], -1),
+        table = np.concatenate([grid[:, :4].transpose(2, 0, 1).reshape(len(i), -1),
                                 np.tile(np.eye(4), count + 1)])
-        return small, table, grid[:, 4:, :5].copy()
+        return small.transpose(0, 2, 1), table, grid[:, 4:, :5].transpose(0, 2, 1).copy()
 
-    def _grid(self, c0: int, spans: list) -> tuple:
+    def _grid(self, spans: list) -> tuple:
         """The grid of the samples for the plan's spans: every g-th step of
-        a period from step c0, g = gcd(n, dec), which holds the samples of
-        every period, whatever its first.  Each span is read at three
-        states: its start a, its first grid point a + c and its last.
-        Returns the steps of those states, span after span and period after
-        period; the weights on their monomials of each span's meters up to
-        its first grid point, its sums of i_l, v_c_o and v_batt and its
-        meters over the span; per span its first grid column, its points
-        and the table of its grid (`_quadrature`); and the grid points of a
-        period.  Kept per plan and c0, the _GRIDS most recent."""
-        key = (self.plan, c0)
-        grid = self.grids.pop(key, None)
-        if grid is None:
-            n = self.n_period
-            g = math.gcd(n, self.scenario.record_decimation)
-            feats = len(_FEATURES[0])
-            weights = np.zeros((len(spans), 3, feats, len(spans), 4 + _QUAD_OUTPUTS))
-            offsets, layout, col = [], [], 0
-            for i, (a, end, map_key, _) in enumerate(spans):
-                c, length = (c0 - a) % g, end - a
-                points = len(range(c, length, g))
-                quad = self.quads.get(map_key)
-                if quad is None or len(quad[2]) < points:   # grown with some room
-                    quad = self.quads[map_key] = self._quadrature(
-                        map_key, min(n // g, points + n // g // 16))
-                small, table, sums = quad
-                head, body, tail = weights[i, :, :, i].transpose(0, 2, 1)
-                if points:
-                    last = c + (points - 1) * g
-                    head[:7] = small[c]         # up to the first grid point
-                    body[4:7, :5] = sums[points - 1]    # to the last one
-                    body[7:] = table[:feats, 4 * points - 4:4 * points].T
-                    tail[4:7] = small[length - last, 4:]    # to the span's end
-                    tail[7:] = small[length - last, :4]
-                    offsets.append((a, a + c, a + last))
-                else:                       # length <= c < g
-                    head[:7] = small[length]
-                    offsets.append((a, a, a))
-                head[7:] = head[:4]
-                layout.append((col, points, table))
-                col += points
-            steps = np.add.outer(np.arange(0, self.max_batch * n, n), offsets).ravel()
-            grid = (steps, weights.reshape(-1, weights.shape[3] * weights.shape[4]), layout, col)
-            while self.grids and len(self.grids) >= _GRIDS:
-                del self.grids[next(iter(self.grids))]
-        self.grids[key] = grid
-        return grid
+        a period from its wrap, g = gcd(n, dec), which holds the samples of
+        every period (a call starts at a wrap, a multiple of n steps).  Each
+        span is read at three states: its start a, its first grid point
+        a + c and its last.  Returns the steps of those states, span after
+        span and period after period; the weights on their monomials of each
+        span's meters over the span, its sums of i_l, v_c_o and v_batt and
+        its meters up to its first grid point; and per span its first grid
+        point, its points and the table of its grid (`_quadrature`)."""
+        n = self.n_period
+        g = math.gcd(n, self.scenario.record_decimation)
+        weights = np.zeros((len(spans), 3, len(_FEATURES[0]), len(spans), 11))
+        offsets, layout = [], []
+        for i, (a, end, key, _) in enumerate(spans):
+            length = end - a
+            c = min(-a % g, length)         # c = length: no grid point in the span
+            points = len(range(c, length, g))
+            last = c + max(points - 1, 0) * g
+            quad = self.quads.get(key)
+            if quad is None or len(quad[2]) < points:
+                # To the longest span seen, with room for one that hunts longer.
+                quad = self.quads[key] = self._quadrature(key, min(n // g, points + n // g // 16))
+            small, table, sums = quad
+            head, body, tail = weights[i, :, :, i]
+            head[:, :7] = small[c]          # up to the first grid point
+            head[:, 7:] = small[c, :, :4]
+            if points:                      # to the last one
+                body[:5, 4:7] = sums[points - 1]
+                body[:, :4] = table[:-4, 4 * points - 4:4 * points]
+            tail[:, :7] = small[length - last]  # to the span's end
+            offsets += (a, a + c, a + last)
+            layout.append(((a + c) // g, points, table))
+        steps = np.add.outer(np.arange(0, self.max_batch * n, n), offsets).ravel()
+        return steps, weights.reshape(-1, len(spans) * 11), layout
 
     def finish(self) -> None:
         """Record the final instant when it falls on the decimation grid,

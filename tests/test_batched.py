@@ -182,7 +182,7 @@ def test_quadrature_tables_match_steps(path, source):
         eng.euler(r)
         want = [*eng.meters, *(avg * eng.n_period for avg in eng.avgs)]
         names = CLOSE[6:] + ("i_l", "v_c_o", "v_batt")
-        for name, g, w in zip(names, tables[r] @ monomials, want):
+        for name, g, w in zip(names, monomials @ tables[r], want):
             assert abs(g - w) <= 1e-12 * abs(w), (r, name, g, w)
 
 
