@@ -186,6 +186,43 @@ def test_quadrature_tables_match_steps(path, source):
             assert abs(g - w) <= 1e-12 * abs(w), (r, name, g, w)
 
 
+@pytest.mark.parametrize("source", ["conducts", "blocks", "stiff"])
+@pytest.mark.parametrize("path", sorted(sim._PATHS))
+def test_grid_tables_match_steps(path, source):
+    """The period kernel's grid tables over j g steps of one path, g = 2
+    (samples every 6 steps of 1000), j <= 5: the meters from a state y
+    and start meters, and the sums of i_l, v_c_o and v_batt, against the
+    scalar kernel's per-step sums over the same j g steps."""
+    r_source, v_s = {"conducts": (50.0, 30.0), "blocks": (50.0, 20.0),
+                     "stiff": (0.0, 24.1)}[source]
+    i_l = {"S1": 3.0, "S2": -3.0, "D2": 3.0, "D1": -3.0, "idle": 0.0}[path]
+    state = CircuitState(i_l=i_l, v_c_bus=24.0, v_c_o=23.976, soc=0.5, t=0.0)
+    scn = replace(weak_point_scenario(v_s), record_decimation=6, initial_state=state,
+                  params=ConverterParams(**{**STAGE, "r_load": 20.0}, r_source=r_source,
+                                         r_on=0.05, v_f=0.7),
+                  battery=BatteryModel(v_emf_full=12.6, v_emf_empty=11.8, r_int=0.1,
+                                       capacity=7200.0, soc=0.5))
+    source_on = sim._source_margin(scn, v_s, i_l, 24.0, 23.976, path) >= 0.0
+    assert source_on == (source != "blocks")
+    _, table, sums = sim._Engine(scn)._quadrature((path, source_on, v_s), 5)
+    y = np.array([i_l, 24.0 - 23.976, 23.976 - v_s, 0.5, 1.0])
+    start = np.array([1.0, 2.0, -0.5, 0.25])
+    at_y = np.concatenate([y[sim._FEATURES[0]] * y[sim._FEATURES[1]], start])
+    g = 2
+    assert scn.steps_per_period == 1000 and len(sums) == 6
+    for j in range(1, 6):
+        eng = sim._Engine(scn)
+        eng.on1 = eng.n_period if path == "S1" else 0
+        eng.on2 = eng.n_period if path == "S2" else 0
+        eng.meters = start.tolist()
+        eng.euler(j * g)
+        got = [*(at_y @ table[:, 4 * j:4 * j + 4]), *(y @ sums[j])]
+        want = [*eng.meters, *(avg * eng.n_period for avg in eng.avgs)]
+        names = CLOSE[6:] + ("i_l", "v_c_o", "v_batt")
+        for name, a, w in zip(names, got, want):
+            assert abs(a - w) <= 1e-11 * abs(w), (j, name, a, w)
+
+
 @pytest.mark.parametrize("dec", [3, 5])
 def test_sample_grid_off_the_period_matches_scalar(dec, monkeypatch):
     """64 steps per period with samples every 3 or 5 steps: the samples
