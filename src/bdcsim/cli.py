@@ -138,7 +138,6 @@ def _summarize(metrics: WindowMetrics) -> list[str]:
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.output is not None and len(args.scenarios) > 1:
         raise ValueError("--output works with a single scenario; use --output-dir")
-    lines: list[str] = []
     for path in args.scenarios:
         scenario = parse_scenario_file(path)
         trace = run(scenario)
@@ -151,12 +150,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             directory.mkdir(parents=True, exist_ok=True)
             out_path = directory / (path.stem + ".trace.csv")
         trace.to_csv(out_path)
-        lines.append(f"scenario: {path}")
-        lines.append(f"  simulated {trace.time[-1]:.6f} s "
-                     f"({len(trace)} samples, dt {scenario.dt:.3g} s)")
-        lines.extend(_summarize(metrics))
-        lines.append(f"  trace written: {out_path}")
-    sys.stdout.write("\n".join(lines) + "\n")
+        # Each summary as soon as its trace is written, so a later
+        # scenario's error does not hide it.
+        lines = [f"scenario: {path}",
+                 f"  simulated {trace.time[-1]:.6f} s "
+                 f"({len(trace)} samples, dt {scenario.dt:.3g} s)",
+                 *_summarize(metrics),
+                 f"  trace written: {out_path}"]
+        print("\n".join(lines), flush=True)
     return 0
 
 

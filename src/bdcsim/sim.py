@@ -19,16 +19,17 @@ affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc), so stacked powers
 of the maps give every state of a period, and of a stretch of periods
 while the controller keeps the mode and the gate counts, from a few
 products.  It takes the energy meters and the period averages by span
-quadrature: over k steps of one map from a span's start y a meter adds
-y H_k y^T, with H_k the discrete Gramian sum of the meter's one-step form
-(`_meter_forms`), evaluated on the grid of the recorded samples from three
-states of each gate interval.  It declines a period, which the scalar
-kernel then takes from its start, when the source voltage changes within
-it (a ramp or a segment end), or the DCM clamp, a change of source regime
-(the stiff-source clamp, or i_src >= 0 for r_source > 0), the SoC clamp
-or a divergence bound would act.  It also leaves a partial period at the
-end of the horizon, and every period shorter than _MIN_BATCH_STEPS steps,
-to the scalar kernel.  Its float columns, the meters and the averages that
+quadrature: a meter's step adds the product of two affine functions of the
+state (`_meter_forms`), so lifted to the state's second-order monomials,
+the meters and the sums, a step is one linear map, whose powers give them
+over k steps of a span from its start y.  They are evaluated on the grid
+of the recorded samples from three states of each gate interval.  It
+declines a period, which the scalar kernel then takes from its start, when
+the source voltage changes within it (a ramp or a segment end), or the DCM
+clamp, a change of source regime (the stiff-source clamp, or i_src >= 0
+for r_source > 0), the SoC clamp or a divergence bound would act.  It also
+leaves a partial period at the end of the horizon, and every period
+shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its float columns, the meters and the averages that
 the controller reads included, agree with the scalar kernel's to within
 1e-9 of each column's magnitude; the time base, the controller's
 decisions and the gates are identical.
@@ -384,13 +385,13 @@ _PATHS = {      # a, v0, bus, sign
 }
 _OFF_PATHS = {law[3]: path for path, law in _PATHS.items() if law[3] is not None}
 # A period-kernel call costs the overhead of its numpy calls whatever the
-# period's length, so short periods are faster through the scalar kernel;
-# the two break even near 64 steps per period (the golden trickle, boost
-# and ramp cases, Python 3.11 and numpy 2.4 on a 2-core x86 host).
-# Batches share that cost only while the gate counts hold: at 20 steps per
-# period the open-loop golden boost case ran 3x faster batched, but the
-# trickle and DCM cases, whose gates change or whose periods decline every
-# period, ran 2.5-3x slower.
+# period's length, and batches share it only while the gate counts hold.
+# run() batched against scalar at 48, 64 and 80 steps per period (Python
+# 3.11, numpy 2.4, 2-core x86): the golden boost case, whose gates hold,
+# ran 6-9x faster batched and the ramp case 1.1-1.25x, but the trickle
+# case, whose gates move or whose periods decline nearly every period,
+# 1.85, 1.31 and 1.20x slower; no count of steps is a break-even for all
+# three.  At 20 steps per period boost ran 3x faster, trickle 2.5-3x slower.
 _MIN_BATCH_STEPS = 64
 # The most steps one period-kernel call takes (one period at least).  The
 # batch buffers, made once at this size, hold some 90 bytes per step; 2^13
@@ -445,18 +446,21 @@ def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.
     return m
 
 
-def _power_stack(m: np.ndarray, count: int) -> np.ndarray:
-    """M^k for k = 0 .. count, stacked along the first axis; M is 5x5."""
-    p = np.empty((count + 1, 5, 5))
-    p[0] = np.eye(5)
-    k = 0
+def _power_stack(m: np.ndarray, count: int, rows: slice = slice(None)) -> np.ndarray:
+    """M^k for k = 0 .. count, or their rows `rows`, stacked along the first
+    axis; M is square."""
+    eye = np.eye(len(m))
+    p = np.empty((count + 1, *eye[rows].shape))
+    p[0] = eye[rows]
     if count:
-        p[1] = m
-        k = 1
-    while k < count:  # p[k + j] = p[j] @ p[k]: doubles the powers known
+        p[1] = m[rows]
+    k, power = 1, m                         # power = M^k
+    while k < count:  # p[k + j] = p[j] @ M^k: doubles the powers known
         j = min(k, count - k)
-        np.matmul(p[1:j + 1], p[k], out=p[k + 1:k + j + 1])
+        np.matmul(p[1:j + 1], power, out=p[k + 1:k + j + 1])
         k += j
+        if k < count:
+            power = power @ power
     return p
 
 
@@ -475,13 +479,14 @@ def _source_margin(scenario: Scenario, v_s, i_l, v_bus, v_o, path: str):
     return margin
 
 
-def _meter_forms(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.ndarray:
+def _meter_forms(scenario: Scenario, path: str, source_on: bool, v_s: float) -> tuple:
     """The energy meters' increments over one Euler step along `path`, left
-    Riemann as `_Engine.euler` takes them, as symmetric 5x5 forms Q on
-    x = (i_l, v_c_bus, v_c_o, soc, 1), each increment x Q x^T, in the order
-    e_source, e_load, e_battery, e_link.  The source current is the
-    `_source_margin` times the source's conductance (C_bus/dt for a stiff
-    source) where the source conducts (or clamps the bus), else zero."""
+    Riemann as `_Engine.euler` takes them, each the product (f x)(h x) of
+    two affine functions of x = (i_l, v_c_bus, v_c_o, soc, 1): returns the
+    rows f and the rows h, in the order e_source, e_load, e_battery, e_link.
+    The source current is the `_source_margin` times the source's
+    conductance (C_bus/dt for a stiff source) where the source conducts (or
+    clamps the bus), else zero."""
     p, b, dt = scenario.params, scenario.battery, scenario.dt
     e = np.eye(5)
     i_src = np.zeros(5)
@@ -490,9 +495,8 @@ def _meter_forms(scenario: Scenario, path: str, source_on: bool, v_s: float) -> 
         i_src = _source_margin(scenario, v_s * e[4], e[0], e[1], e[2], path) * to_current
     emf = (b.v_emf_full - b.v_emf_empty) * e[3] + b.v_emf_empty * e[4]
     i_link = (e[1] - e[2]) / p.r_link
-    q = np.array([np.outer(dt * e[1], i_src), np.outer((dt / p.r_load) * e[2], e[2]),
-                  np.outer(dt * emf, e[0]), np.outer((dt * p.r_link) * i_link, i_link)])
-    return (q + q.transpose(0, 2, 1)) / 2
+    return (np.array([dt * e[1], (dt / p.r_load) * e[2], dt * emf, (dt * p.r_link) * i_link]),
+            np.array([i_src, e[2], e[0], i_link]))
 
 
 class _Engine:
@@ -546,7 +550,7 @@ class _Engine:
         self.rec = np.empty((len(_STEP_ROWS), n_rec))
         self.mode, self.duty, self.s1, self.s2 = (
             np.empty(n_rec, _TRACE_DTYPE[name]) for name in ("mode", "duty", "s1", "s2"))
-        self.stacks = None                  # batched-period buffers, made on first use
+        self.maps = None                    # batched-period buffers, made on first use
 
     def tick(self) -> None:
         """The controller at a carrier wrap: mode and duty from the last
@@ -720,18 +724,20 @@ class _Engine:
         period, which the checks read (`_states`).
 
         The meters and the periods' averages come from span quadrature, not
-        from the steps.  Within a span each step is the affine map M, so
-        over k steps from the span's start y each meter adds y H_k y^T,
-        H_k = sum_{i<k} (M^i)^T Q M^i the discrete Gramian sum of its
-        one-step form Q (`_meter_forms`), and each of i_l, v_c_o and v_batt
-        sums to a linear function of y.  The samples lie on a grid of every
+        from the steps.  Within a span each step is the affine map M, and a
+        meter's step adds a product of two affine functions of the state
+        (`_meter_forms`), so the step is linear on the lifted state of y's
+        monomials, the meters and the sums of i_l, v_c_o and v_batt, and
+        powers of that one lifted map give each meter over k steps from
+        the span's start y as a quadratic in y and each sum as a linear
+        one (`_quadrature`).  The samples lie on a grid of every
         g-th step, g = gcd(n, dec).  Each span is read at three states: its
         start, its first grid point and its last (`_grid`); one product of
         their monomials with the plan's weights gives every span's meters
         up to its first grid point, its sums and its meters over the span,
         for every period of the stretch; a cumulative sum over the spans
         gives the meters where each starts; and one product per span with
-        its map's table of H at every g-th step (`_quadrature`) gives the
+        its map's table of the meters at every g-th step gives the
         meters along its grid, of which a strided slice are the samples.
         No meter or average is summed step by step.  They agree with the
         scalar kernel's per-step sums to within 1e-9 of each column's
@@ -756,12 +762,11 @@ class _Engine:
         scn = self.scenario
         n = self.n_period
         dec = scn.record_decimation
-        if self.stacks is None:
+        if self.maps is None:
             size = max(_BATCH_STEPS, n)     # the most steps one call takes
             self.max_batch = size // n
-            self.stacks = {}
+            self.maps = {}                  # by step map: its power stack, its quadrature
             self.plan = None                # the spans of the period map in `powers`
-            self.quads = {}                 # the quadrature tables, by step map
             self.failed = None              # (wrap, plan) of a period that failed a check
             self.dts = np.full(size + 1, scn.dt)
             self.buf = np.empty((5, size + 1))     # the rows before each step: time, the state
@@ -929,16 +934,15 @@ class _Engine:
         checks that the path and the regime hold over the span."""
         source_on = _source_margin(self.scenario, self.v_s, *x[:3].tolist(), path) >= 0.0
         key = (path, source_on, self.v_s)
-        stack = self.stacks.get(key)
-        if stack is None:
-            # Keep the stacks and the quadrature tables of the current hold
-            # voltage only (160 bytes per step of a period each, and some
-            # 730 / g): a source seldom returns to a voltage.
-            if self.stacks and next(iter(self.stacks))[2] != self.v_s:
-                self.stacks.clear()
-                self.quads.clear()
-            stack = self.stacks[key] = self._powers(_step_map(self.scenario, *key))
-        return a, b, key, stack
+        entry = self.maps.get(key)
+        if entry is None:
+            # Keep the step maps of the current hold voltage only (160 bytes
+            # per step of a period for the stack, some 730 / g for the
+            # tables): a source seldom returns to a voltage.
+            if self.maps and next(iter(self.maps))[2] != self.v_s:
+                self.maps.clear()
+            entry = self.maps[key] = (self._powers(_step_map(self.scenario, *key)), None)
+        return a, b, key, entry[0]
 
     def _powers(self, m: np.ndarray) -> np.ndarray:
         """M^k for k = 0 .. steps_per_period, laid out step-major as
@@ -946,25 +950,26 @@ class _Engine:
         vector-matrix product of (x, 1) with stack[:, :k + 1] gives the
         state after each of 0 .. k steps, one state after another."""
         return np.ascontiguousarray(
-            _power_stack(m, self.n_period)[:, :4, :].transpose(2, 0, 1))
+            _power_stack(m, self.n_period, slice(4)).transpose(2, 0, 1))
 
     def _quadrature(self, key: tuple, count: int) -> tuple:
         """The quadrature tables of a step map M, as weights on the
         monomials (`_FEATURES`) of the state y where they start, for r = 0
         .. min(dec, n) steps and for j g steps, j = 0 .. count, g = gcd(n,
         dec).  They take the basis y = (i_l, v_c_bus - v_c_o, v_c_o - v_s,
-        soc, 1), x = T y: in x the meters' forms square states of some 24 V
-        to give increments of the bus-to-rail drop, tens of mV, and lose a
-        factor of 10^6 to cancellation; in y that drop, and a bus clamped to
-        v_s, are states of their own.  Over r steps the meters are
-        H_r = sum_{i<r} (M^i)^T Q M^i, with Q their `_meter_forms`, and the
-        sums of i_l, v_c_o and v_batt linear in y; over kg steps they follow
-        by doubling, H_(k+i)g = H_kg + (M^kg)^T H_ig M^kg.  Returns the
-        weights of the four meters and the three sums over r steps, (r, 15,
-        7); a table whose columns give, point by point and meter by meter,
-        the meters over j g steps from its first rows and the meters at y
-        from its last four; and the sums over j g steps, on y's first five
-        monomials."""
+        soc, 1), x = T y: in x the meters' products multiply states of some
+        24 V to give increments of the bus-to-rail drop, tens of mV, and
+        lose a factor of 10^6 to cancellation; in y that drop, and a bus
+        clamped to v_s, are states of their own.  A step is one linear map L
+        on z = (y's monomials, the four meters, the sums of i_l, v_c_o and
+        v_batt), as each next entry of z is a product of two affine
+        functions of y: a monomial of M y, a meter plus its factors'
+        product (`_meter_forms`), a sum plus its row times 1.  The tables
+        are rows of L^r and of (L^g)^j.  Returns the weights of the four
+        meters and the three sums over r steps, (r, 15, 7); a table whose
+        columns give, point by point and meter by meter, the meters over
+        j g steps from its first rows and the meters at y from its last
+        four; and the sums over j g steps, on y's first five monomials."""
         scn = self.scenario
         b = scn.battery
         t = np.eye(5)                       # x = T y
@@ -973,36 +978,25 @@ class _Engine:
         t_inv = np.eye(5)
         t_inv[1, 2] = -1.0
         t_inv[2, 4] = -key[2]
-        powers = _power_stack(t_inv @ _step_map(scn, *key) @ t,
-                              min(scn.record_decimation, self.n_period))
-        steps = powers[:-1]
-        forms = np.zeros((len(powers), 7, 5, 5))
-        forms[1:, :4] = (steps.transpose(0, 2, 1)[:, None] @ (t.T @ _meter_forms(scn, *key) @ t)
-                         @ steps[:, None])
-        # A row c as the form of y -> c y, which holds where y_4 = 1.
+        m = t_inv @ _step_map(scn, *key) @ t
+        meters, by = _meter_forms(scn, *key)
         rows = np.array([(1.0, 0.0, 0.0, 0.0, 0.0), (0.0, 0.0, 1.0, 0.0, 0.0),
                          (b.r_int, 0.0, 0.0, b.v_emf_full - b.v_emf_empty, b.v_emf_empty)])
-        lin = (rows @ t) @ steps / 2
-        forms[1:, 4:, :, 4] += lin
-        forms[1:, 4:, 4, :] += lin
-        # A symmetric form weighs y_i y_j by its (i, j) and (j, i) entries.
+        # Row by row of L, the factors of (f y)(h y), which weighs y's
+        # monomial y_i y_j by f_i h_j + f_j h_i, or f_i h_i where i = j
+        # (m[4] y = 1); the meters and the sums also keep their own value.
         i, j = _FEATURES
-        small = np.cumsum(forms, axis=0)[..., i, j] * np.where(i == j, 1.0, 2.0)
+        f = np.concatenate([m[i], meters @ t, rows @ t])
+        h = np.concatenate([m[j], by @ t, m[[4, 4, 4]]])
+        lifted = np.eye(len(f))
+        lifted[:, :len(i)] = f[:, i] * h[:, j] + (i != j) * (f[:, j] * h[:, i])
+        out = slice(len(i), None)           # the meters' and the sums' rows
+        small = _power_stack(lifted, min(scn.record_decimation, self.n_period), out)
         g = math.gcd(self.n_period, scn.record_decimation)
-        grid = np.zeros((count + 1, *small.shape[1:]))
-        grid[1] = small[g]
-        p, k = powers[g], 1                 # p = M^kg
-        while k < count:
-            # w @ kron weighs y's monomials as w weighs those of p y.
-            kron = p[i][:, i] * p[j][:, j] + (i != j) * (p[i][:, j] * p[j][:, i])
-            n_new = min(k, count - k)
-            grid[k + 1:k + n_new + 1] = grid[k] + (grid[1:n_new + 1].reshape(-1, len(i))
-                                                   @ kron).reshape(n_new, *grid.shape[1:])
-            p = p @ p
-            k += n_new
-        table = np.concatenate([grid[:, :4].transpose(2, 0, 1).reshape(len(i), -1),
-                                np.tile(np.eye(4), count + 1)])
-        return small.transpose(0, 2, 1), table, grid[:, 4:, :5].transpose(0, 2, 1).copy()
+        grid = _power_stack(np.linalg.matrix_power(lifted, g), count, out)
+        table = grid[:, :4, :len(i) + 4].transpose(2, 0, 1).reshape(len(i) + 4, -1)
+        return (small[:, :, :len(i)].transpose(0, 2, 1), table,
+                grid[:, 4:, :5].transpose(0, 2, 1).copy())
 
     def _grid(self, spans: list) -> tuple:
         """The grid of the samples for the plan's spans: every g-th step of
@@ -1023,10 +1017,11 @@ class _Engine:
             c = min(-a % g, length)         # c = length: no grid point in the span
             points = len(range(c, length, g))
             last = c + max(points - 1, 0) * g
-            quad = self.quads.get(key)
+            stack, quad = self.maps[key]
             if quad is None or len(quad[2]) < points:
                 # To the longest span seen, with room for one that hunts longer.
-                quad = self.quads[key] = self._quadrature(key, min(n // g, points + n // g // 16))
+                quad = self._quadrature(key, min(n // g, points + n // g // 16))
+                self.maps[key] = stack, quad
             small, table, sums = quad
             head, body, tail = weights[i, :, :, i]
             head[:, :7] = small[c]          # up to the first grid point

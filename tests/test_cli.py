@@ -283,6 +283,22 @@ class TestSimulateCommand:
         assert err.startswith("error: ") and "longer than trace" in err
         assert not (out_dir / "slow.trace.csv").exists()
 
+    def test_summary_printed_before_a_later_failure(self, scenarios_dir, tmp_path, capsys):
+        """A bad scenario after a good one: exit 1, and the good one's trace
+        and its summary, with the line naming that trace, on stdout."""
+        bad = tmp_path / "bad.scenario"
+        bad.write_text("")
+        assert main(["simulate", str(scenarios_dir / "quick.scenario"), str(bad),
+                     "--output-dir", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert "missing section" in captured.err
+        trace = tmp_path / "quick.trace.csv"
+        assert trace.exists() and not (tmp_path / "bad.trace.csv").exists()
+        lines = captured.out.splitlines()
+        assert lines[0] == f"scenario: {scenarios_dir / 'quick.scenario'}"
+        assert lines[-1] == f"  trace written: {trace}"
+        assert "bad.scenario" not in captured.out
+
     def test_output_with_multiple_scenarios_rejected(self, scenarios_dir, tmp_path, capsys):
         q = str(scenarios_dir / "quick.scenario")
         assert main(["simulate", q, q, "--output", str(tmp_path / "x.csv")]) == 1
