@@ -730,15 +730,15 @@ class _Engine:
         monomials, the meters and the sums of i_l, v_c_o and v_batt, and
         powers of that one lifted map give each meter over k steps from
         the span's start y as a quadratic in y and each sum as a linear
-        one (`_quadrature`).  The samples lie on a grid of every
-        g-th step, g = gcd(n, dec).  Each span is read at three states: its
-        start, its first grid point and its last (`_grid`); one product of
-        their monomials with the plan's weights gives every span's meters
-        up to its first grid point, its sums and its meters over the span,
-        for every period of the stretch; a cumulative sum over the spans
-        gives the meters where each starts; and one product per span with
-        its map's table of the meters at every g-th step gives the
-        meters along its grid, of which a strided slice are the samples.
+        one (`_quadrature`).  The samples lie on a grid of every g-th step,
+        g = gcd(n, dec).  Each span is read at three states: its start, its
+        first grid point and its last (`_grid`); one product of their
+        monomials with the plan's weights gives every span's meters up to
+        its first grid point, its sums and its meters over the span, for
+        every period of the stretch; a cumulative sum over the spans gives
+        the meters where each starts; and one product per span with its
+        map's table of the meters at every g-th step gives the meters along
+        its grid, of which a strided slice are the samples.
         No meter or average is summed step by step.  They agree with the
         scalar kernel's per-step sums to within 1e-9 of each column's
         magnitude.
