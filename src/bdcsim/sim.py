@@ -16,20 +16,23 @@ kernel (`_Engine.euler`, used alone by `_integrate`, the reference) takes
 one Euler step at a time.  The period kernel (`_Engine.period`) serves
 `run()`: within one path and one source regime an Euler step is a fixed
 affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc), so stacked powers
-of the maps give every state of a period, and of a stretch of periods
+of the maps give the states of a period, and of a stretch of periods
 while the controller keeps the mode and the gate counts, from a few
-products.  It takes the energy meters and the period averages by span
-quadrature: a meter's step adds the product of two affine functions of the
-state (`_meter_forms`), so lifted to the state's second-order monomials,
-the meters and the sums, a step is one linear map, whose powers give them
-over k steps of a span from its start y.  They are evaluated on the grid
-of the recorded samples from three states of each gate interval.  It
-declines a period, which the scalar kernel then takes from its start, when
-the source voltage changes within it (a ramp or a segment end), or the DCM
-clamp, a change of source regime (the stiff-source clamp, or i_src >= 0
-for r_source > 0), the SoC clamp or a divergence bound would act.  It also
-leaves a partial period at the end of the horizon, and every period
-shorter than _MIN_BATCH_STEPS steps, to the scalar kernel.  Its float columns, the meters and the averages that
+products.  It computes them at the wraps, the gate edges and on the grid
+of the recorded samples only, and checks the steps between grid points by
+a bound on what each check reads there.  It takes the energy meters and
+the period averages by span quadrature: a meter's step adds the product of
+two affine functions of the state (`_meter_forms`), so lifted to the
+state's second-order monomials, the meters and the sums, a step is one
+linear map, whose powers give them over k steps of a span from its start
+y.  They are evaluated on the grid of the recorded samples from three
+states of each gate interval.  It declines a period, which the scalar
+kernel then takes from its start, when the source voltage changes within
+it (a ramp or a segment end), or the DCM clamp, a change of source regime
+(the stiff-source clamp, or i_src >= 0 for r_source > 0), the SoC clamp or
+a divergence bound would act.  It also leaves a partial period at the end
+of the horizon, and every period shorter than _MIN_BATCH_STEPS steps, to
+the scalar kernel.  Its float columns, the meters and the averages that
 the controller reads included, agree with the scalar kernel's to within
 1e-9 of each column's magnitude; the time base, the controller's
 decisions and the gates are identical.
@@ -394,9 +397,10 @@ _OFF_PATHS = {law[3]: path for path, law in _PATHS.items() if law[3] is not None
 # three.  At 20 steps per period boost ran 3x faster, trickle 2.5-3x slower.
 _MIN_BATCH_STEPS = 64
 # The most steps one period-kernel call takes (one period at least).  The
-# batch buffers, made once at this size, hold some 90 bytes per step; 2^13
-# keeps them under 2% of a line-regulation point's peak memory, and 2^14,
-# at twice the memory, ran those points at most 8% faster.
+# batch buffers, made once at this size, hold 39 bytes per step at a sample
+# every 4 steps and 51 at every 2 (a line-regulation point, buck_charge);
+# 2^13 keeps them under 1% of a line-regulation point's peak memory, and
+# 2^14 ran those points at most 8% faster.
 _BATCH_STEPS = 1 << 13
 # The monomials of a state y = (y_0 .. y_3, 1) on which the quadrature
 # tables weigh (`_Engine._quadrature`) and the period kernel evaluates them:
@@ -410,6 +414,10 @@ _FEATURES = np.array([(i, 4) for i in range(5)]
 # median 0.150 s against 0.173 s, and line_sweep's points at 0.288 s against
 # 0.280 s (8 alternating runs each).
 _GEMM_MACS = 1 << 18
+# The period kernel's rounding slack: a check passes a period without its
+# steps only by more than this share of the checked functional's terms at
+# the state bounds (`_Engine._bound`).
+_BOUND_SLACK = 1e-9
 
 
 def _off_path(i_l: float) -> str:
@@ -527,6 +535,7 @@ class _Engine:
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
         self.n_steps = round(scenario.t_end / scenario.dt)
+        self.g = math.gcd(self.n_period, scenario.record_decimation)   # the sample grid
         p = scenario.params
         self.laws = {path: (a * p.r_on, v0 * p.v_f, bus, sign)   # in ohms and volts
                      for path, (a, v0, bus, sign) in _PATHS.items()}
@@ -719,9 +728,12 @@ class _Engine:
         off-interval, each one affine step map raised to the span's length;
         their product is the period map.  While ticks keep the mode and the
         gate counts, every period repeats those maps: the period map's
-        powers give the state at each wrap, and one product of the span
-        starts with a span's stacked powers gives every other state of every
-        period, which the checks read (`_states`).
+        powers give the state at each wrap, and products of the span starts
+        with a span's stacked powers give its states on the grid of the
+        samples, every g-th step, g = gcd(n, dec), for every period
+        (`_states`).  Nothing reads the states between grid points: the
+        checks bound them from the grid, and only a period the bound leaves
+        open is stepped through, one product per span (`_exact`).
 
         The meters and the periods' averages come from span quadrature, not
         from the steps.  Within a span each step is the affine map M, and a
@@ -730,8 +742,8 @@ class _Engine:
         monomials, the meters and the sums of i_l, v_c_o and v_batt, and
         powers of that one lifted map give each meter over k steps from
         the span's start y as a quadratic in y and each sum as a linear
-        one (`_quadrature`).  The samples lie on a grid of every g-th step,
-        g = gcd(n, dec).  Each span is read at three states: its start, its
+        one (`_quadrature`).  The samples lie on the grid, and each span is
+        read at three states: its start, its
         first grid point and its last (`_grid`); one product of their
         monomials with the plan's weights gives every span's meters up to
         its first grid point, its sums and its meters over the span, for
@@ -765,23 +777,33 @@ class _Engine:
         if self.maps is None:
             size = max(_BATCH_STEPS, n)     # the most steps one call takes
             self.max_batch = size // n
-            self.maps = {}                  # by step map: its power stack, its quadrature
+            self.maps = {}                  # by step map: its powers, quadrature and bound
             self.plan = None                # the spans of the period map in `powers`
             self.failed = None              # (wrap, plan) of a period that failed a check
             self.dts = np.full(size + 1, scn.dt)
-            self.buf = np.empty((5, size + 1))     # the rows before each step: time, the state
-            self.xs = np.empty((size + 1, 4))   # the states, step-major
+            self.time = np.empty(size + 1)  # the time before each step
+            # The states the kernel computes: at each wrap and at the start
+            # of each period's second span as (x, 1), and per state and
+            # period, at its grid points, every g-th step from its wrap, and
+            # at its second span's start (the last column).
+            self.wraps = np.ones((self.max_batch + 1, 5))
+            self.starts = np.ones((self.max_batch, 5))
+            self.firsts = np.ones((self.max_batch, 5))  # a span's first grid point
+            self.xs = np.empty((4, self.max_batch + 1, n // self.g + 1))
+            # Per period and span, its least and greatest states, then 1.
+            self.box = np.ones((self.max_batch, 2, 9))
+            self.steps = np.empty((n + 1, 4))   # one period's states, step-major
+            self.steps_t = np.empty((4, n + 1))  # the same, state-major
             self.ys = np.ones((6 * self.max_batch, 5))  # the spans' states, as (y, 1)
             self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
-            self.starts = np.ones((self.max_batch, 5))  # a span's starts, as (x, 1)
             self.duties = np.empty(self.max_batch)     # each period's duty
-            self.period_of, self.phase = np.divmod(np.arange(size), n)
-            self.lo = np.array([[-scn.i_limit], [-scn.v_limit], [-scn.v_limit], [0.0]])
-            self.hi = np.array([[scn.i_limit], [scn.v_limit], [scn.v_limit], [1.0]])
+            # The grid points' periods and steps from their periods' wraps.
+            self.period_of, self.phase = np.divmod(np.arange(0, size, self.g), n)
+            self.lo = np.array([-scn.i_limit, -scn.v_limit, -scn.v_limit, 0.0])
+            self.hi = np.array([scn.i_limit, scn.v_limit, scn.v_limit, 1.0])
         m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
-        buf = self.buf
         self.dts[0] = self.t
-        time = np.add.accumulate(self.dts[:m * n + 1], out=buf[0, :m * n + 1])
+        time = np.add.accumulate(self.dts[:m * n + 1], out=self.time[:m * n + 1])
         if time[n - 1] >= self.v_s_until:  # on a ramp, every period
             return 0
         if time[m * n - 1] >= self.v_s_until:
@@ -814,6 +836,14 @@ class _Engine:
                 phi = phi @ span_map
             self.plan, self.powers = plan, _power_stack(phi, m)
             self.grid = None                # its sample grid, made when a period is taken
+            # The spans' first columns in `xs`, and their checks' weights on
+            # the box, span by span.
+            self.cuts = [-(-a // self.g) for a, *_ in spans]
+            weights = [self.maps[key][2][1] for _, _, key, _ in spans]
+            self.weights = np.zeros((9 * len(spans), sum(w.shape[1] for w in weights)))
+            self.weights[:9, :weights[0].shape[1]] = weights[0]
+            if len(spans) > 1:
+                self.weights[9:, weights[0].shape[1]:] = weights[1]
         elif len(self.powers) <= m:
             self.powers = _power_stack(self.powers[1], m)
         fit = self._states(m, spans)
@@ -825,9 +855,9 @@ class _Engine:
         # of each span: its start, its first and its last grid point.
         if self.grid is None:
             self.grid = self._grid(spans)
-        steps, weights, layout = self.grid
-        ys = self.ys[:len(steps) // self.max_batch * fit]
-        np.take(self.xs, steps[:len(ys)], axis=0, out=ys[:, :4])
+        at, weights, layout = self.grid
+        ys = self.ys[:len(at) // self.max_batch * fit]
+        ys[:, :4] = np.take(self.xs.reshape(4, -1), at[:len(ys)], axis=1).T
         ys[:, 1] -= ys[:, 2]                # to the quadrature basis
         ys[:, 2] -= self.v_s
         monomials = (ys[:, _FEATURES[0]] * ys[:, _FEATURES[1]]).reshape(fit, len(spans), 3, -1)
@@ -840,7 +870,7 @@ class _Engine:
         np.cumsum(meters, axis=0, out=meters)
         avgs = (sums[:, :, 4:7].sum(axis=1) / n).tolist()
         times = time[n:fit * n + 1:n].tolist()
-        plants = buf[1:5, n:fit * n + 1:n].T.tolist()
+        plants = self.wraps[1:fit + 1, :4].tolist()
 
         # Wrap by wrap to the end of the batch, ticking inside it.
         mode, on1, on2, k0 = self.ctrl.mode, self.on1, self.on2, self.k
@@ -858,11 +888,14 @@ class _Engine:
             self.failed = (self.k, plan)
 
         col = -(-k0 // dec)                 # column of the next sample
-        sel = slice(col * dec - k0, taken * n, dec)
-        phase = self.phase[sel]
+        first = col * dec - k0              # its step, on the grid
+        g = self.g
+        samples = slice(first // g, taken * n // g, dec // g)   # their grid points
+        phase = self.phase[samples]
         cols = slice(col, col + len(phase))
         rec = self.rec
-        rec[:5, cols] = buf[:, sel]
+        rec[0, cols] = time[first:taken * n:dec]
+        rec[1:5, cols] = self.xs[:, :taken, :n // g].reshape(4, -1)[:, samples]
         np.add(self.emf(rec[4, cols]), scn.battery.r_int * rec[1, cols], out=rec[5, cols])
         # The meters at each span's first grid point, then along its grid;
         # the grid's points, period after period, are every g-th step.
@@ -870,7 +903,6 @@ class _Engine:
         np.add(meters[:len(spans) * taken].reshape(taken, len(spans), 4), sums[:taken, :, 7:],
                out=at_first[:, :, -4:])
         at_first[:, :, :-4] = monomials[:taken, :, 1]
-        g = math.gcd(n, dec)
         grid = np.empty((taken, 4 * (n // g)))
         for i, (point, points, table) in enumerate(layout):
             rows = max(1, _GEMM_MACS // (len(table) * 4 * points)) if points else taken
@@ -879,53 +911,92 @@ class _Engine:
                           out=grid[a:a + rows, 4 * point:4 * (point + points)])
         rec[6:, cols] = grid.reshape(-1, 4)[-k0 % dec // g::dec // g][:len(phase)].T
         self.mode[cols] = MODE_CODES[mode]
-        self.duty[cols] = self.duties[self.period_of[sel]]
+        self.duty[cols] = self.duties[self.period_of[samples]]
         np.less(phase, on1, out=self.s1[cols])
         np.less(phase, on2, out=self.s2[cols])
         self.batch = min(2 * m, self.max_batch) if taken == m else 1
         return taken
 
     def _states(self, m: int, spans: list) -> int:
-        """Every state of m periods from the wrap state `x0`, into `buf`'s
-        state rows: the wraps from the period map's powers, then each span's
-        steps.  Returns how many periods come before the first that fails a
-        check, on its steps 0 .. n - 1 and 1 .. n."""
-        scn = self.scenario
+        """The states of m periods from the wrap state `x0` that the kernel
+        reads: each wrap from the period map's powers, each span's start,
+        and into `xs` the grid points, every g-th step, from one product
+        per span of its first state with its grid powers (`_bound`).
+        Returns how many periods come before the first that fails a check.
+
+        The checks read the grid, not the steps.  Within a span of the step
+        map M, the state j steps after a grid point or the span's start x
+        is M^j x, so each checked functional l (a state against its bound,
+        the `_source_margin`, the sign of i_l on a diode path) takes l M^j
+        x there.  Over the box of the span's grid states and start, the
+        least and greatest of each state in each period, interval
+        arithmetic bounds l M^j x for every j <= g, so for every step of
+        the span.  A period passes without its steps when each bound clears
+        its threshold by a rounding slack; the periods it leaves open take
+        the per-step check (`_exact`), in order, up to the first that
+        fails."""
+        n, g = self.n_period, self.g
+        wraps, starts, firsts = self.wraps[:m + 1], self.starts[:m], self.firsts[:m]
+        np.matmul(self.x0, self.powers[:m + 1], out=wraps)
+        xs = self.xs[:, :m + 1]
+        for a, b, key, stack in spans:
+            grid = self.maps[key][2][0]
+            if a:
+                first, last = -(-a // g), n // g
+                if first < last:
+                    np.matmul(starts, stack[:, first * g - a], out=firsts[:, :4])
+                start = firsts
+            else:
+                first, last, start = 0, -(-b // g), wraps[:m]
+            np.matmul(start, grid[:, :, :last - first], out=xs[:, :m, first:last])
+            if b < n:                       # the next span's start
+                np.matmul(wraps[:m], stack[:, b], out=starts[:, :4])
+        xs[:, :m, -1] = (starts if len(spans) > 1 else wraps[:m])[:, :4].T
+        xs[:, m, 0] = wraps[m, :4]
+        box = self.box[:m, :len(spans)]
+        np.minimum.reduceat(xs[:, :m], self.cuts, axis=2, out=box[:, :, :4].transpose(2, 0, 1))
+        np.maximum.reduceat(xs[:, :m], self.cuts, axis=2, out=box[:, :, 4:8].transpose(2, 0, 1))
+        ok = (box.reshape(m, -1) @ self.weights).min(axis=1) >= 0.0
+        if ok.all():
+            return m
+        for p in np.flatnonzero(~ok).tolist():
+            if not self._exact(p, spans):
+                return p
+        return m
+
+    def _exact(self, p: int, spans: list) -> bool:
+        """Whether period p of the call passes every check step by step, on
+        its steps 0 .. n - 1 and 1 .. n, from its wrap and span starts: the
+        DCM clamp, a change of source regime, the SoC clamp or a bound would
+        not act."""
         n = self.n_period
-        big_n = m * n
-        wraps = self.x0 @ self.powers[:m + 1]
-        xs = self.xs[:big_n + 1]
-        xs[::n] = wraps[:, :4]
-        per = xs[:big_n].reshape(m, n, 4)
+        xs = self.steps
+        xs[0] = self.wraps[p, :4]
+        xs[n] = self.wraps[p + 1, :4]
         for a, b, _, stack in spans:
             top = min(b, n - 1)             # step n is the next wrap
-            if top == a:
-                continue
-            if a:
-                starts = self.starts[:m]
-                starts[:, :4] = per[:, a]
-            else:
-                starts = wraps[:m]
-            np.matmul(starts, stack[:, 1:top - a + 1].reshape(5, -1),
-                      out=per[:, a + 1:top + 1].reshape(m, -1))
-        x = self.buf[1:5, :big_n + 1]
+            if top > a:
+                start = self.starts[p] if a else self.wraps[p]
+                np.matmul(start, stack[:, 1:top - a + 1].reshape(5, -1),
+                          out=xs[a + 1:top + 1].reshape(-1))
+        x = self.steps_t
         x[...] = xs.T
-
-        before = x[:, :big_n].reshape(4, m, n)
-        after = x[:, 1:].reshape(4, m, n)
-        ok = ((self.lo <= after.min(axis=2)) & (after.max(axis=2) <= self.hi)).all(axis=0)
-        il, vb, vo = before[:3]
-        for a, b, (path, source_on, _), _ in spans:
-            margin = _source_margin(scn, self.v_s, il[:, a:b], vb[:, a:b], vo[:, a:b], path)
-            ok &= margin.min(axis=1) >= 0.0 if source_on else margin.max(axis=1) <= 0.0
+        before, after = x[:, :n], x[:, 1:]
+        if not ((self.lo <= after.min(axis=1)) & (after.max(axis=1) <= self.hi)).all():
+            return False
+        for a, b, (path, source_on, v_s), _ in spans:
+            margin = _source_margin(self.scenario, v_s, *before[:3, a:b], path)
+            if not (margin.min() >= 0.0 if source_on else margin.max() <= 0.0):
+                return False
             sign = _PATHS[path][3]
             if sign is not None:
                 # i_l keeps the path's sign at steps a .. b (from a wrap, 1 .. b,
                 # as the period before checked its step n); idle's map holds 0.
-                i_l = after[0, :, max(a - 1, 0):b]
-                ok &= (i_l.min(axis=1) > 0.0 if sign > 0 else i_l.max(axis=1) < 0.0 if sign < 0
-                       else i_l[:, 0] == 0.0)
-        return m if ok.all() else int(ok.argmin())
+                i_l = after[0, max(a - 1, 0):b]
+                if not (i_l.min() > 0.0 if sign > 0 else i_l.max() < 0.0 if sign < 0
+                        else i_l[0] == 0.0):
+                    return False
+        return True
 
     def _span(self, a: int, b: int, path: str, x) -> tuple:
         """Steps a .. b of a period along `path`, in the source regime that
@@ -937,11 +1008,13 @@ class _Engine:
         entry = self.maps.get(key)
         if entry is None:
             # Keep the step maps of the current hold voltage only (160 bytes
-            # per step of a period for the stack, some 730 / g for the
-            # tables): a source seldom returns to a voltage.
+            # per step of a period for the stack, 160 / g for its grid
+            # powers, some 730 / g for the tables): a source seldom returns
+            # to a voltage.
             if self.maps and next(iter(self.maps))[2] != self.v_s:
                 self.maps.clear()
-            entry = self.maps[key] = (self._powers(_step_map(self.scenario, *key)), None)
+            stack = self._powers(_step_map(self.scenario, *key))
+            entry = self.maps[key] = (stack, None, self._bound(key, stack))
         return a, b, key, entry[0]
 
     def _powers(self, m: np.ndarray) -> np.ndarray:
@@ -951,6 +1024,44 @@ class _Engine:
         state after each of 0 .. k steps, one state after another."""
         return np.ascontiguousarray(
             _power_stack(m, self.n_period, slice(4)).transpose(2, 0, 1))
+
+    def _bound(self, key: tuple, stack: np.ndarray) -> tuple:
+        """The sample grid and the check bound of a step map M (`_states`).
+        Returns its grid powers, grid[i, j, k] = (M^(k g))[i, j] over the
+        four state rows, so that one product of (x, 1) with grid[:, :, :k]
+        gives each state at every g-th step, state after state; and the
+        weights that take the box of a span's states, (least, greatest, 1),
+        to each check's margin at each j <= g steps on: for each checked
+        functional l, side and j, the least (or greatest) of l M^j x over
+        the box less its threshold, less a slack of 1e-9 of l's terms at
+        the state bounds (none for idle's i_l, which its map holds at
+        exactly zero).  Every step of the span passes the checks where
+        every margin is >= 0."""
+        scn = self.scenario
+        path, source_on, v_s = key
+        g = self.g
+        grid = np.ascontiguousarray(stack[:, ::g].transpose(2, 0, 1))
+        e = np.eye(5)
+        inf, i_max, v_max = math.inf, scn.i_limit, scn.v_limit
+        # The functionals on (x, 1), each with its least and greatest value.
+        checks = [(e[0], -i_max, i_max), (e[1], -v_max, v_max), (e[2], -v_max, v_max),
+                  (e[3], 0.0, 1.0),
+                  (_source_margin(scn, v_s * e[4], e[0], e[1], e[2], path),
+                   0.0 if source_on else -inf, inf if source_on else 0.0)]
+        sign = _PATHS[path][3]
+        if sign is not None:
+            checks.append((e[0], -inf if sign < 0 else 0.0, inf if sign > 0 else 0.0))
+        scale = np.array([i_max, v_max, v_max, 1.0, 1.0])
+        margins = []
+        for i, (l, lo, hi) in enumerate(checks):
+            slack = 0.0 if sign == 0 and i == 5 else _BOUND_SLACK * (scale @ np.abs(l))
+            lm = (stack[:, :g + 1] @ l[:4]).T + l[4] * e[4]   # l M^j, j = 0 .. g
+            pos, neg = np.maximum(lm[:, :4], 0.0), np.minimum(lm[:, :4], 0.0)
+            if lo > -inf:
+                margins.append(np.hstack([pos, neg, lm[:, 4:] - (lo + slack)]))
+            if hi < inf:
+                margins.append(np.hstack([-neg, -pos, (hi - slack) - lm[:, 4:]]))
+        return grid, np.vstack(margins).T
 
     def _quadrature(self, key: tuple, count: int) -> tuple:
         """The quadrature tables of a step map M, as weights on the
@@ -992,8 +1103,7 @@ class _Engine:
         lifted[:, :len(i)] = f[:, i] * h[:, j] + (i != j) * (f[:, j] * h[:, i])
         out = slice(len(i), None)           # the meters' and the sums' rows
         small = _power_stack(lifted, min(scn.record_decimation, self.n_period), out)
-        g = math.gcd(self.n_period, scn.record_decimation)
-        grid = _power_stack(np.linalg.matrix_power(lifted, g), count, out)
+        grid = _power_stack(np.linalg.matrix_power(lifted, self.g), count, out)
         table = grid[:, :4, :len(i) + 4].transpose(2, 0, 1).reshape(len(i) + 4, -1)
         return (small[:, :, :len(i)].transpose(0, 2, 1), table,
                 grid[:, 4:, :5].transpose(0, 2, 1).copy())
@@ -1003,13 +1113,13 @@ class _Engine:
         a period from its wrap, g = gcd(n, dec), which holds the samples of
         every period (a call starts at a wrap, a multiple of n steps).  Each
         span is read at three states: its start a, its first grid point
-        a + c and its last.  Returns the steps of those states, span after
-        span and period after period; the weights on their monomials of each
-        span's meters over the span, its sums of i_l, v_c_o and v_batt and
-        its meters up to its first grid point; and per span its first grid
-        point, its points and the table of its grid (`_quadrature`)."""
-        n = self.n_period
-        g = math.gcd(n, self.scenario.record_decimation)
+        a + c and its last.  Returns the columns of those states in a
+        state's row of `xs`, span after span and period after period; the
+        weights on their monomials of each span's meters over the span, its
+        sums of i_l, v_c_o and v_batt and its meters up to its first grid
+        point; and per span its first grid point, its points and the table
+        of its grid (`_quadrature`)."""
+        n, g = self.n_period, self.g
         weights = np.zeros((len(spans), 3, len(_FEATURES[0]), len(spans), 11))
         offsets, layout = [], []
         for i, (a, end, key, _) in enumerate(spans):
@@ -1017,11 +1127,11 @@ class _Engine:
             c = min(-a % g, length)         # c = length: no grid point in the span
             points = len(range(c, length, g))
             last = c + max(points - 1, 0) * g
-            stack, quad = self.maps[key]
+            stack, quad, bound = self.maps[key]
             if quad is None or len(quad[2]) < points:
                 # To the longest span seen, with room for one that hunts longer.
                 quad = self._quadrature(key, min(n // g, points + n // g // 16))
-                self.maps[key] = stack, quad
+                self.maps[key] = stack, quad, bound
             small, table, sums = quad
             head, body, tail = weights[i, :, :, i]
             head[:, :7] = small[c]          # up to the first grid point
@@ -1030,10 +1140,14 @@ class _Engine:
                 body[:5, 4:7] = sums[points - 1]
                 body[:, :4] = table[:-4, 4 * points - 4:4 * points]
             tail[:, :7] = small[length - last]  # to the span's end
-            offsets += (a, a + c, a + last)
+            # As columns of a state's row of `xs`; a point at step n is the
+            # next period's wrap.
+            offsets += (n // g if a else 0, *(j // n * (n // g + 1) + j % n // g
+                                              for j in (a + c, a + last)))
             layout.append(((a + c) // g, points, table))
-        steps = np.add.outer(np.arange(0, self.max_batch * n, n), offsets).ravel()
-        return steps, weights.reshape(-1, len(spans) * 11), layout
+        at = np.add.outer(np.arange(0, self.max_batch * (n // g + 1), n // g + 1),
+                          offsets).ravel()
+        return at, weights.reshape(-1, len(spans) * 11), layout
 
     def finish(self) -> None:
         """Record the final instant when it falls on the decimation grid,

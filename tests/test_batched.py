@@ -223,6 +223,78 @@ def test_grid_tables_match_steps(path, source):
             assert abs(a - w) <= 1e-11 * abs(w), (j, name, a, w)
 
 
+@pytest.mark.parametrize("source", ["conducts", "blocks", "stiff"])
+@pytest.mark.parametrize("path", sorted(sim._PATHS))
+def test_check_bound_is_sound(path, source):
+    """The period kernel's check bound over g = 4 steps of one path (1000
+    steps per period, samples every 4): from states placed near each
+    threshold (i_l near 0, the margin of the source near 0, each state
+    near its divergence bound, soc near 0 and 1), at up to 3 g one-step
+    changes on either side, alone and in boxes of two, wherever the
+    bound passes a box, every state of the g steps from each state in it
+    passes every check, computed from the step map's powers."""
+    r_source, v_s = {"conducts": (50.0, 30.0), "blocks": (50.0, 20.0),
+                     "stiff": (0.0, 24.1)}[source]
+    scn = replace(weak_point_scenario(v_s),
+                  params=ConverterParams(**{**STAGE, "r_load": 20.0}, r_source=r_source,
+                                         r_on=0.05, v_f=0.7),
+                  battery=BatteryModel(v_emf_full=12.6, v_emf_empty=11.8, r_int=0.1,
+                                       capacity=0.05, soc=0.5))
+    eng = sim._Engine(scn)
+    g = eng.g
+    assert g == 4
+    base = np.array([{"S1": 3.0, "S2": -3.0, "D2": 3.0, "D1": -3.0, "idle": 0.0}[path],
+                     24.0, 23.976, 0.5])
+    source_on = sim._source_margin(scn, v_s, *base[:3], path) >= 0.0
+    assert source_on == (source != "blocks")
+    key = (path, source_on, v_s)
+    stack = eng._powers(sim._step_map(scn, *key))
+    weights = eng._bound(key, stack)[1]
+    sign = sim._PATHS[path][3]
+
+    def steps(x):
+        """The states 0 .. g steps from x."""
+        return (np.append(x, 1.0) @ stack[:, :g + 1].reshape(5, -1)).reshape(g + 1, 4)
+
+    def margin(x):
+        return sim._source_margin(scn, v_s, x[..., 0], x[..., 1], x[..., 2], path)
+
+    def passes(x):
+        i_l, v_bus, v_o, soc = x.T
+        ok = ((np.abs(i_l) <= scn.i_limit) & (np.abs(v_bus) <= scn.v_limit)
+              & (np.abs(v_o) <= scn.v_limit) & (soc >= 0.0) & (soc <= 1.0)).all()
+        ok &= (margin(x) >= 0.0).all() if source_on else (margin(x) <= 0.0).all()
+        if sign is not None:
+            ok &= (i_l > 0.0 if sign > 0 else i_l < 0.0 if sign < 0 else i_l == 0.0).all()
+        return ok
+
+    step = np.abs(steps(base)[1] - base)    # one step's change from the base state
+    offsets = np.linspace(-3 * g, 3 * g, 49)
+    anchors = []
+    for i, edges in enumerate([(-scn.i_limit, 0.0, scn.i_limit), (-scn.v_limit, scn.v_limit),
+                               (-scn.v_limit, scn.v_limit), (0.0, 1.0)]):
+        for edge in edges:
+            for t in offsets:
+                x = base.copy()
+                x[i] = edge + t * step[i]
+                anchors.append(x)
+    # The margin is affine in v_bus: place it at t one-step changes of it.
+    per_volt = margin(base + [0.0, 1.0, 0.0, 0.0]) - margin(base)
+    margin_step = abs(margin(steps(base)[1]) - margin(base))
+    for t in offsets:
+        anchors.append(base + [0.0, (t * margin_step - margin(base)) / per_volt, 0.0, 0.0])
+
+    cleared = []
+    for x in anchors:
+        for box in ([x], [x, x + 0.5 * step]):
+            lo, hi = np.min(box, axis=0), np.max(box, axis=0)
+            if (np.concatenate([lo, hi, [1.0]]) @ weights).min() >= 0.0:
+                cleared.append(box)
+                for y in box:
+                    assert passes(steps(y)), (y, steps(y))
+    assert 0 < len(cleared) < 2 * len(anchors)
+
+
 @pytest.mark.parametrize("dec", [3, 5])
 def test_sample_grid_off_the_period_matches_scalar(dec, monkeypatch):
     """64 steps per period with samples every 3 or 5 steps: the samples
@@ -341,6 +413,29 @@ def test_line_sweep_point_batches_most_periods(monkeypatch):
     assert sum(taken for _, taken, *_ in calls) == 200
     assert sum(taken for _, taken, *_ in calls if taken == 8) >= 100
     assert max(offered for offered, *_ in calls) == sim._BATCH_STEPS // 1000 == 8
+
+
+@pytest.mark.parametrize("name", ["weak_point", "buck_charge"])
+def test_bound_passes_the_taken_periods(name, monkeypatch, scenarios_dir):
+    """The period kernel passes its periods on the check bound over the
+    sample grid (every 4 steps on the weak-source point at 25 V, every 2
+    on buck_charge): the per-step check runs on at most 2% of the periods
+    it takes."""
+    calls = log_batches(monkeypatch)
+    checked = []
+    exact = sim._Engine._exact
+
+    def counted(eng, p, spans):
+        checked.append(p)
+        return exact(eng, p, spans)
+
+    monkeypatch.setattr(sim._Engine, "_exact", counted)
+    scn = (weak_point_scenario(25.0) if name == "weak_point"
+           else parse_scenario_file(scenarios_dir / "buck_charge.scenario"))
+    sim.run(scn)
+    taken = sum(taken for _, taken, *_ in calls)
+    assert taken >= 0.99 * round(scn.t_end / scn.dt) // scn.steps_per_period
+    assert len(checked) <= 0.02 * taken
 
 
 def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
