@@ -472,6 +472,26 @@ def _power_stack(m: np.ndarray, count: int, rows: slice = slice(None)) -> np.nda
     return p
 
 
+def _step_times(t: float, dt: float, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The time before each of steps 0 .. len(out) - 1 from t, into `out`,
+    as the scalar kernel sums it, t + dt + dt + ... in order; `counts` holds
+    0, 1, 2 ... as floats.  While the sums stay in t's binade, each rounds
+    t_k + dt to t_k + r, r = (t + dt) - t, unless dt lies halfway between
+    two multiples of t's ulp, so they are t + k r exactly; otherwise they
+    are summed step by step."""
+    r = (t + dt) - t
+    ulp = math.ulp(t)
+    top = math.ldexp(1.0, math.frexp(t)[1])     # where t's binade ends
+    if t > 0.0 and math.fmod(dt, ulp) != ulp / 2 and t + (len(out) - 1) * r < top:
+        np.multiply(counts, r, out=out)
+        out += t
+    else:
+        out.fill(dt)
+        out[0] = t
+        np.add.accumulate(out, out=out)
+    return out
+
+
 def _source_margin(scenario: Scenario, v_s, i_l, v_bus, v_o, path: str):
     """How far the source is from blocking on a step along `path` from
     (i_l, v_bus, v_o), floats or arrays: v_s - v_bus, or for a stiff source
@@ -780,7 +800,7 @@ class _Engine:
             self.maps = {}                  # by step map: its powers, quadrature and bound
             self.plan = None                # the spans of the period map in `powers`
             self.failed = None              # (wrap, plan) of a period that failed a check
-            self.dts = np.full(size + 1, scn.dt)
+            self.counts = np.arange(size + 1.0)
             self.time = np.empty(size + 1)  # the time before each step
             # The states the kernel computes: at each wrap and at the start
             # of each period's second span as (x, 1), and per state and
@@ -802,8 +822,7 @@ class _Engine:
             self.lo = np.array([-scn.i_limit, -scn.v_limit, -scn.v_limit, 0.0])
             self.hi = np.array([scn.i_limit, scn.v_limit, scn.v_limit, 1.0])
         m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
-        self.dts[0] = self.t
-        time = np.add.accumulate(self.dts[:m * n + 1], out=self.time[:m * n + 1])
+        time = _step_times(self.t, scn.dt, self.counts[:m * n + 1], self.time[:m * n + 1])
         if time[n - 1] >= self.v_s_until:  # on a ramp, every period
             return 0
         if time[m * n - 1] >= self.v_s_until:

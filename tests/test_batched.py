@@ -295,6 +295,23 @@ def test_check_bound_is_sound(path, source):
     assert 0 < len(cleared) < 2 * len(anchors)
 
 
+@pytest.mark.parametrize("t, dt", [
+    (0.0, 50e-9), (0.0123, 50e-9), (0.125 - 3000 * 50e-9, 50e-9), (0.9, 1e-7),
+    (1.0 + 2.0 ** -52, 1.5 * 2.0 ** -52), (1.0, 1.5 * 2.0 ** -52)],
+    ids=["zero", "within", "across", "lower-bits", "tie-odd", "tie-even"])
+def test_step_times_are_the_scalar_sums(t, dt):
+    """The period kernel's times before each step, t + k r within t's
+    binade, against the scalar kernel's sums t + dt + dt + ... in order,
+    from 0, inside one binade, across a binade edge, and with dt halfway
+    between two multiples of t's ulp."""
+    count = 8000
+    want = [t]
+    for _ in range(count):
+        want.append(want[-1] + dt)
+    got = sim._step_times(t, dt, np.arange(count + 1.0), np.empty(count + 1))
+    assert got.tolist() == want
+
+
 @pytest.mark.parametrize("dec", [3, 5])
 def test_sample_grid_off_the_period_matches_scalar(dec, monkeypatch):
     """64 steps per period with samples every 3 or 5 steps: the samples
