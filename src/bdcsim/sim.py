@@ -960,14 +960,13 @@ class _Engine:
         xs = self.xs[:, :m + 1]
         for a, b, key, stack in spans:
             grid = self.maps[key][2][0]
-            if a:
-                first, last = -(-a // g), n // g
+            if a:                           # from its first grid point
+                first, last, origin = -(-a // g), n // g, firsts
                 if first < last:
                     np.matmul(starts, stack[:, first * g - a], out=firsts[:, :4])
-                start = firsts
-            else:
-                first, last, start = 0, -(-b // g), wraps[:m]
-            np.matmul(start, grid[:, :, :last - first], out=xs[:, :m, first:last])
+            else:                           # from the wrap
+                first, last, origin = 0, -(-b // g), wraps[:m]
+            np.matmul(origin, grid[:, :, :last - first], out=xs[:, :m, first:last])
             if b < n:                       # the next span's start
                 np.matmul(wraps[:m], stack[:, b], out=starts[:, :4])
         xs[:, :m, -1] = (starts if len(spans) > 1 else wraps[:m])[:, :4].T
