@@ -361,15 +361,9 @@ def test_source_regime_changes_match_scalar(r_source, max_declined, monkeypatch)
     """The period kernel takes the periods in which the source keeps one
     regime, and declines no more periods than it did when first pinned;
     each call returns how many periods it took."""
-    taken = []
-    kernel = sim._Engine.period
-
-    def counted(eng):
-        taken.append(kernel(eng))
-        return taken[-1]
-
-    monkeypatch.setattr(sim._Engine, "period", counted)
+    calls = log_batches(monkeypatch)
     assert_matches_scalar(source_at_bus_scenario(r_source))
+    taken = [taken for _, taken, *_ in calls]
     declined = taken.count(0)
     assert sum(taken) + declined == 200     # each period taken or declined once
     assert declined <= max_declined
@@ -388,15 +382,9 @@ def test_partial_last_period_matches_scalar(dec, monkeypatch):
         initial_mode=Mode.CHARGING, initial_duty=0.5,
         initial_state=CircuitState(i_l=2.85, v_c_bus=24.0, v_c_o=23.95, soc=0.5,
                                    t=0.0))
-    taken = []
-    kernel = sim._Engine.period
-
-    def counted(eng):
-        taken.append(kernel(eng))
-        return taken[-1]
-
-    monkeypatch.setattr(sim._Engine, "period", counted)
+    calls = log_batches(monkeypatch)
     trace, _ = assert_matches_scalar(scn)
+    taken = [taken for _, taken, *_ in calls]
     assert taken == [True, True]
     n_steps = round(scn.t_end / scn.dt)
     assert n_steps == 160
@@ -534,6 +522,34 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
         assert trace.v_c_bus[0] > 23.0 > trace.v_c_bus.min()
     else:
         assert (trace.soc == 1.0).any()
+
+
+@pytest.mark.parametrize("i_l, takes", [(0.2441, True), (0.2439, False)],
+                         ids=["clears", "clamps"])
+def test_dcm_clamp_at_the_wrap_matches_scalar(i_l, takes, monkeypatch):
+    """One period at a duty of 0.3 whose current runs down to zero right
+    at the carrier wrap (from about 0.24400 A): from 0.2441 A it stays
+    above zero through step 64, from 0.2439 A the DCM clamp acts on step
+    64, the wrap state itself.  The per-step check reads that state, so
+    the period kernel takes the first period and declines the second."""
+    calls = log_batches(monkeypatch)
+    verdicts = []
+    exact = sim._Engine._exact
+
+    def logged(eng, p, spans):
+        verdicts.append(exact(eng, p, spans))
+        return verdicts[-1]
+
+    monkeypatch.setattr(sim._Engine, "_exact", logged)
+    scn = open_loop_buck(record_decimation=1, t_end=1 / STAGE["f_s"], fixed_duty=0.3,
+                         initial_state=CircuitState(i_l=i_l, v_c_bus=24.0, v_c_o=23.95,
+                                                    soc=0.5, t=0.0))
+    _, ref = assert_matches_scalar(scn)
+    assert scn.steps_per_period == len(ref) - 1 == 64
+    assert (ref.i_l[1:] > 0.0).all() == takes
+    assert (ref.i_l[63] > 0.0 and ref.i_l[64] == 0.0) == (not takes)
+    assert [taken for _, taken, *_ in calls] == [int(takes)]
+    assert verdicts == [takes]
 
 
 def test_every_wrap_ticks_once(monkeypatch):
