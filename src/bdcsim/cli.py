@@ -261,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
     except SimulationDiverged as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)
         return 2
-    except (ScenarioParseError, ValueError, OSError) as exc:
+    except (ScenarioParseError, ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -214,6 +214,20 @@ class TestSimulateCommand:
             "initial_mode = discharging\ni_limit = 50\n")
         assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 2
         assert "diverged" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_unallocatable_trace_is_input_error(self, scenarios_dir, tmp_path, capsys):
+        """A horizon whose trace arrays no address space holds (853 PiB at
+        dt 2.5 us and every step recorded, yet under numpy's 2^63-byte
+        size check) fails at the allocation, before any memory is touched:
+        exit 1 with a message, no traceback and no trace file."""
+        text = (scenarios_dir / "quick.scenario").read_text()
+        path = tmp_path / "long.scenario"
+        path.write_text(text.replace("t_end = 5m", "t_end = 3e10"))
+        assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "allocate" in err
+        assert not (tmp_path / "x.csv").exists()
 
     @pytest.mark.parametrize("sim", ["t_end = 1m\ndt = 1e-300\n",   # f_s*dt is 0
                                      "t_end = 1m\ndt = 1e-320\n",
