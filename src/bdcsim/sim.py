@@ -7,7 +7,10 @@ mirroring timer-resolution quantization in a real microcontroller.  Topology
 changes (gate edges, diode handoff, the discontinuous-conduction clamp)
 happen between steps, which is why a high-order smooth integrator would buy
 nothing here.  The plant law is stated once, in `_PATHS`, a table of the
-conduction paths (S1, S2, D2, D1, idle) that both kernels read.
+conduction paths (S1, S2, D2, D1, idle) that both kernels read, and the
+period kernel's checks once, in a table of functionals of the state
+(`_Engine._checks`) that its bound and its per-step check read: a new
+check is one row.
 
 Two kernels take the steps and one driver (`_drive`) calls them: a
 controller tick at every carrier wrap, then one kernel call from there, so
@@ -778,8 +781,7 @@ class _Engine:
         After a tick that kept them the kernel tries `batch` periods, else
         one, but never past _BATCH_STEPS steps (one period at least), the
         last whole period or the source's next change.  It takes the periods
-        before the first that fails a check (the DCM clamp, a change of
-        source regime, the SoC clamp or a bound would act) and ticks the
+        before the first that fails a check (`_checks`) and ticks the
         wraps between them in order, up to the first tick that moves the
         mode or the gate counts: that tick stands for its wrap, whose period
         the next call takes.  `batch` doubles when the kernel takes all it
@@ -812,15 +814,12 @@ class _Engine:
             self.xs = np.empty((4, self.max_batch + 1, n // self.g + 1))
             # Per period and span, its least and greatest states, then 1.
             self.box = np.ones((self.max_batch, 2, 9))
-            self.steps = np.empty((n + 1, 4))   # one period's states, step-major
-            self.steps_t = np.empty((4, n + 1))  # the same, state-major
+            self.steps = np.ones((n + 1, 5))    # one period's states, as (x, 1)
             self.ys = np.ones((6 * self.max_batch, 5))  # the spans' states, as (y, 1)
             self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
             self.duties = np.empty(self.max_batch)     # each period's duty
             # The grid points' periods and steps from their periods' wraps.
             self.period_of, self.phase = np.divmod(np.arange(0, size, self.g), n)
-            self.lo = np.array([-scn.i_limit, -scn.v_limit, -scn.v_limit, 0.0])
-            self.hi = np.array([scn.i_limit, scn.v_limit, scn.v_limit, 1.0])
         m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
         time = _step_times(self.t, scn.dt, self.counts[:m * n + 1], self.time[:m * n + 1])
         if time[n - 1] >= self.v_s_until:  # on a ramp, every period
@@ -945,9 +944,8 @@ class _Engine:
 
         The checks read the grid, not the steps.  Within a span of the step
         map M, the state j steps after a grid point or the span's start x
-        is M^j x, so each checked functional l (a state against its bound,
-        the `_source_margin`, the sign of i_l on a diode path) takes l M^j
-        x there.  Over the box of the span's grid states and start, the
+        is M^j x, so each row l of the span's checks (`_checks`) takes
+        l M^j x there.  Over the box of the span's grid states and start, the
         least and greatest of each state in each period, interval
         arithmetic bounds l M^j x for every j <= g, so for every step of
         the span.  A period passes without its steps when each bound clears
@@ -983,37 +981,23 @@ class _Engine:
         return m
 
     def _exact(self, p: int, spans: list) -> bool:
-        """Whether period p of the call passes every check step by step, on
-        its steps 0 .. n - 1 and 1 .. n, from its wrap and span starts: the
-        DCM clamp, a change of source regime, the SoC clamp or a bound would
-        not act."""
+        """Whether period p of the call passes every check of its spans'
+        tables (`_checks`) step by step, from its wrap and span starts."""
         n = self.n_period
         xs = self.steps
-        xs[0] = self.wraps[p, :4]
-        xs[n] = self.wraps[p + 1, :4]
-        for a, b, _, stack in spans:
+        xs[0] = self.wraps[p]
+        xs[n] = self.wraps[p + 1]
+        for a, b, key, stack in spans:
             top = min(b, n - 1)             # step n is the next wrap
             if top > a:
                 start = self.starts[p] if a else self.wraps[p]
-                np.matmul(start, stack[:, 1:top - a + 1].reshape(5, -1),
-                          out=xs[a + 1:top + 1].reshape(-1))
-        x = self.steps_t
-        x[...] = xs.T
-        before, after = x[:, :n], x[:, 1:]
-        if not ((self.lo <= after.min(axis=1)) & (after.max(axis=1) <= self.hi)).all():
-            return False
-        for a, b, (path, source_on, v_s), _ in spans:
-            margin = _source_margin(self.scenario, v_s, *before[:3, a:b], path)
-            if not (margin.min() >= 0.0 if source_on else margin.max() <= 0.0):
+                xs[a + 1:top + 1, :4] = (
+                    start @ stack[:, 1:top - a + 1].reshape(5, -1)).reshape(-1, 4)
+            rows, lo, hi = self.maps[key][2][2]
+            checks = xs[a:b + 1] @ rows.T   # each check at steps a .. b
+            ok = (lo <= checks) & (checks <= hi)   # row 0 reads a .. b - 1
+            if not (ok[:-1, 0].all() and ok[a == 0:, 1:].all()):
                 return False
-            sign = _PATHS[path][3]
-            if sign is not None:
-                # i_l keeps the path's sign at steps a .. b (from a wrap, 1 .. b,
-                # as the period before checked its step n); idle's map holds 0.
-                i_l = after[0, max(a - 1, 0):b]
-                if not (i_l.min() > 0.0 if sign > 0 else i_l.max() < 0.0 if sign < 0
-                        else i_l[0] == 0.0):
-                    return False
         return True
 
     def _span(self, a: int, b: int, path: str, x) -> tuple:
@@ -1043,43 +1027,56 @@ class _Engine:
         return np.ascontiguousarray(
             _power_stack(m, self.n_period, slice(4)).transpose(2, 0, 1))
 
+    def _checks(self, key: tuple) -> tuple:
+        """The checks of a span a .. b along a step map: a matrix of
+        functionals on (x, 1) and each row's least and greatest value, which
+        every step of the span keeps unless a nonlinearity acts.  Row 0,
+        the `_source_margin` (a change of source regime), reads the state
+        before each step, a .. b - 1; the rest read it after each step,
+        max(a, 1) .. b: the divergence bounds, the SoC clamp's [0, 1] and,
+        on a path with a sign, the DCM clamp (i_l at least the least
+        positive float on D2, the mirror on D1, 0 on idle)."""
+        scn = self.scenario
+        path, source_on, v_s = key
+        e = np.eye(5)
+        inf, i_max, v_max, tiny = math.inf, scn.i_limit, scn.v_limit, math.ulp(0.0)
+        checks = [(_source_margin(scn, v_s * e[4], e[0], e[1], e[2], path),
+                   0.0 if source_on else -inf, inf if source_on else 0.0),
+                  (e[0], -i_max, i_max), (e[1], -v_max, v_max), (e[2], -v_max, v_max),
+                  (e[3], 0.0, 1.0)]
+        sign = _PATHS[path][3]
+        if sign is not None:
+            checks.append((e[0], tiny if sign > 0 else -inf if sign < 0 else 0.0,
+                           inf if sign > 0 else -tiny if sign < 0 else 0.0))
+        return tuple(map(np.array, zip(*checks)))
+
     def _bound(self, key: tuple, stack: np.ndarray) -> tuple:
         """The sample grid and the check bound of a step map M (`_states`).
         Returns its grid powers, grid[i, j, k] = (M^(k g))[i, j] over the
         four state rows, so that one product of (x, 1) with grid[:, :, :k]
-        gives each state at every g-th step, state after state; and the
-        weights that take the box of a span's states, (least, greatest, 1),
-        to each check's margin at each j <= g steps on: for each checked
-        functional l, side and j, the least (or greatest) of l M^j x over
-        the box less its threshold, less a slack of 1e-9 of l's terms at
-        the state bounds (none for idle's i_l, which its map holds at
-        exactly zero).  Every step of the span passes the checks where
-        every margin is >= 0."""
+        gives each state at every g-th step, state after state; the weights
+        that take the box of a span's states, (least, greatest, 1), to each
+        check's margin at each j <= g steps on: for each row l of the
+        checks, side and j, the least (or greatest) of l M^j x over the box
+        less l's bound and a slack of 1e-9 of l's terms at the state bounds
+        (none where l's two bounds are equal); and the checks (`_checks`).
+        Every step of the span passes the checks where every margin is >= 0."""
         scn = self.scenario
-        path, source_on, v_s = key
         g = self.g
         grid = np.ascontiguousarray(stack[:, ::g].transpose(2, 0, 1))
-        e = np.eye(5)
-        inf, i_max, v_max = math.inf, scn.i_limit, scn.v_limit
-        # The functionals on (x, 1), each with its least and greatest value.
-        checks = [(e[0], -i_max, i_max), (e[1], -v_max, v_max), (e[2], -v_max, v_max),
-                  (e[3], 0.0, 1.0),
-                  (_source_margin(scn, v_s * e[4], e[0], e[1], e[2], path),
-                   0.0 if source_on else -inf, inf if source_on else 0.0)]
-        sign = _PATHS[path][3]
-        if sign is not None:
-            checks.append((e[0], -inf if sign < 0 else 0.0, inf if sign > 0 else 0.0))
-        scale = np.array([i_max, v_max, v_max, 1.0, 1.0])
+        checks = self._checks(key)
+        scale = np.array([scn.i_limit, scn.v_limit, scn.v_limit, 1.0, 1.0])
         margins = []
-        for i, (l, lo, hi) in enumerate(checks):
-            slack = 0.0 if sign == 0 and i == 5 else _BOUND_SLACK * (scale @ np.abs(l))
-            lm = (stack[:, :g + 1] @ l[:4]).T + l[4] * e[4]   # l M^j, j = 0 .. g
+        for l, lo, hi in zip(*checks):
+            slack = 0.0 if lo == hi else _BOUND_SLACK * (scale @ np.abs(l))
+            lm = (stack[:, :g + 1] @ l[:4]).T  # l M^j, j = 0 .. g
+            lm[:, 4] += l[4]
             pos, neg = np.maximum(lm[:, :4], 0.0), np.minimum(lm[:, :4], 0.0)
-            if lo > -inf:
+            if lo > -math.inf:
                 margins.append(np.hstack([pos, neg, lm[:, 4:] - (lo + slack)]))
-            if hi < inf:
+            if hi < math.inf:
                 margins.append(np.hstack([-neg, -pos, (hi - slack) - lm[:, 4:]]))
-        return grid, np.vstack(margins).T
+        return grid, np.vstack(margins).T, checks
 
     def _quadrature(self, key: tuple, count: int) -> tuple:
         """The quadrature tables of a step map M, as weights on the
