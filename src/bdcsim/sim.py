@@ -995,7 +995,8 @@ class _Engine:
                     start @ stack[:, 1:top - a + 1].reshape(5, -1)).reshape(-1, 4)
             rows, lo, hi = self.maps[key][2][2]
             checks = xs[a:b + 1] @ rows.T   # each check at steps a .. b
-            ok = (lo <= checks) & (checks <= hi)   # row 0 reads a .. b - 1
+            ok = (lo <= checks) & (checks <= hi)
+            # Row 0 at steps a .. b - 1, the rest at max(a, 1) .. b.
             if not (ok[:-1, 0].all() and ok[a == 0:, 1:].all()):
                 return False
         return True

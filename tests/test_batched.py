@@ -363,7 +363,7 @@ def test_source_regime_changes_match_scalar(r_source, max_declined, monkeypatch)
     each call returns how many periods it took."""
     calls = log_batches(monkeypatch)
     assert_matches_scalar(source_at_bus_scenario(r_source))
-    taken = [taken for _, taken, *_ in calls]
+    taken = [count for _, count, *_ in calls]
     declined = taken.count(0)
     assert sum(taken) + declined == 200     # each period taken or declined once
     assert declined <= max_declined
@@ -384,7 +384,7 @@ def test_partial_last_period_matches_scalar(dec, monkeypatch):
                                    t=0.0))
     calls = log_batches(monkeypatch)
     trace, _ = assert_matches_scalar(scn)
-    taken = [taken for _, taken, *_ in calls]
+    taken = [count for _, count, *_ in calls]
     assert taken == [True, True]
     n_steps = round(scn.t_end / scn.dt)
     assert n_steps == 160
