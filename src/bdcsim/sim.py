@@ -49,6 +49,7 @@ profile voltage (panel-side sensing), not the converter-held bus.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import os
@@ -530,6 +531,15 @@ def _meter_forms(scenario: Scenario, path: str, source_on: bool, v_s: float) -> 
             np.array([i_src, e[2], e[0], i_link]))
 
 
+# A step map M's tables in the period kernel, each over a whole period and
+# built once, when a span first meets M (`_Engine._span`): `stack`, M^k for
+# k = 0 .. n over the state rows, step-major as stack[j, k, i] = (M^k)[i, j]
+# so that one product of (x, 1) with stack[:, :k + 1] gives the states after
+# 0 .. k steps in turn; the check bound's `grid`, `weights` and `checks`
+# (`_Engine._bound`); the quadrature's `small`, `table` and `sums`.
+_StepMap = collections.namedtuple("_StepMap", "stack grid weights checks small table sums")
+
+
 class _Engine:
     """One integration of a scenario from its start state: the state carried
     between kernel calls, and the trace arrays it records into.
@@ -799,7 +809,7 @@ class _Engine:
         if self.maps is None:
             size = max(_BATCH_STEPS, n)     # the most steps one call takes
             self.max_batch = size // n
-            self.maps = {}                  # by step map: its powers, quadrature and bound
+            self.maps = {}                  # by step map: its tables (`_StepMap`)
             self.plan = None                # the spans of the period map in `powers`
             self.failed = None              # (wrap, plan) of a period that failed a check
             self.counts = np.arange(size + 1.0)
@@ -837,10 +847,11 @@ class _Engine:
         spans = []
         if on:
             spans.append(self._span(0, on, "S1" if self.on1 else "S2", x0))
-            x = x0 @ spans[0][3][:, on]     # the state at step `on`
+            *_, first = spans[0]
+            x = x0 @ first.stack[:, on]     # the state at step `on`
         if on < n:
             spans.append(self._span(on, n, _off_path(float(x[0])), x))
-        plan = (on, *(span[2] for span in spans))
+        plan = (on, *(key for _, _, key, _ in spans))
         if (self.k, plan) == self.failed:
             # The period that failed a check in the last call, from the
             # same state along the same maps: it fails it again.
@@ -848,16 +859,16 @@ class _Engine:
             return 0
         if plan != self.plan:
             phi = np.eye(5)                 # the period map on (x, 1) as a row vector
-            for a, b, _, stack in spans:
+            for a, b, _, step_map in spans:
                 span_map = np.eye(5)
-                span_map[:, :4] = stack[:, b - a]
+                span_map[:, :4] = step_map.stack[:, b - a]
                 phi = phi @ span_map
             self.plan, self.powers = plan, _power_stack(phi, m)
-            self.grid = None                # its sample grid, made when a period is taken
+            self.grid = self._grid(spans)   # its sample grid
             # The spans' first columns in `xs`, and their checks' weights on
             # the box, span by span.
             self.cuts = [-(-a // self.g) for a, *_ in spans]
-            weights = [self.maps[key][2][1] for _, _, key, _ in spans]
+            weights = [step_map.weights for *_, step_map in spans]
             self.weights = np.zeros((9 * len(spans), sum(w.shape[1] for w in weights)))
             self.weights[:9, :weights[0].shape[1]] = weights[0]
             if len(spans) > 1:
@@ -871,8 +882,6 @@ class _Engine:
 
         # The meters and each period's sums by quadrature, from three states
         # of each span: its start, its first and its last grid point.
-        if self.grid is None:
-            self.grid = self._grid(spans)
         at, weights, layout = self.grid
         ys = self.ys[:len(at) // self.max_batch * fit]
         ys[:, :4] = np.take(self.xs.reshape(4, -1), at[:len(ys)], axis=1).T
@@ -956,17 +965,16 @@ class _Engine:
         wraps, starts, firsts = self.wraps[:m + 1], self.starts[:m], self.firsts[:m]
         np.matmul(self.x0, self.powers[:m + 1], out=wraps)
         xs = self.xs[:, :m + 1]
-        for a, b, key, stack in spans:
-            grid = self.maps[key][2][0]
+        for a, b, _, step_map in spans:
             if a:                           # from its first grid point
                 first, last, origin = -(-a // g), n // g, firsts
                 if first < last:
-                    np.matmul(starts, stack[:, first * g - a], out=firsts[:, :4])
+                    np.matmul(starts, step_map.stack[:, first * g - a], out=firsts[:, :4])
             else:                           # from the wrap
                 first, last, origin = 0, -(-b // g), wraps[:m]
-            np.matmul(origin, grid[:, :, :last - first], out=xs[:, :m, first:last])
+            np.matmul(origin, step_map.grid[:, :, :last - first], out=xs[:, :m, first:last])
             if b < n:                       # the next span's start
-                np.matmul(wraps[:m], stack[:, b], out=starts[:, :4])
+                np.matmul(wraps[:m], step_map.stack[:, b], out=starts[:, :4])
         xs[:, :m, -1] = (starts if len(spans) > 1 else wraps[:m])[:, :4].T
         xs[:, m, 0] = wraps[m, :4]
         box = self.box[:m, :len(spans)]
@@ -987,13 +995,13 @@ class _Engine:
         xs = self.steps
         xs[0] = self.wraps[p]
         xs[n] = self.wraps[p + 1]
-        for a, b, key, stack in spans:
+        for a, b, _, step_map in spans:
             top = min(b, n - 1)             # step n is the next wrap
             if top > a:
                 start = self.starts[p] if a else self.wraps[p]
                 xs[a + 1:top + 1, :4] = (
-                    start @ stack[:, 1:top - a + 1].reshape(5, -1)).reshape(-1, 4)
-            rows, lo, hi = self.maps[key][2][2]
+                    start @ step_map.stack[:, 1:top - a + 1].reshape(5, -1)).reshape(-1, 4)
+            rows, lo, hi = step_map.checks
             checks = xs[a:b + 1] @ rows.T   # each check at steps a .. b
             ok = (lo <= checks) & (checks <= hi)
             # Row 0 at steps a .. b - 1, the rest at max(a, 1) .. b.
@@ -1004,29 +1012,23 @@ class _Engine:
     def _span(self, a: int, b: int, path: str, x) -> tuple:
         """Steps a .. b of a period along `path`, in the source regime that
         `_source_margin` gives the state x at step a: (a, b, (path,
-        source_on, v_s), the stacked powers of that step map).  `period`
-        checks that the path and the regime hold over the span."""
+        source_on, v_s), that step map's tables, made on first use).
+        `period` checks that the path and the regime hold over the span."""
         source_on = _source_margin(self.scenario, self.v_s, *x[:3].tolist(), path) >= 0.0
         key = (path, source_on, self.v_s)
-        entry = self.maps.get(key)
-        if entry is None:
+        step_map = self.maps.get(key)
+        if step_map is None:
             # Keep the step maps of the current hold voltage only (160 bytes
-            # per step of a period for the stack, 160 / g for its grid
-            # powers, some 730 / g for the tables): a source seldom returns
-            # to a voltage.
+            # per step of a period for the stack, 160 / g for its grid powers
+            # and 728 / g for the tables, 610 kB at n = 1000 and g = 2): a
+            # source seldom returns to a voltage.
             if self.maps and next(iter(self.maps))[2] != self.v_s:
                 self.maps.clear()
-            stack = self._powers(_step_map(self.scenario, *key))
-            entry = self.maps[key] = (stack, None, self._bound(key, stack))
-        return a, b, key, entry[0]
-
-    def _powers(self, m: np.ndarray) -> np.ndarray:
-        """M^k for k = 0 .. steps_per_period, laid out step-major as
-        stack[j, k, i] = (M^k)[i, j] over the four state rows, so that one
-        vector-matrix product of (x, 1) with stack[:, :k + 1] gives the
-        state after each of 0 .. k steps, one state after another."""
-        return np.ascontiguousarray(
-            _power_stack(m, self.n_period, slice(4)).transpose(2, 0, 1))
+            stack = np.ascontiguousarray(_power_stack(
+                _step_map(self.scenario, *key), self.n_period, slice(4)).transpose(2, 0, 1))
+            step_map = self.maps[key] = _StepMap(stack, *self._bound(key, stack),
+                                                 *self._quadrature(key))
+        return a, b, key, step_map
 
     def _checks(self, key: tuple) -> tuple:
         """The checks of a span a .. b along a step map: a matrix of
@@ -1079,10 +1081,10 @@ class _Engine:
                 margins.append(np.hstack([-neg, -pos, (hi - slack) - lm[:, 4:]]))
         return grid, np.vstack(margins).T, checks
 
-    def _quadrature(self, key: tuple, count: int) -> tuple:
+    def _quadrature(self, key: tuple) -> tuple:
         """The quadrature tables of a step map M, as weights on the
         monomials (`_FEATURES`) of the state y where they start, for r = 0
-        .. min(dec, n) steps and for j g steps, j = 0 .. count, g = gcd(n,
+        .. g steps and for j g steps, j = 0 .. n // g, a period, g = gcd(n,
         dec).  They take the basis y = (i_l, v_c_bus - v_c_o, v_c_o - v_s,
         soc, 1), x = T y: in x the meters' products multiply states of some
         24 V to give increments of the bus-to-rail drop, tens of mV, and
@@ -1118,8 +1120,8 @@ class _Engine:
         lifted = np.eye(len(f))
         lifted[:, :len(i)] = f[:, i] * h[:, j] + (i != j) * (f[:, j] * h[:, i])
         out = slice(len(i), None)           # the meters' and the sums' rows
-        small = _power_stack(lifted, min(scn.record_decimation, self.n_period), out)
-        grid = _power_stack(np.linalg.matrix_power(lifted, self.g), count, out)
+        small = _power_stack(lifted, self.g, out)
+        grid = _power_stack(np.linalg.matrix_power(lifted, self.g), self.n_period // self.g, out)
         table = grid[:, :4, :len(i) + 4].transpose(2, 0, 1).reshape(len(i) + 4, -1)
         return (small[:, :, :len(i)].transpose(0, 2, 1), table,
                 grid[:, 4:, :5].transpose(0, 2, 1).copy())
@@ -1138,22 +1140,17 @@ class _Engine:
         n, g = self.n_period, self.g
         weights = np.zeros((len(spans), 3, len(_FEATURES[0]), len(spans), 11))
         offsets, layout = [], []
-        for i, (a, end, key, _) in enumerate(spans):
+        for i, (a, end, _, step_map) in enumerate(spans):
             length = end - a
             c = min(-a % g, length)         # c = length: no grid point in the span
             points = len(range(c, length, g))
             last = c + max(points - 1, 0) * g
-            stack, quad, bound = self.maps[key]
-            if quad is None or len(quad[2]) < points:
-                # To the longest span seen, with room for one that hunts longer.
-                quad = self._quadrature(key, min(n // g, points + n // g // 16))
-                self.maps[key] = stack, quad, bound
-            small, table, sums = quad
+            small, table = step_map.small, step_map.table
             head, body, tail = weights[i, :, :, i]
             head[:, :7] = small[c]          # up to the first grid point
             head[:, 7:] = small[c, :, :4]
             if points:                      # to the last one
-                body[:5, 4:7] = sums[points - 1]
+                body[:5, 4:7] = step_map.sums[points - 1]
                 body[:, :4] = table[:-4, 4 * points - 4:4 * points]
             tail[:, :7] = small[length - last]  # to the span's end
             # As columns of a state's row of `xs`; a point at step n is the

@@ -11,10 +11,12 @@ scalar kernel alone, so they are also run at 64 steps per period, where
 the period kernel takes over.
 """
 
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bdcsim import sim
 from bdcsim.circuit import BatteryModel, CircuitState, ConverterParams
@@ -150,10 +152,10 @@ def log_batches(monkeypatch) -> list:
 @pytest.mark.parametrize("source", ["conducts", "blocks", "stiff"])
 @pytest.mark.parametrize("path", sorted(sim._PATHS))
 def test_quadrature_tables_match_steps(path, source):
-    """The period kernel's quadrature tables over r <= dec steps of one
-    path, from a state y: the meters y H_r y^T and the sums y S_r of i_l,
-    v_c_o and v_batt, against the scalar kernel's per-step sums over the
-    same r steps.  The stiff source starts below the bus it then clamps:
+    """The period kernel's quadrature tables over r <= g steps of one
+    path, g = dec = 4, from a state y: the meters y H_r y^T and the sums
+    y S_r of i_l, v_c_o and v_batt, against the scalar kernel's per-step
+    sums over the same r steps.  The stiff source starts below the bus it then clamps:
     on the clamp its current is v_s less the bus's unclamped next value
     times C_bus/dt, which carries that value's rounding, some 1e-10 of it,
     in either kernel."""
@@ -170,7 +172,7 @@ def test_quadrature_tables_match_steps(path, source):
     state = (i_l, 24.0, 23.976, 0.5)
     source_on = sim._source_margin(scn, v_s, *state[:3], path) >= 0.0
     assert source_on == (source != "blocks")
-    tables = sim._Engine(scn)._quadrature((path, source_on, v_s), 1)[0]
+    tables = sim._Engine(scn)._quadrature((path, source_on, v_s))[0]
     y = np.array([i_l, 24.0 - 23.976, 23.976 - v_s, 0.5, 1.0])
     monomials = y[sim._FEATURES[0]] * y[sim._FEATURES[1]]
     dec = scn.record_decimation
@@ -190,34 +192,44 @@ def test_quadrature_tables_match_steps(path, source):
 @pytest.mark.parametrize("path", sorted(sim._PATHS))
 def test_grid_tables_match_steps(path, source):
     """The period kernel's grid tables over j g steps of one path, g = 2
-    (samples every 6 steps of 1000), j <= 5: the meters from a state y
-    and start meters, and the sums of i_l, v_c_o and v_batt, against the
-    scalar kernel's per-step sums over the same j g steps."""
+    (samples every 6 steps of 1000), for every j up to n // g = 500, one
+    whole period: the meters from a state y and start meters, and the
+    sums of i_l, v_c_o and v_batt, against the scalar kernel's per-step
+    sums over the same j g steps, taken g steps per call.  A table holds
+    only while the path and the source regime do, which the scalar states
+    are checked for: a 5 ohm load draws more through the link than the
+    3 A that D1 returns to the bus, so the stiff source clamps it all
+    period."""
     r_source, v_s = {"conducts": (50.0, 30.0), "blocks": (50.0, 20.0),
                      "stiff": (0.0, 24.1)}[source]
     i_l = {"S1": 3.0, "S2": -3.0, "D2": 3.0, "D1": -3.0, "idle": 0.0}[path]
     state = CircuitState(i_l=i_l, v_c_bus=24.0, v_c_o=23.976, soc=0.5, t=0.0)
     scn = replace(weak_point_scenario(v_s), record_decimation=6, initial_state=state,
-                  params=ConverterParams(**{**STAGE, "r_load": 20.0}, r_source=r_source,
+                  params=ConverterParams(**{**STAGE, "r_load": 5.0}, r_source=r_source,
                                          r_on=0.05, v_f=0.7),
                   battery=BatteryModel(v_emf_full=12.6, v_emf_empty=11.8, r_int=0.1,
                                        capacity=7200.0, soc=0.5))
     source_on = sim._source_margin(scn, v_s, i_l, 24.0, 23.976, path) >= 0.0
     assert source_on == (source != "blocks")
-    _, table, sums = sim._Engine(scn)._quadrature((path, source_on, v_s), 5)
+    _, table, sums = sim._Engine(scn)._quadrature((path, source_on, v_s))
     y = np.array([i_l, 24.0 - 23.976, 23.976 - v_s, 0.5, 1.0])
     start = np.array([1.0, 2.0, -0.5, 0.25])
     at_y = np.concatenate([y[sim._FEATURES[0]] * y[sim._FEATURES[1]], start])
     g = 2
-    assert scn.steps_per_period == 1000 and len(sums) == 6
-    for j in range(1, 6):
-        eng = sim._Engine(scn)
-        eng.on1 = eng.n_period if path == "S1" else 0
-        eng.on2 = eng.n_period if path == "S2" else 0
-        eng.meters = start.tolist()
-        eng.euler(j * g)
+    assert scn.steps_per_period == 1000 and len(sums) == 1000 // g + 1
+    eng = sim._Engine(scn)
+    eng.on1 = eng.n_period if path == "S1" else 0
+    eng.on2 = eng.n_period if path == "S2" else 0
+    eng.meters = start.tolist()
+    step_sums = np.zeros(3)
+    for j in range(1, len(sums)):
+        eng.euler(g)                        # from step (j - 1) g to j g
+        step_sums += [avg * eng.n_period for avg in eng.avgs]
+        now, v_bus, v_o, _ = eng.plant      # still on the path, in the regime
+        assert np.sign(now) == np.sign(i_l), j
+        assert (sim._source_margin(scn, v_s, now, v_bus, v_o, path) >= 0.0) == source_on, j
         got = [*(at_y @ table[:, 4 * j:4 * j + 4]), *(y @ sums[j])]
-        want = [*eng.meters, *(avg * eng.n_period for avg in eng.avgs)]
+        want = [*eng.meters, *step_sums]
         names = CLOSE[6:] + ("i_l", "v_c_o", "v_batt")
         for name, a, w in zip(names, got, want):
             assert abs(a - w) <= 1e-11 * abs(w), (j, name, a, w)
@@ -247,9 +259,9 @@ def test_check_bound_is_sound(path, source):
                      24.0, 23.976, 0.5])
     source_on = sim._source_margin(scn, v_s, *base[:3], path) >= 0.0
     assert source_on == (source != "blocks")
-    key = (path, source_on, v_s)
-    stack = eng._powers(sim._step_map(scn, *key))
-    weights = eng._bound(key, stack)[1]
+    eng.maps, eng.v_s = {}, v_s             # as the period kernel's first call sets them
+    *_, step_map = eng._span(0, eng.n_period, path, np.append(base, 1.0))
+    stack, weights = step_map.stack, step_map.weights
     sign = sim._PATHS[path][3]
 
     def steps(x):
@@ -443,6 +455,24 @@ def test_bound_passes_the_taken_periods(name, monkeypatch, scenarios_dir):
     assert len(checked) <= 0.02 * taken
 
 
+@pytest.mark.parametrize("name", ["weak_point", "buck_charge"])
+def test_step_map_tables_built_once(name, monkeypatch, scenarios_dir):
+    """One run() builds each step map's tables once, whole, when a span
+    first meets the map: one check bound and one set of quadrature tables
+    per map, none built again for a longer span."""
+    built = {"_bound": [], "_quadrature": []}
+    for method, keys in built.items():
+        def counted(eng, key, *args, _build=getattr(sim._Engine, method), _keys=keys):
+            _keys.append(key)
+            return _build(eng, key, *args)
+        monkeypatch.setattr(sim._Engine, method, counted)
+    sim.run(weak_point_scenario(25.0) if name == "weak_point"
+            else parse_scenario_file(scenarios_dir / "buck_charge.scenario"))
+    keys = built["_bound"]
+    assert len(keys) == len(set(keys)) == 2
+    assert built["_quadrature"] == keys
+
+
 def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
     """A duty step that moves the gate counts stops a batch at the wrap
     it lands on: the batch keeps the periods before it, and that tick
@@ -568,3 +598,95 @@ def test_every_wrap_ticks_once(monkeypatch):
     sim._integrate(scn)
     wraps = -(-round(scn.t_end / scn.dt) // scn.steps_per_period)
     assert fast == counts == {"select_mode": wraps, "regulate": wraps}
+
+
+@st.composite
+def drawn_scenarios(draw) -> sim.Scenario:
+    """One of the operating points above at 64 to 200 steps per period,
+    with samples every 1 to 32 steps, so that g = gcd(n, dec) takes many
+    values, over 15 to 40 periods and sometimes a partial one.  Its source
+    starts at the point's voltage and holds or ramps up to each of up to
+    two drawn times, which fall anywhere in a period, and may step there;
+    the battery may be tiny and at SoC 0 or 1; the divergence bounds may
+    be just above the start state; the duty is fixed or closed-loop."""
+    base = draw(st.sampled_from([open_loop_buck(), weak_point_scenario(25.0),
+                                 source_at_bus_scenario(0.0), soc_saturation_scenario(),
+                                 soc_depletion_scenario()]))
+    n = draw(st.sampled_from([64, 72, 96, 100, 128, 200]))
+    dt = 1.0 / (STAGE["f_s"] * n)
+    t_end = (draw(st.integers(15, 40)) * n + draw(st.sampled_from([0, 1, n // 3, n - 1]))) * dt
+    v = base.source.segments[0].v_start
+    segments = []
+    for end in (*sorted(draw(st.sets(st.floats(0.1, 0.9), max_size=2))), 2.0):
+        ramp = end < 1.0 and draw(st.booleans())
+        v_end = max(0.0, v + draw(st.floats(-1.0, 1.0))) if ramp else v
+        segments.append(sim.SourceSegment(until=end * t_end, v_start=v, v_end=v_end))
+        v = max(0.0, v_end + draw(st.floats(-1.0, 1.0)))
+    state = base.start_state()
+    battery = base.battery
+    if draw(st.booleans()):
+        battery = replace(battery, capacity=0.05, soc=draw(st.sampled_from([0.0, 1.0])))
+        state = replace(state, soc=battery.soc)
+    volts = max(state.v_c_bus, state.v_c_o, *(max(s.v_start, s.v_end) for s in segments))
+    # Mostly no divergence bound in reach, else one this far above the start.
+    i_margin, v_margin = draw(st.lists(st.sampled_from([None, None, None, None, 0.05, 1.0]),
+                                       min_size=2, max_size=2))
+    duty = base.fixed_duty if base.fixed_duty is not None else base.initial_duty
+    fixed = draw(st.booleans())
+    return replace(
+        base, source=sim.SourceProfile(segments=tuple(segments)), battery=battery,
+        t_end=t_end, dt=dt, record_decimation=draw(st.integers(1, 32)),
+        i_limit=100.0 if i_margin is None else abs(state.i_l) + i_margin,
+        v_limit=200.0 if v_margin is None else volts + v_margin,
+        initial_state=state, fixed_duty=duty if fixed else None,
+        initial_duty=None if fixed else duty)
+
+
+def test_drawn_scenarios_match_scalar():
+    """run() against the scalar kernel on 50 drawn scenarios: each matches
+    it, or both raise SimulationDiverged with the same message and t.  The
+    draws reach every case they are meant to, and the period kernel takes
+    at least 55% of the whole periods of the scenarios that run to the
+    end (693 of 1086 when first measured), so the match is not that of a
+    kernel that declines everything."""
+    seen, periods = set(), []
+    with pytest.MonkeyPatch.context() as mp:
+        calls = log_batches(mp)
+
+        @settings(max_examples=50)
+        @given(drawn_scenarios())
+        def check(scn):
+            n = scn.steps_per_period
+            n_steps = round(scn.t_end / scn.dt)
+            seen.update({f"g={math.gcd(n, scn.record_decimation)}",
+                         "stiff" if scn.params.r_source == 0.0 else "weak",
+                         "fixed" if scn.fixed_duty is not None else "closed"})
+            for seg in scn.source.segments:
+                if seg.until < scn.t_end:
+                    seen.add("segment end")
+                if seg.v_start != seg.v_end:
+                    seen.add("ramp")
+            if scn.battery.capacity < 1.0 and scn.battery.soc in (0.0, 1.0):
+                seen.add("tiny battery at SoC 0 or 1")
+            if n_steps % n:
+                seen.add("partial period")
+            before = len(calls)
+            try:
+                assert_matches_scalar(scn)
+            except sim.SimulationDiverged:
+                with pytest.raises(sim.SimulationDiverged) as fast:
+                    sim.run(scn)
+                with pytest.raises(sim.SimulationDiverged) as ref:
+                    sim._integrate(scn)
+                assert (str(fast.value), fast.value.t) == (str(ref.value), ref.value.t)
+                del calls[before:]
+                seen.add("diverged")
+                return
+            periods.append(n_steps // n)
+
+        check()
+    assert len({tag for tag in seen if tag.startswith("g=")}) >= 3, seen
+    assert {"stiff", "weak", "fixed", "closed", "segment end", "ramp", "partial period",
+            "tiny battery at SoC 0 or 1", "diverged"} <= seen
+    taken = sum(taken for _, taken, *_ in calls)
+    assert taken >= 0.55 * sum(periods), (taken, sum(periods))
