@@ -155,10 +155,10 @@ def test_quadrature_tables_match_steps(path, source):
     """The period kernel's quadrature tables over r <= g steps of one
     path, g = dec = 4, from a state y: the meters y H_r y^T and the sums
     y S_r of i_l, v_c_o and v_batt, against the scalar kernel's per-step
-    sums over the same r steps.  The stiff source starts below the bus it then clamps:
-    on the clamp its current is v_s less the bus's unclamped next value
-    times C_bus/dt, which carries that value's rounding, some 1e-10 of it,
-    in either kernel."""
+    sums over the same r steps.  The stiff source starts below the bus it
+    then clamps: on the clamp its current is v_s less the bus's unclamped
+    next value times C_bus/dt, which carries that value's rounding, some
+    1e-10 of it, in either kernel."""
     r_source, v_s = {"conducts": (50.0, 30.0), "blocks": (50.0, 20.0),
                      "stiff": (0.0, 24.1)}[source]
     i_l = {"S1": 3.0, "S2": -3.0, "D2": 3.0, "D1": -3.0, "idle": 0.0}[path]
@@ -259,7 +259,7 @@ def test_check_bound_is_sound(path, source):
                      24.0, 23.976, 0.5])
     source_on = sim._source_margin(scn, v_s, *base[:3], path) >= 0.0
     assert source_on == (source != "blocks")
-    eng.maps, eng.v_s = {}, v_s             # as the period kernel's first call sets them
+    eng.maps, eng.v_s = {}, v_s             # as the period kernel and the tick set them
     *_, step_map = eng._span(0, eng.n_period, path, np.append(base, 1.0))
     stack, weights = step_map.stack, step_map.weights
     sign = sim._PATHS[path][3]
