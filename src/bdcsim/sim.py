@@ -89,7 +89,6 @@ _TRACE_FORMAT = (
     ("s2", np.bool_, "%d"),
 )
 TRACE_COLUMNS = tuple(name for name, _, _ in _TRACE_FORMAT)
-_TRACE_DTYPE = np.dtype([(name, dtype) for name, dtype, _ in _TRACE_FORMAT])
 _MODE_CODE = {name: code for code, name in MODE_NAMES.items()}
 # Reading: the mode column as bytes one wider than the longest mode name,
 # so that a longer name cannot match a mode once cut to that width, and
@@ -372,10 +371,10 @@ def _file_line(path, row: int) -> int:
         return next(itertools.islice(data, row, None))
 
 
-# The float rows of a recorded sample, in the order the kernels fill them:
-# time, the state (i_l, v_c_bus, v_c_o, soc) in `_step_map`'s order, the
-# battery terminal voltage, then the energy meters.  i_batt is the i_l row.
-_STEP_ROWS = ("time", "i_l", "v_c_bus", "v_c_o", "soc", "v_batt_terminal",
+# The rows of a recorded sample, in the order the kernels fill them: time,
+# the state (i_l, v_c_bus, v_c_o, soc) in `_step_map`'s order, then the
+# energy meters.  `_Engine.trace` derives the other columns.
+_STEP_ROWS = ("time", "i_l", "v_c_bus", "v_c_o", "soc",
               "e_source", "e_load", "e_battery", "e_link")
 # The plant law, one entry per conduction path, each one linear circuit.
 # The switch node sits at a*r_on*i_l + v0*v_f, plus v_bus where the high
@@ -544,16 +543,16 @@ class _Engine:
     """One integration of a scenario from its start state: the state carried
     between kernel calls, and the trace arrays it records into.
 
-    It records into `rec`, one row per name of `_STEP_ROWS` and one column
-    per sample, and into the typed arrays `mode`, `duty`, `s1` and `s2`.  It
-    carries `plant` = [i_l, v_bus, v_o, soc] and `meters` = [e_source,
-    e_load, e_battery, e_link] in that row order, `avgs` = the averages of
-    i_l, v_o and v_batt that the next tick reads (the start state's values
-    until a period is taken), the time t, the controller state `ctrl`, the
-    gate counts `on1` and `on2` of the current period, the source voltage
-    and the time until which it holds, and k, the steps taken.  It derives
-    from k the column of the next sample and the last step's gates.  For
-    the period kernel it keeps `ticked`, the k of the last tick, `held`,
+    The kernels record into `rec`, one row per name of `_STEP_ROWS` and one
+    column per sample; the tick records the controller into `record`, once
+    per period that holds a sample.  It carries `plant` = [i_l, v_bus, v_o,
+    soc] and `meters` = [e_source, e_load, e_battery, e_link] in that row
+    order, `avgs` = the averages of i_l, v_o and v_batt that the next tick
+    reads (the start state's values until a period is taken), the time t,
+    the controller state `ctrl`, the gate counts `on1` and `on2` of the
+    current period, the source voltage and the time until which it holds,
+    and k, the steps taken, from which it derives the next sample's column.
+    For the period kernel it keeps `ticked`, the k of the last tick, `held`,
     whether that tick kept the mode and the gate counts, and `batch`, the
     periods the next call tries after such a tick.
 
@@ -590,14 +589,16 @@ class _Engine:
         self.batch = 1
         n_rec = self.n_steps // scenario.record_decimation + 1
         self.rec = np.empty((len(_STEP_ROWS), n_rec))
-        self.mode, self.duty, self.s1, self.s2 = (
-            np.empty(n_rec, _TRACE_DTYPE[name]) for name in ("mode", "duty", "s1", "s2"))
+        self.record = []                    # the controller of each period with a sample
         self.maps = None                    # batched-period buffers, made on first use
 
     def tick(self) -> None:
         """The controller at a carrier wrap: mode and duty from the last
         period's averages, unless the duty is fixed; then the gate counts
-        of the period that starts, and whether they and the mode held."""
+        of the period that starts, and whether they and the mode held.  A
+        period that holds a recorded sample, the final instant included,
+        adds its wrap step, mode code, duty and gate counts (at most the
+        steps left, so int64 holds them) to `record`."""
         if self.t >= self.v_s_until:
             self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
         ctrl = self.ctrl
@@ -611,7 +612,11 @@ class _Engine:
             self.ctrl = ctrl = regulate(avg_vl, avg_i, avg_vb, ctrl, cfg)
         self.on1, self.on2 = gate_steps(ctrl.duty, ctrl.mode, self.n_period)
         self.held = (ctrl.mode, self.on1, self.on2) == before
-        self.ticked = self.k
+        self.ticked = k = self.k
+        left, n = self.n_steps - k, self.n_period
+        if -k % self.scenario.record_decimation <= (n - 1 if n < left else left):
+            self.record.append((k, MODE_CODES[ctrl.mode], ctrl.duty,
+                                min(self.on1, left), min(self.on2, left)))
 
     def emf(self, soc):
         """Battery EMF at a state of charge (a float or an array)."""
@@ -654,14 +659,10 @@ class _Engine:
         emf_span = b.v_emf_full - b.v_emf_empty
         r_int = b.r_int
         inv_capacity = 1.0 / b.capacity
-        mode_code = MODE_CODES[self.ctrl.mode]
-        duty = self.ctrl.duty
-        on1 = self.on1
-        on2 = self.on2
-        on = on1 + on2                      # the gate edge; one of them is zero
+        on = self.on1 + self.on2            # the gate edge; one of them is zero
 
         i_l, v_bus, v_o, soc = self.plant
-        a, v0, bus, sign = laws["S1" if on1 else "S2"]   # up to the gate edge
+        a, v0, bus, sign = laws["S1" if self.on1 else "S2"]   # up to the gate edge
         t = self.t
         acc_i = acc_vl = acc_vb = 0.0       # the period's sums, from its wrap
         e_src, e_load, e_batt, e_link = self.meters
@@ -670,7 +671,6 @@ class _Engine:
         col = -(-self.k // dec)             # column of the next sample
         j_rec = col * dec - self.k          # its step in this period
         samples = self.rec.T                # samples[col] takes a tuple faster than rec[:, col]
-        mode_a, duty_a, s1_a, s2_a = self.mode, self.duty, self.s1, self.s2
 
         seg = None                          # the source segment last found, from seg_start
         for j in range(n_steps):            # j: steps since the carrier wrap
@@ -682,11 +682,7 @@ class _Engine:
             v_batt = emf + r_int * i_l
 
             if j == j_rec:
-                samples[col] = (t, i_l, v_bus, v_o, soc, v_batt, e_src, e_load, e_batt, e_link)
-                mode_a[col] = mode_code
-                duty_a[col] = duty
-                s1_a[col] = j < on1
-                s2_a[col] = j < on2
+                samples[col] = (t, i_l, v_bus, v_o, soc, e_src, e_load, e_batt, e_link)
                 col += 1
                 j_rec += dec
 
@@ -783,10 +779,11 @@ class _Engine:
         every period of the stretch; a cumulative sum over the spans gives
         the meters where each starts; and one product per span with its
         map's table of the meters at every g-th step gives the meters along
-        its grid, of which a strided slice are the samples.
-        No meter or average is summed step by step.  They agree with the
-        scalar kernel's per-step sums to within 1e-9 of each column's
-        magnitude.
+        its grid, of which a strided slice are the samples'.  A sample
+        records its time, state and meters only; the ticks record the
+        controller.  No meter or average is summed step by step.  They
+        agree with the scalar kernel's per-step sums to within 1e-9 of each
+        column's magnitude.
 
         After a tick that kept them the kernel tries `batch` periods, else
         one, but never past _BATCH_STEPS steps (one period at least), the
@@ -827,9 +824,6 @@ class _Engine:
             self.steps = np.ones((n + 1, 5))    # one period's states, as (x, 1)
             self.ys = np.ones((6 * self.max_batch, 5))  # the spans' states, as (y, 1)
             self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
-            self.duties = np.empty(self.max_batch)     # each period's duty
-            # The grid points' periods and steps from their periods' wraps.
-            self.period_of, self.phase = np.divmod(np.arange(0, size, self.g), n)
         m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
         time = _step_times(self.t, scn.dt, self.counts[:m * n + 1], self.time[:m * n + 1])
         if time[n - 1] >= self.v_s_until:  # on a ramp, every period
@@ -900,8 +894,7 @@ class _Engine:
         plants = self.wraps[1:fit + 1, :4].tolist()
 
         # Wrap by wrap to the end of the batch, ticking inside it.
-        mode, on1, on2, k0 = self.ctrl.mode, self.on1, self.on2, self.k
-        self.duties[0] = self.ctrl.duty
+        k0 = self.k
         for taken in range(1, fit + 1):
             self.t, self.plant, self.avgs = times[taken - 1], plants[taken - 1], avgs[taken - 1]
             self.k = k0 + taken * n
@@ -909,7 +902,6 @@ class _Engine:
                 self.tick()
                 if not self.held:
                     break
-                self.duties[taken] = self.ctrl.duty
         self.meters = meters[len(spans) * taken].tolist()
         if taken == fit < m:                # the next period failed a check
             self.failed = (self.k, plan)
@@ -918,12 +910,11 @@ class _Engine:
         first = col * dec - k0              # its step, on the grid
         g = self.g
         samples = slice(first // g, taken * n // g, dec // g)   # their grid points
-        phase = self.phase[samples]
-        cols = slice(col, col + len(phase))
+        stamps = time[first:taken * n:dec]
+        cols = slice(col, col + len(stamps))
         rec = self.rec
-        rec[0, cols] = time[first:taken * n:dec]
+        rec[0, cols] = stamps
         rec[1:5, cols] = self.xs[:, :taken, :n // g].reshape(4, -1)[:, samples]
-        np.add(self.emf(rec[4, cols]), scn.battery.r_int * rec[1, cols], out=rec[5, cols])
         # The meters at each span's first grid point, then along its grid;
         # the grid's points, period after period, are every g-th step.
         at_first = np.empty((taken, len(spans), 4 + monomials.shape[3]))
@@ -936,11 +927,7 @@ class _Engine:
             for a in range(0, taken if points else 0, rows):
                 np.matmul(at_first[a:a + rows, i], table[:, :4 * points],
                           out=grid[a:a + rows, 4 * point:4 * (point + points)])
-        rec[6:, cols] = grid.reshape(-1, 4)[-k0 % dec // g::dec // g][:len(phase)].T
-        self.mode[cols] = MODE_CODES[mode]
-        self.duty[cols] = self.duties[self.period_of[samples]]
-        np.less(phase, on1, out=self.s1[cols])
-        np.less(phase, on2, out=self.s2[cols])
+        rec[5:, cols] = grid.reshape(-1, 4)[-k0 % dec // g::dec // g][:len(stamps)].T
         self.batch = min(2 * m, self.max_batch) if taken == m else 1
         return taken
 
@@ -1163,24 +1150,36 @@ class _Engine:
         return at, weights.reshape(-1, len(spans) * 11), layout
 
     def finish(self) -> None:
-        """Record the final instant when it falls on the decimation grid,
-        with the gates of the last step."""
-        col, off_grid = divmod(self.k, self.scenario.record_decimation)
-        if not off_grid:
-            j = (self.k - 1) % self.n_period
-            i_l, _, _, soc = self.plant
-            v_batt = self.emf(soc) + self.scenario.battery.r_int * i_l
-            self.rec[:, col] = (self.t, *self.plant, v_batt, *self.meters)
-            self.mode[col] = MODE_CODES[self.ctrl.mode]
-            self.duty[col] = self.ctrl.duty
-            self.s1[col] = j < self.on1
-            self.s2[col] = j < self.on2
+        """Record the final instant's time, state and meters when it falls
+        on the decimation grid."""
+        if not self.k % self.scenario.record_decimation:
+            self.rec[:, -1] = (self.t, *self.plant, *self.meters)
 
     def trace(self) -> Trace:
-        """The recorded arrays; every column is filled once k reaches n_steps."""
+        """The trace, once k reaches n_steps: `rec`'s rows, the battery
+        terminal voltage from the sampled soc and i_l as `euler` computes
+        it, and each entry of `record` over its period's samples.  A gate
+        is on at a sample j steps after its wrap where j is under the
+        gate's count, and at the final instant as at the last step.  With
+        no step there is no tick: the start controller, both gates off."""
+        dec, n_steps = self.scenario.record_decimation, self.n_steps
         rows = dict(zip(_STEP_ROWS, self.rec))
-        return Trace(i_batt=rows["i_l"], mode=self.mode, duty=self.duty, s1=self.s1,
-                     s2=self.s2, **rows)
+        v_batt = self.emf(rows["soc"])
+        v_batt += self.scenario.battery.r_int * rows["i_l"]
+        wraps, modes, duties, *ons = zip(
+            *self.record or [(0, MODE_CODES[self.ctrl.mode], self.ctrl.duty, 0, 0)])
+        starts = -(-np.array(wraps) // dec)     # each period's first sample
+        counts = np.diff(starts, append=self.rec.shape[1])
+        gates = []
+        for on in ons:          # period by period, on for its samples before the edge
+            before = -(-np.add(wraps, on) // dec) - starts
+            gates.append(np.repeat(np.tile([True, False], len(wraps)),
+                                   np.column_stack([before, counts - before]).ravel()))
+            if not n_steps % dec:
+                gates[-1][-1] = (n_steps - 1) % self.n_period < on[-1]
+        return Trace(v_batt_terminal=v_batt, i_batt=rows["i_l"],
+                     mode=np.repeat(np.array(modes, np.int8), counts),
+                     duty=np.repeat(np.array(duties), counts), s1=gates[0], s2=gates[1], **rows)
 
 
 def _drive(scenario: Scenario, batched: bool) -> Trace:

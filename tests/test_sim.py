@@ -26,7 +26,7 @@ from bdcsim.sim import (
     steady_window,
     trace_from_csv,
 )
-from test_golden import GOLDEN, build
+from test_golden import FIELDS, GOLDEN, build
 
 PARAMS = ConverterParams(v_bus_nominal=24.0, l_p=1e-3, c_bus=1000e-6, c_o=250e-6,
                          f_s=20e3, r_load=10.0)
@@ -342,6 +342,49 @@ class TestGating:
             mode = Mode(MODE_NAMES[int(trace.mode[i])])
             gates = pwm_gate((j % n) / n, round(trace.duty[i] * n) / n, mode)
             assert (trace.s1[i], trace.s2[i]) == (gates.s1_on, gates.s2_on), i
+
+    @pytest.mark.parametrize("kernel", ["run", "scalar"])
+    @pytest.mark.parametrize("end", ["whole", "partial", "start"])
+    @pytest.mark.parametrize("n", [20, 64])
+    def test_decimation_subsamples(self, n, end, kernel, scenarios_dir, monkeypatch):
+        """quick at n steps per period, ending on a wrap, inside a period or
+        at t = 0, sampled every dec steps: the trace is the dec = 1 trace at
+        steps c dec, exactly in time, mode, duty and gates, and in every
+        column for the scalar kernel.  Each sample's gates are pwm_gate's at
+        its step, the final instant's at the last step; with no step the one
+        sample has the start controller and both gates off.  Some dec put
+        samples next to the gate edges, and those above n leave periods with
+        no sample, or only the final instant; the engine records the
+        controller at most once per sample."""
+        entries = []
+        trace_of = sim._Engine.trace
+
+        def counted(eng):
+            entries.append(len(eng.record))
+            return trace_of(eng)
+
+        monkeypatch.setattr(sim._Engine, "trace", counted)
+        integrate = run if kernel == "run" else sim._integrate
+        base = build("quick", scenarios_dir)
+        dt = 1.0 / (base.params.f_s * n)
+        n_steps = {"whole": 10 * n, "partial": 10 * n + 7, "start": 0}[end]
+        base = replace(base, dt=dt, t_end=n_steps * dt)
+        assert round(base.t_end / dt) == n_steps
+        full = integrate(replace(base, record_decimation=1))
+        for dec in (3, 19, 20, 21, 40, 64, 65, 130, 200):
+            sub = integrate(replace(base, record_decimation=dec))
+            assert len(sub) == n_steps // dec + 1 and entries[-1] <= len(sub), dec
+            for name in FIELDS if kernel == "scalar" else ("time", "mode", "duty", "s1", "s2"):
+                assert np.array_equal(getattr(sub, name), getattr(full, name)[::dec]), (dec, name)
+            if not n_steps:
+                assert (sub.mode.tolist(), sub.duty.tolist()) == ([MODE_CODES[Mode.TRICKLE]],
+                                                                  [base.initial_duty])
+                assert not (sub.s1.any() or sub.s2.any())
+                continue
+            for i, j in enumerate(np.minimum(np.arange(len(sub)) * dec, n_steps - 1).tolist()):
+                mode = Mode(MODE_NAMES[int(sub.mode[i])])
+                gates = pwm_gate((j % n) / n, round(sub.duty[i] * n) / n, mode)
+                assert (sub.s1[i], sub.s2[i]) == (gates.s1_on, gates.s2_on), (dec, i)
 
 
 class TestSteadyWindow:
