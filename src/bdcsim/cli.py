@@ -76,6 +76,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _csv_report(header: str, rows) -> list[str]:
+    """A machine-readable report: its header, then one `name,value` line
+    per (name, value) row."""
+    return [header, *(f"{name},{value:.9g}" for name, value in rows)]
+
+
 def _emit(lines: list[str], output: Path | None) -> None:
     text = "\n".join(lines) + "\n"
     if output is None:
@@ -97,13 +103,8 @@ def cmd_design(args: argparse.Namespace) -> int:
         spec = DesignSpec(**values)
     result = design(spec)
     if args.format == "csv":
-        lines = ["quantity,value",
-                 f"d1,{result.d1:.9g}",
-                 f"d2,{result.d2:.9g}",
-                 f"l_min,{result.l_min:.9g}",
-                 f"l_max,{result.l_max:.9g}",
-                 f"c_out,{result.c_out:.9g}",
-                 f"dv,{result.dv:.9g}"]
+        lines = _csv_report("quantity,value",
+                            ((f.name, getattr(result, f.name)) for f in fields(result)))
     else:
         lines = [
             "converter design",
@@ -163,31 +164,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def _analyze_regulation(path: Path, args: argparse.Namespace) -> list[str]:
     rows = analysis.read_regulation_csv(path)
-    lines = []
     if args.nominal is not None:
         pct = analysis.load_regulation(rows, v_nominal=args.nominal)
+        if args.format == "csv":
+            return _csv_report("metric,value", [("load_regulation_percent", pct)])
         ordered = sorted(rows, key=lambda r: r.setting)
-        if args.format == "csv":
-            return ["metric,value", f"load_regulation_percent,{pct:.9g}"]
-        lines.append(f"load regulation ({len(rows)} rows, nominal {args.nominal:g} V)")
-        lines.append(f"  full load: {ordered[0].setting:g} ohm -> {ordered[0].v_out:g} V")
-        lines.append(f"  min load: {ordered[-1].setting:g} ohm -> {ordered[-1].v_out:g} V")
-        lines.append(f"  load regulation: {pct:.3g}%")
-    else:
-        result = analysis.line_regulation(rows)
-        if args.format == "csv":
-            lines = ["metric,value"]
-            for a, b, pct in result.pairs:
-                lines.append(f"pair_{a:g}_{b:g}_percent,{pct:.9g}")
-            lines.append(f"max_pair_percent,{result.max_percent:.9g}")
-            lines.append(f"full_span_percent,{result.full_span_percent:.9g}")
-            return lines
-        lines.append(f"line regulation ({len(rows)} rows)")
-        for a, b, pct in result.pairs:
-            lines.append(f"  {a:g} V -> {b:g} V: {pct:.3g}%")
-        lines.append(f"  max consecutive-pair: {result.max_percent:.3g}%")
-        lines.append(f"  full span: {result.full_span_percent:.3g}%")
-    return lines
+        return [f"load regulation ({len(rows)} rows, nominal {args.nominal:g} V)",
+                f"  full load: {ordered[0].setting:g} ohm -> {ordered[0].v_out:g} V",
+                f"  min load: {ordered[-1].setting:g} ohm -> {ordered[-1].v_out:g} V",
+                f"  load regulation: {pct:.3g}%"]
+    result = analysis.line_regulation(rows)
+    if args.format == "csv":
+        return _csv_report("metric,value", [
+            *((f"pair_{a:g}_{b:g}_percent", pct) for a, b, pct in result.pairs),
+            ("max_pair_percent", result.max_percent),
+            ("full_span_percent", result.full_span_percent)])
+    return [f"line regulation ({len(rows)} rows)",
+            *(f"  {a:g} V -> {b:g} V: {pct:.3g}%" for a, b, pct in result.pairs),
+            f"  max consecutive-pair: {result.max_percent:.3g}%",
+            f"  full span: {result.full_span_percent:.3g}%"]
 
 
 def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
@@ -198,6 +193,8 @@ def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
     metrics = steady_window(trace, n_periods=args.periods, f_s=f_s)
     lines = [f"trace: {path} ({len(trace)} samples, {trace.time[-1]:.6f} s)"]
     lines.extend(_summarize(metrics))
+    rows = [("i_l_p2p", metrics.p2p["i_l"]), ("mean_v_c_o", metrics.mean["v_c_o"]),
+            ("mean_i_batt", metrics.mean["i_batt"])]
     dominant = max(metrics.mode_occupancy, key=metrics.mode_occupancy.get)
     d = metrics.mean["duty"]
     v_bus = metrics.mean["v_c_bus"]
@@ -210,27 +207,16 @@ def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
         pred = None
     if pred is not None:
         lo, hi = analysis.current_envelope(metrics.mean["i_batt"], pred.ripple)
-        if args.format == "csv":
-            return ["metric,value",
-                    f"i_l_p2p,{metrics.p2p['i_l']:.9g}",
-                    f"mean_v_c_o,{metrics.mean['v_c_o']:.9g}",
-                    f"mean_i_batt,{metrics.mean['i_batt']:.9g}",
-                    f"predicted_ripple,{pred.ripple:.9g}",
-                    f"predicted_ripple_companion,{pred.companion:.9g}",
-                    f"envelope_min,{lo:.9g}",
-                    f"envelope_max,{hi:.9g}"]
+        rows += [("predicted_ripple", pred.ripple),
+                 ("predicted_ripple_companion", pred.companion),
+                 ("envelope_min", lo), ("envelope_max", hi)]
         lines.append(f"  predicted ripple ({dominant}): {pred.ripple:.4g} A "
                      f"(companion form {pred.companion:.4g} A)")
         lines.append(f"  current envelope: {lo:.4g} .. {hi:.4g} A "
                      f"around mean {metrics.mean['i_batt']:.4g} A")
     else:
-        if args.format == "csv":
-            return ["metric,value",
-                    f"i_l_p2p,{metrics.p2p['i_l']:.9g}",
-                    f"mean_v_c_o,{metrics.mean['v_c_o']:.9g}",
-                    f"mean_i_batt,{metrics.mean['i_batt']:.9g}"]
         lines.append("  trickle-dominated window: no ripple prediction")
-    return lines
+    return _csv_report("metric,value", rows) if args.format == "csv" else lines
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:

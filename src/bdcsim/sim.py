@@ -410,13 +410,6 @@ _BATCH_STEPS = 1 << 13
 # y itself, then the ten products of its four states.
 _FEATURES = np.array([(i, 4) for i in range(5)]
                      + [(i, j) for i in range(4) for j in range(i, 4)]).T
-# The most multiply-adds of one matrix product: OpenBLAS takes a larger one
-# on several threads, and waking them cost 10-30x the product's own time
-# (2 cores, OpenBLAS 0.3 with its default threshold of 2^18).  Cutting the
-# sample-grid products into row blocks under it ran buck_charge's run() at a
-# median 0.150 s against 0.173 s, and line_sweep's points at 0.288 s against
-# 0.280 s (8 alternating runs each).
-_GEMM_MACS = 1 << 18
 # The period kernel's rounding slack: a check passes a period without its
 # steps only by more than this share of the checked functional's terms at
 # the state bounds (`_Engine._bound`).
@@ -796,9 +789,7 @@ class _Engine:
 
         Returns 0, with the run's state unchanged, when the first period
         fails a check or the source changes within it; the scalar kernel
-        then takes that period.  A period that failed a check in the last
-        call is declined without being computed again when it starts with
-        the same spans (`failed`).
+        then takes that period.
         """
         scn = self.scenario
         n = self.n_period
@@ -808,7 +799,6 @@ class _Engine:
             self.max_batch = size // n
             self.maps = {}                  # by step map: its tables (`_StepMap`)
             self.plan = None                # the spans of the period map in `powers`
-            self.failed = None              # (wrap, plan) of a period that failed a check
             self.counts = np.arange(size + 1.0)
             self.time = np.empty(size + 1)  # the time before each step
             # The states the kernel computes: at each wrap and at the start
@@ -846,11 +836,6 @@ class _Engine:
         if on < n:
             spans.append(self._span(on, n, _off_path(float(x[0])), x))
         plan = (on, *(key for _, _, key, _ in spans))
-        if (self.k, plan) == self.failed:
-            # The period that failed a check in the last call, from the
-            # same state along the same maps: it fails it again.
-            self.batch = 1
-            return 0
         if plan != self.plan:
             phi = np.eye(5)                 # the period map on (x, 1) as a row vector
             for a, b, _, step_map in spans:
@@ -903,8 +888,6 @@ class _Engine:
                 if not self.held:
                     break
         self.meters = meters[len(spans) * taken].tolist()
-        if taken == fit < m:                # the next period failed a check
-            self.failed = (self.k, plan)
 
         col = -(-k0 // dec)                 # column of the next sample
         first = col * dec - k0              # its step, on the grid
@@ -923,11 +906,9 @@ class _Engine:
         at_first[:, :, :-4] = monomials[:taken, :, 1]
         grid = np.empty((taken, 4 * (n // g)))
         for i, (point, points, table) in enumerate(layout):
-            rows = max(1, _GEMM_MACS // (len(table) * 4 * points)) if points else taken
-            for a in range(0, taken if points else 0, rows):
-                np.matmul(at_first[a:a + rows, i], table[:, :4 * points],
-                          out=grid[a:a + rows, 4 * point:4 * (point + points)])
-        rec[5:, cols] = grid.reshape(-1, 4)[-k0 % dec // g::dec // g][:len(stamps)].T
+            np.matmul(at_first[:, i], table[:, :4 * points],
+                      out=grid[:, 4 * point:4 * (point + points)])
+        rec[5:, cols] = grid.reshape(-1, 4)[samples].T
         self.batch = min(2 * m, self.max_batch) if taken == m else 1
         return taken
 

@@ -126,26 +126,18 @@ def open_loop_buck(**changes) -> sim.Scenario:
 def log_batches(monkeypatch) -> list:
     """Patches the period kernel to log, per call, the periods a batch
     could try (`batch`, or 1 after a tick that moved the gate counts), the
-    periods it took, whether the wrap it stopped at was ticked (a tick
-    that moved the gate counts stopped it, or it declined), and whether it
-    computed the states of its periods."""
+    periods it took, and whether the wrap it stopped at was ticked (a tick
+    that moved the gate counts stopped it, or it declined)."""
     calls = []
-    kernel, states = sim._Engine.period, sim._Engine._states
-    computed = []
+    kernel = sim._Engine.period
 
     def logged(eng):
         offered = eng.batch if eng.held else 1
-        computed.clear()
         taken = kernel(eng)
-        calls.append((offered, taken, eng.ticked == eng.k, bool(computed)))
+        calls.append((offered, taken, eng.ticked == eng.k))
         return taken
 
-    def counted(eng, *args):
-        computed.append(True)
-        return states(eng, *args)
-
     monkeypatch.setattr(sim._Engine, "period", logged)
-    monkeypatch.setattr(sim._Engine, "_states", counted)
     return calls
 
 
@@ -479,7 +471,7 @@ def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
     stands for the wrap (the next call takes its period)."""
     calls = log_batches(monkeypatch)
     assert_matches_scalar(weak_point_scenario(20.0))
-    stopped = [(offered, taken) for offered, taken, ticked, _ in calls
+    stopped = [(offered, taken) for offered, taken, ticked in calls
                if ticked and 0 < taken < offered]
     assert stopped and all(offered == 8 for offered, _ in stopped)
 
@@ -521,9 +513,7 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
     small for continuous conduction, the SoC clamp of a battery filling
     up, or a weak source that starts to conduct as a boost-held bus sags
     below it.  The batch keeps the periods before it and the scalar
-    kernel takes that period.  The next call, at its wrap, declines it
-    without computing its states again when it starts with the batch's
-    spans."""
+    kernel takes that period."""
     if case == "dcm":
         scn = open_loop_buck(fixed_duty=0.45, initial_state=CircuitState(
             i_l=3.0, v_c_bus=24.0, v_c_o=23.95, soc=0.5, t=0.0))
@@ -543,9 +533,6 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
     takes = [taken for _, taken, *_ in calls]
     cut = next(i for i, (offered, taken, *_) in enumerate(calls) if 0 < taken < offered)
     assert takes[cut + 1] == 0, "the failing period goes to the scalar kernel"
-    # The source case's failing period starts its off-interval with the
-    # source conducting: other spans than the batch's, computed afresh.
-    assert calls[cut + 1][3] == (case == "source"), "a failing period is computed once"
     if case == "dcm":
         assert (trace.i_l == 0.0).any()
     elif case == "source":

@@ -2,7 +2,10 @@
 
 import pytest
 
+from bdcsim import analysis
 from bdcsim.cli import main
+from bdcsim.design import DesignSpec, design
+from bdcsim.sim import steady_window, trace_from_csv
 
 DESIGN_FLAGS = ["design", "--pv-voltage", "24", "--pv-current", "3",
                 "--battery-voltage", "12", "--switching-frequency", "20k",
@@ -326,3 +329,88 @@ def test_usage_error_exit_code():
 
 def test_help_exits_clean():
     assert main(["--help"]) == 0
+
+
+def csv_report(argv, header, capsys) -> list:
+    """The rows of a `--format csv` report as (name, value) pairs, after
+    checking its header."""
+    assert main(argv + ["--format", "csv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == header
+    return [(name, float(value)) for name, value in (line.split(",") for line in lines[1:])]
+
+
+def assert_rows(got, expected):
+    """Every row name in order, and every value as printed (9 significant
+    digits) to a relative 1e-12."""
+    assert [name for name, _ in got] == [name for name, _ in expected]
+    for (name, value), (_, want) in zip(got, expected):
+        assert value == pytest.approx(float(f"{want:.9g}"), rel=1e-12, abs=0.0), name
+
+
+class TestMachineReadableReports:
+    """Each `--format csv` report, row by row, against the library's own
+    numbers: `design`, `analysis` and `steady_window` called directly."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, scenarios_dir, tmp_path_factory):
+        """Trace CSVs whose steady windows are charging (quick),
+        discharging (boost_discharge) and trickle (quick's trace with its
+        mode column rewritten)."""
+        root = tmp_path_factory.mktemp("traces")
+        paths = {}
+        for name in ("quick", "boost_discharge"):
+            paths[name] = root / f"{name}.csv"
+            assert main(["simulate", str(scenarios_dir / f"{name}.scenario"),
+                         "--output", str(paths[name])]) == 0
+        paths["trickle"] = root / "trickle.csv"
+        paths["trickle"].write_bytes(
+            paths["quick"].read_bytes().replace(b",charging,", b",trickle,"))
+        return paths
+
+    def test_design(self, capsys):
+        result = design(DesignSpec(pv_voltage=24.0, pv_current=3.0, battery_voltage=12.0,
+                                   switching_frequency=20e3, load_voltage=24.0,
+                                   load_current=2.4, ripple_current=0.3))
+        got = csv_report(DESIGN_FLAGS, "quantity,value", capsys)
+        assert_rows(got, [
+            ("d1", result.d1), ("d2", result.d2), ("l_min", result.l_min),
+            ("l_max", result.l_max), ("c_out", result.c_out), ("dv", result.dv)])
+
+    def test_line_regulation(self, data_dir, capsys):
+        path = data_dir / "table1.csv"
+        result = analysis.line_regulation(analysis.read_regulation_csv(path))
+        got = csv_report(["analyze", str(path)], "metric,value", capsys)
+        assert len(result.pairs) == 4
+        assert_rows(got, [
+            *((f"pair_{a:g}_{b:g}_percent", pct) for a, b, pct in result.pairs),
+            ("max_pair_percent", result.max_percent),
+            ("full_span_percent", result.full_span_percent)])
+
+    def test_load_regulation(self, data_dir, capsys):
+        path = data_dir / "table2.csv"
+        pct = analysis.load_regulation(analysis.read_regulation_csv(path), v_nominal=24.0)
+        got = csv_report(["analyze", str(path), "--nominal", "24"], "metric,value", capsys)
+        assert_rows(got, [("load_regulation_percent", pct)])
+
+    @pytest.mark.parametrize("name, dominant", [("quick", "charging"),
+                                                ("boost_discharge", "discharging"),
+                                                ("trickle", "trickle")])
+    def test_trace(self, traces, name, dominant, capsys):
+        path = traces[name]
+        metrics = steady_window(trace_from_csv(path), n_periods=20, f_s=20e3)
+        assert max(metrics.mode_occupancy, key=metrics.mode_occupancy.get) == dominant
+        expected = [("i_l_p2p", metrics.p2p["i_l"]), ("mean_v_c_o", metrics.mean["v_c_o"]),
+                    ("mean_i_batt", metrics.mean["i_batt"])]
+        if dominant != "trickle":
+            predict = (analysis.predicted_ripple_buck if dominant == "charging"
+                       else analysis.predicted_ripple_boost)
+            pred = predict(metrics.mean["v_c_bus"], metrics.mean["v_batt_terminal"], 1e-3,
+                           metrics.mean["duty"], 20e3)
+            lo, hi = analysis.current_envelope(metrics.mean["i_batt"], pred.ripple)
+            expected += [("predicted_ripple", pred.ripple),
+                         ("predicted_ripple_companion", pred.companion),
+                         ("envelope_min", lo), ("envelope_max", hi)]
+        got = csv_report(["analyze", str(path), "--inductance", "1m",
+                          "--switching-frequency", "20k"], "metric,value", capsys)
+        assert_rows(got, expected)
