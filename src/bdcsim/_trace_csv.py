@@ -1,25 +1,42 @@
-"""The trace CSV writer's block formatter.
+"""The trace CSV format: the block writer and the block reader.
 
-It turns a block of rows into bytes with integer arithmetic and digit tables,
-exactly as the printf formats of `sim._TRACE_FORMAT` would.  A row is a run
-of fields in a uint8 matrix, each filled with 4- and 8-byte cells through
-strided uint32/uint64 views of it; the bytes a value does not use stay NUL
-and are dropped from the whole block at once.  A float becomes one int64,
-its rounded magnitude times 10^9 (%.9f) or times 10^12 (%.9g, nine
-significant digits), which splits into an integer part and groups of four
-decimals.  The rounding is float64 `rint` of the scaled value, taken only
-where that value lies farther from a .5 tie than the scaling's rounding
-error; any other element, and every value outside the ranges these paths
-cover, is formatted by printf into its field.
+The writer turns a block of rows into bytes with integer arithmetic and
+digit tables, exactly as the printf formats of `sim._TRACE_FORMAT` would.
+A row is a run of fields in a uint8 matrix, each filled with 4- and 8-byte
+cells through strided uint32/uint64 views of it; the bytes a value does not
+use stay NUL and are dropped from the whole block at once.  A float becomes
+one int64, its rounded magnitude times 10^9 (%.9f) or times 10^12 (%.9g,
+nine significant digits), which splits into an integer part and groups of
+four decimals.  The rounding is float64 `rint` of the scaled value, taken
+only where that value lies farther from a .5 tie than the scaling's
+rounding error; any other element, and every value outside the ranges
+these paths cover, is formatted by printf into its field.
+
+The reader parses blocks of `sim._READ_BLOCK` rows with `np.loadtxt` and
+checks every row, in the order a reader of the whole file would.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
+import math
+import os
+import re
+import warnings
 
 import numpy as np
 
-from .sim import _TRACE_FORMAT, MODE_NAMES, TRACE_COLUMNS, Trace
+from . import sim
+from .sim import _CSV_BLOCK, _MODE_CODE, _TRACE_FORMAT, MODE_NAMES, TRACE_COLUMNS, Trace
+
+# Reading: the mode column as bytes one wider than the longest mode name,
+# so that a longer name cannot match a mode once cut to that width.
+_READ_DTYPE = np.dtype([
+    (name, f"S{max(map(len, _MODE_CODE)) + 1}" if name == "mode" else dtype)
+    for name, dtype, _ in _TRACE_FORMAT])
+# The fewest bytes a row takes: every value 0, the shortest mode name.
+MIN_ROW_BYTES = len("0.000000000,0,0,0,0,0,0,,0,0,0\r\n") + min(map(len, _MODE_CODE))
 
 
 @functools.cache
@@ -150,3 +167,99 @@ def csv_block(trace: Trace, a: int, b: int) -> bytes:
         if text:
             out[rows, off:off + w] = np.array(text, f"S{w}").view(np.uint8).reshape(-1, w)
     return out.tobytes().translate(None, b"\0")
+
+
+def write_csv(path, blocks) -> None:
+    """Write a trace CSV from `blocks`, consecutive Traces of its rows, each
+    written before the next is drawn, into a temporary file that is renamed
+    onto `path` after the last.  Whatever raises, the source of the blocks
+    included, removes the temporary file and leaves `path` as it was."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
+            for block in blocks:
+                for a in range(0, len(block), _CSV_BLOCK):
+                    fh.write(csv_block(block, a, a + _CSV_BLOCK))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def read_blocks(path):
+    """The rows of a trace CSV in blocks of `sim._READ_BLOCK` rows, each a
+    Trace whose columns are views of the parsed block, with no meters,
+    valid until the next is drawn.  Errors raise ValueError in the order a reader
+    of the whole file meets them: a malformed row with the path and numpy's
+    row and column, counted from the first data row, and an unknown mode
+    with the path and the file line, in the block that holds it; once every
+    row is parsed, a non-finite value with the path, the file line and the
+    first column in TRACE_COLUMNS order that holds one, then a time below
+    the time of the row before it."""
+    bad = {}            # per float column, its first non-finite row and value
+    back = None         # the first row whose time is below its predecessor's
+    last = -math.inf    # the time of the row before the block
+    n = 0
+    width = sim._READ_BLOCK
+    with open(path, "rb") as fh:
+        header = fh.readline().decode(errors="replace").rstrip("\r\n")
+        if tuple(header.split(",")) != TRACE_COLUMNS:
+            raise ValueError(f"{path}: not a trace CSV (unexpected header)")
+        while True:
+            with warnings.catch_warnings():
+                # A header-only file, a last block that ends the file or a
+                # blank line (which a block does not count as a row) is no
+                # warning.
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
+                try:
+                    rows = np.loadtxt(fh, dtype=_READ_DTYPE, delimiter=",", comments=None,
+                                      ndmin=1, max_rows=width)
+                except ValueError as exc:
+                    message = re.sub(r"at row (\d+)",
+                                     lambda m: f"at row {int(m[1]) + n}", str(exc))
+                    raise ValueError(f"{path}: {message}") from exc
+            codes = np.full(len(rows), -1, np.int8)
+            for name, code in _MODE_CODE.items():
+                codes[rows["mode"] == name.encode()] = code
+            if (codes < 0).any():
+                i = int(np.argmax(codes < 0))
+                raise ValueError(f"{path}: line {_file_line(path, n + i)}: "
+                                 f"mode {rows['mode'][i].decode(errors='replace')!r} is not "
+                                 f"one of {', '.join(_MODE_CODE)}")
+            for name, dtype, _ in _TRACE_FORMAT:
+                if dtype == np.float64 and name not in bad:
+                    finite = np.isfinite(rows[name])
+                    if not finite.all():
+                        i = int(np.argmin(finite))
+                        bad[name] = (n + i, rows[name][i])
+            time = rows["time"]
+            if back is None and len(rows):
+                down = np.flatnonzero(time < np.append(last, time[:-1]))
+                back = n + int(down[0]) if len(down) else None
+                last = time[-1]
+            yield Trace(**{name: codes if name == "mode" else rows[name]
+                           for name in TRACE_COLUMNS})
+            n += len(rows)
+            if len(rows) < width:
+                break
+    for name in TRACE_COLUMNS:
+        if name in bad:
+            row, value = bad[name]
+            raise ValueError(f"{path}: line {_file_line(path, row)}: {name} is {value}, "
+                             f"not finite")
+    if back is not None:
+        raise ValueError(f"{path}: line {_file_line(path, back)}: time "
+                         f"decreases from the line before")
+
+
+def _file_line(path, row: int) -> int:
+    """The file line, from 1 at the header, of data row `row`, from 0;
+    np.loadtxt skips empty lines, so they are counted here."""
+    with open(path, "rb") as fh:
+        lines = enumerate(fh, 1)
+        next(lines)
+        data = (line_no for line_no, line in lines if line.rstrip(b"\r\n"))
+        return next(itertools.islice(data, row, None))

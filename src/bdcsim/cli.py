@@ -7,6 +7,7 @@ violated preconditions), 2 numerical divergence of a simulation.
 from __future__ import annotations
 
 import argparse
+import shutil
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -20,7 +21,19 @@ from .scenario import (
     parse_quantity,
     parse_scenario_file,
 )
-from .sim import SimulationDiverged, WindowMetrics, run, steady_window, trace_from_csv
+# `run`, `steady_window` and `trace_from_csv` are the whole-trace forms of
+# what the subcommands stream; benchmark/tracing.py times calls through
+# these names of this module, so they stay bound here.
+from .sim import (  # noqa: F401
+    SimulationDiverged,
+    WindowMetrics,
+    _Window,
+    run,
+    run_blocks,
+    steady_window,
+    trace_from_csv,
+)
+from ._trace_csv import MIN_ROW_BYTES, read_blocks, write_csv
 
 _DESIGN_FLAGS = (
     ("pv-voltage", "PV array voltage [V]"),
@@ -136,27 +149,45 @@ def _summarize(metrics: WindowMetrics) -> list[str]:
     ]
 
 
+def _check_room(scenario, out_path: Path) -> None:
+    """Refuse, before the first step, a trace larger than the free space
+    of the file system it is to be written to, at its least row width."""
+    least = scenario.samples * MIN_ROW_BYTES
+    free = shutil.disk_usage(out_path.parent).free
+    if least > free:
+        raise ValueError(f"cannot allocate {scenario.samples} trace rows for {out_path}: "
+                         f"they take at least {least} bytes, and {free} are free")
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     if args.output is not None and len(args.scenarios) > 1:
         raise ValueError("--output works with a single scenario; use --output-dir")
     for path in args.scenarios:
         scenario = parse_scenario_file(path)
-        trace = run(scenario)
-        # Before the write, so an invalid window leaves no trace file.
-        metrics = steady_window(trace, n_periods=args.periods, f_s=scenario.params.f_s)
         if args.output is not None:
             out_path = args.output
         else:
             directory = args.output_dir if args.output_dir is not None else path.parent
             directory.mkdir(parents=True, exist_ok=True)
             out_path = directory / (path.stem + ".trace.csv")
-        trace.to_csv(out_path)
+        _check_room(scenario, out_path)
+        window = _Window(args.periods, scenario.params.f_s)
+        metrics = []
+
+        def blocks():
+            for block in run_blocks(scenario):
+                window.add(block)
+                yield block
+            # Before the rename, so an invalid window leaves no trace file.
+            metrics.append(window.metrics())
+
+        write_csv(out_path, blocks())
         # Each summary as soon as its trace is written, so a later
         # scenario's error does not hide it.
         lines = [f"scenario: {path}",
-                 f"  simulated {trace.time[-1]:.6f} s "
-                 f"({len(trace)} samples, dt {scenario.dt:.3g} s)",
-                 *_summarize(metrics),
+                 f"  simulated {metrics[0].t_end:.6f} s "
+                 f"({window.rows} samples, dt {scenario.dt:.3g} s)",
+                 *_summarize(metrics[0]),
                  f"  trace written: {out_path}"]
         print("\n".join(lines), flush=True)
     return 0
@@ -188,10 +219,12 @@ def _analyze_regulation(path: Path, args: argparse.Namespace) -> list[str]:
 def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
     if args.inductance is None or args.switching_frequency is None:
         raise ValueError("trace analysis needs --inductance and --switching-frequency")
-    trace = trace_from_csv(path)
     f_s = args.switching_frequency
-    metrics = steady_window(trace, n_periods=args.periods, f_s=f_s)
-    lines = [f"trace: {path} ({len(trace)} samples, {trace.time[-1]:.6f} s)"]
+    window = _Window(args.periods, f_s)
+    for block in read_blocks(path):
+        window.add(block)
+    metrics = window.metrics()
+    lines = [f"trace: {path} ({window.rows} samples, {metrics.t_end:.6f} s)"]
     lines.extend(_summarize(metrics))
     rows = [("i_l_p2p", metrics.p2p["i_l"]), ("mean_v_c_o", metrics.mean["v_c_o"]),
             ("mean_i_batt", metrics.mean["i_batt"])]

@@ -12,8 +12,8 @@ period kernel's checks once, in a table of functionals of the state
 (`_Engine._checks`) that its bound and its per-step check read: a new
 check is one row.
 
-Two kernels take the steps and one driver (`_drive`) calls them: a
-controller tick at every carrier wrap, then one kernel call from there, so
+Two kernels take the steps and one driver (`_Engine.advance`) calls them:
+a controller tick at every carrier wrap, then one kernel call from there, so
 every kernel call starts at a wrap and every wrap ticks once.  The scalar
 kernel (`_Engine.euler`, used alone by `_integrate`, the reference) takes
 one Euler step at a time.  The period kernel (`_Engine.period`) serves
@@ -50,11 +50,7 @@ profile voltage (panel-side sensing), not the converter-held bus.
 from __future__ import annotations
 
 import collections
-import itertools
 import math
-import os
-import re
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,13 +86,8 @@ _TRACE_FORMAT = (
 )
 TRACE_COLUMNS = tuple(name for name, _, _ in _TRACE_FORMAT)
 _MODE_CODE = {name: code for code, name in MODE_NAMES.items()}
-# Reading: the mode column as bytes one wider than the longest mode name,
-# so that a longer name cannot match a mode once cut to that width, and
-# rows parsed per np.loadtxt call, which bound the block held beside the
-# columns.
-_READ_DTYPE = np.dtype([
-    (name, f"S{max(map(len, _MODE_CODE)) + 1}" if name == "mode" else dtype)
-    for name, dtype, _ in _TRACE_FORMAT])
+# Rows per block of a streamed trace: per np.loadtxt call in reading, and
+# the samples the engine records before it hands them on in `simulate`.
 _READ_BLOCK = 1 << 16
 # Rows formatted per write: bounds the byte matrix and the digit arrays
 # held at once, and keeps them in cache.
@@ -245,6 +236,12 @@ class Scenario:
     def steps_per_period(self) -> int:
         return round(1.0 / (self.params.f_s * self.dt))
 
+    @property
+    def samples(self) -> int:
+        """The trace's length: every record_decimation-th step of the
+        horizon, from t = 0."""
+        return round(self.t_end / self.dt) // self.record_decimation + 1
+
     def start_state(self) -> CircuitState:
         """The plant at t = 0: `initial_state`, or else the bus at the source
         voltage, the battery at its SoC and everything else at zero."""
@@ -293,26 +290,15 @@ class Trace:
         """Write the trace; time with 9 decimal digits, SI units throughout.
         Rows go to a temporary file renamed onto `path` once complete, so an
         interrupted write leaves `path` as it was."""
-        from ._trace_csv import csv_block   # loaded only by a run that writes a CSV
-        tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-        fh = open(tmp, "wb")
-        try:
-            with fh:
-                fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
-                for a in range(0, len(self), _CSV_BLOCK):
-                    fh.write(csv_block(self, a, a + _CSV_BLOCK))
-            os.replace(tmp, path)
-        except BaseException:
-            os.unlink(tmp)
-            raise
+        from ._trace_csv import write_csv   # loaded only by a run that writes a CSV
+        write_csv(path, [self])
 
 
 def trace_from_csv(path) -> Trace:
     """Read a trace CSV written by :meth:`Trace.to_csv`; the energy meters
-    are not in the file and read back as zeros.  A malformed row raises
-    ValueError with the path and numpy's row and column, counted from the
-    first data row; an unknown mode or a non-finite value, with the path,
-    the column and the file line."""
+    are not in the file and read back as zeros.  A malformed file raises
+    ValueError, as `_trace_csv.read_blocks` states."""
+    from ._trace_csv import read_blocks     # loaded only by a run that reads a CSV
     # Columns for as many rows as the file has line feeds, no fewer than
     # its data rows: the rows are parsed from bytes, where a bare \r ends
     # no line.
@@ -320,55 +306,12 @@ def trace_from_csv(path) -> Trace:
         ends = sum(block.count(b"\n") for block in iter(lambda: fh.read(1 << 20), b""))
     cols = {name: np.empty(ends, dtype) for name, dtype, _ in _TRACE_FORMAT}
     n = 0
-    with open(path, "rb") as fh, warnings.catch_warnings():
-        header = fh.readline().decode(errors="replace").rstrip("\r\n")
-        if tuple(header.split(",")) != TRACE_COLUMNS:
-            raise ValueError(f"{path}: not a trace CSV (unexpected header)")
-        # A header-only file, a last block that ends the file or a blank
-        # line (which a block does not count as a row) is no warning.
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        warnings.filterwarnings("ignore", "Input line [0-9]+ contained no data")
-        while True:
-            try:
-                rows = np.loadtxt(fh, dtype=_READ_DTYPE, delimiter=",", comments=None,
-                                  ndmin=1, max_rows=_READ_BLOCK)
-            except ValueError as exc:
-                message = re.sub(r"at row (\d+)", lambda m: f"at row {int(m[1]) + n}", str(exc))
-                raise ValueError(f"{path}: {message}") from exc
-            block = slice(n, n + len(rows))
-            for name in TRACE_COLUMNS:
-                if name != "mode":
-                    cols[name][block] = rows[name]
-            codes = cols["mode"][block]
-            codes[...] = -1
-            for name, code in _MODE_CODE.items():
-                codes[rows["mode"] == name.encode()] = code
-            if (codes < 0).any():
-                i = int(np.argmax(codes < 0))
-                raise ValueError(f"{path}: line {_file_line(path, n + i)}: "
-                                 f"mode {rows['mode'][i].decode(errors='replace')!r} is not "
-                                 f"one of {', '.join(_MODE_CODE)}")
-            n += len(rows)
-            if len(rows) < _READ_BLOCK:
-                break
-    for name, dtype, _ in _TRACE_FORMAT:
-        col = cols[name] = cols[name][:n]
-        if dtype == np.float64 and not np.isfinite(col).all():
-            i = int(np.argmin(np.isfinite(col)))
-            raise ValueError(f"{path}: line {_file_line(path, i)}: {name} is {col[i]}, "
-                             f"not finite")
-    return Trace(**cols, e_source=np.zeros(n), e_load=np.zeros(n),
-                 e_battery=np.zeros(n), e_link=np.zeros(n))
-
-
-def _file_line(path, row: int) -> int:
-    """The file line, from 1 at the header, of data row `row`, from 0;
-    np.loadtxt skips empty lines, so they are counted here."""
-    with open(path, "rb") as fh:
-        lines = enumerate(fh, 1)
-        next(lines)
-        data = (line_no for line_no, line in lines if line.rstrip(b"\r\n"))
-        return next(itertools.islice(data, row, None))
+    for block in read_blocks(path):
+        for name, col in cols.items():
+            col[n:n + len(block)] = block.column(name)
+        n += len(block)
+    return Trace(**{name: col[:n] for name, col in cols.items()}, e_source=np.zeros(n),
+                 e_load=np.zeros(n), e_battery=np.zeros(n), e_link=np.zeros(n))
 
 
 # The rows of a recorded sample, in the order the kernels fill them: time,
@@ -417,8 +360,10 @@ _BOUND_SLACK = 1e-9
 
 
 def _off_path(i_l: float) -> str:
-    """The path with both gates off: the one whose sign i_l has."""
-    return _OFF_PATHS[(i_l > 0.0) - (i_l < 0.0)]
+    """The path with both gates off: the one whose sign i_l has (a float or
+    a numpy float, whose comparisons give numpy bools, which do not
+    subtract)."""
+    return _OFF_PATHS[int(i_l > 0.0) - int(i_l < 0.0)]
 
 
 def _step_map(scenario: Scenario, path: str, source_on: bool, v_s: float) -> np.ndarray:
@@ -534,29 +479,36 @@ _StepMap = collections.namedtuple("_StepMap", "stack grid weights checks small t
 
 class _Engine:
     """One integration of a scenario from its start state: the state carried
-    between kernel calls, and the trace arrays it records into.
+    between kernel calls, and the block of the trace it records into.
 
     The kernels record into `rec`, one row per name of `_STEP_ROWS` and one
-    column per sample; the tick records the controller into `record`, once
-    per period that holds a sample.  It carries `plant` = [i_l, v_bus, v_o,
-    soc] and `meters` = [e_source, e_load, e_battery, e_link] in that row
-    order, `avgs` = the averages of i_l, v_o and v_batt that the next tick
-    reads (the start state's values until a period is taken), the time t,
-    the controller state `ctrl`, the gate counts `on1` and `on2` of the
-    current period, the source voltage and the time until which it holds,
-    and k, the steps taken, from which it derives the next sample's column.
-    For the period kernel it keeps `ticked`, the k of the last tick, `held`,
-    whether that tick kept the mode and the gate counts, and `batch`, the
-    periods the next call tries after such a tick.
+    column per sample, from the trace's sample `base` on; the tick records
+    the controller into `record`, once per period that holds a sample.
+    :meth:`advance` runs the kernels until `rec` is full or the run ends,
+    and :meth:`trace` hands on the samples recorded since the last call.
+
+    It carries `plant` = [i_l, v_bus, v_o, soc] and `meters` = [e_source,
+    e_load, e_battery, e_link] in that row order, `avgs` = the averages of
+    i_l, v_o and v_batt that the next tick reads (the start state's values
+    until a period is taken), the time t, the controller state `ctrl`, the
+    gate counts `on1` and `on2` of the current period, the source voltage
+    and the time until which it holds, and k, the steps taken, from which
+    it derives the next sample.  For the period kernel it keeps `ticked`,
+    the k of the last tick, `held`, whether that tick kept the mode and the
+    gate counts, and `batch`, the periods the next call tries after such a
+    tick.
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
-    :meth:`period` the batched one; :func:`_drive` calls them, and every
+    :meth:`period` the batched one; :meth:`advance` calls them, and every
     kernel call starts at a carrier wrap, right after its tick.  A batch
     ticks the wraps inside it itself, and the wrap it stops at when a tick
     there moved the gate counts.
     """
 
-    def __init__(self, scenario: Scenario):
+    def __init__(self, scenario: Scenario, rows: int | None = None):
+        """`rows`, the width of `rec`, defaults to the whole trace; it is
+        raised to the most samples one kernel call records, and lowered to
+        the trace's."""
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
         self.n_steps = round(scenario.t_end / scenario.dt)
@@ -580,8 +532,12 @@ class _Engine:
         self.ticked = -1
         self.held = False
         self.batch = 1
-        n_rec = self.n_steps // scenario.record_decimation + 1
-        self.rec = np.empty((len(_STEP_ROWS), n_rec))
+        self.n_rec = scenario.samples
+        if rows is not None:
+            most = max(_BATCH_STEPS, self.n_period) // scenario.record_decimation + 1
+            rows = min(max(rows, most), self.n_rec)
+        self.rec = np.empty((len(_STEP_ROWS), self.n_rec if rows is None else rows))
+        self.base = 0                       # the sample in rec's first column
         self.record = []                    # the controller of each period with a sample
         self.maps = None                    # batched-period buffers, made on first use
 
@@ -661,8 +617,9 @@ class _Engine:
         e_src, e_load, e_batt, e_link = self.meters
         v_s = self.v_s
         v_s_until = self.v_s_until
-        col = -(-self.k // dec)             # column of the next sample
+        col = -(-self.k // dec)             # the next sample
         j_rec = col * dec - self.k          # its step in this period
+        col -= self.base                    # its column
         samples = self.rec.T                # samples[col] takes a tuple faster than rec[:, col]
 
         seg = None                          # the source segment last found, from seg_start
@@ -889,8 +846,9 @@ class _Engine:
                     break
         self.meters = meters[len(spans) * taken].tolist()
 
-        col = -(-k0 // dec)                 # column of the next sample
+        col = -(-k0 // dec)                 # the next sample
         first = col * dec - k0              # its step, on the grid
+        col -= self.base                    # its column
         g = self.g
         samples = slice(first // g, taken * n // g, dec // g)   # their grid points
         stamps = time[first:taken * n:dec]
@@ -1130,63 +1088,89 @@ class _Engine:
                           offsets).ravel()
         return at, weights.reshape(-1, len(spans) * 11), layout
 
-    def finish(self) -> None:
-        """Record the final instant's time, state and meters when it falls
-        on the decimation grid."""
-        if not self.k % self.scenario.record_decimation:
-            self.rec[:, -1] = (self.t, *self.plant, *self.meters)
+    def advance(self, batched: bool) -> bool:
+        """Run the kernels on from step k: a controller tick at every carrier
+        wrap the period kernel has not ticked, then the period kernel when
+        `batched` and a whole period is left, for as many periods as it
+        takes; the scalar kernel for a period it declines or a partial one.
+        Returns False, before the call, when the samples of a call, up to
+        and at the step it could end on, might not fit in `rec`.  Otherwise
+        it records the final instant when it falls on the decimation grid
+        and returns True."""
+        n, n_steps = self.n_period, self.n_steps
+        dec = self.scenario.record_decimation
+        most = max(_BATCH_STEPS, n)         # the most steps one call takes
+        room = self.base + self.rec.shape[1]    # the first sample past `rec`
+        while self.k < n_steps:
+            if self.ticked < self.k:        # a batch may have ticked this wrap
+                self.tick()
+            whole = batched and n_steps - self.k >= n
+            if (self.k + min(most if whole else n, n_steps - self.k)) // dec >= room:
+                return False
+            if not (whole and self.period()):
+                self.euler(min(n, n_steps - self.k))
+        if not self.k % dec:
+            self.rec[:, self.n_rec - 1 - self.base] = (self.t, *self.plant, *self.meters)
+        return True
 
     def trace(self) -> Trace:
-        """The trace, once k reaches n_steps: `rec`'s rows, the battery
-        terminal voltage from the sampled soc and i_l as `euler` computes
-        it, and each entry of `record` over its period's samples.  A gate
-        is on at a sample j steps after its wrap where j is under the
-        gate's count, and at the final instant as at the last step.  With
-        no step there is no tick: the start controller, both gates off."""
+        """The samples recorded since the last call, all of them once k
+        reaches n_steps, as a Trace whose columns stay views of `rec` until
+        the next :meth:`advance`: `rec`'s rows, the battery terminal voltage
+        from the sampled soc and i_l as `euler` computes it, and each entry
+        of `record` over its period's samples among them.  Then drops the
+        entries whose periods' samples are all handed on.  A gate is on at a
+        sample j steps after its wrap where j is under the gate's count, and
+        at the final instant as at the last step.  With no step there is no
+        tick: the start controller, both gates off."""
         dec, n_steps = self.scenario.record_decimation, self.n_steps
-        rows = dict(zip(_STEP_ROWS, self.rec))
+        base = self.base
+        end = self.n_rec if self.k == n_steps else -(-self.k // dec)
+        rows = dict(zip(_STEP_ROWS, self.rec[:, :end - base]))
         v_batt = self.emf(rows["soc"])
         v_batt += self.scenario.battery.r_int * rows["i_l"]
         wraps, modes, duties, *ons = zip(
             *self.record or [(0, MODE_CODES[self.ctrl.mode], self.ctrl.duty, 0, 0)])
-        starts = -(-np.array(wraps) // dec)     # each period's first sample
-        counts = np.diff(starts, append=self.rec.shape[1])
+        firsts = -(-np.array(wraps) // dec)     # each period's first sample
+        starts = np.clip(firsts, base, end)     # and its first and last in the block
+        stops = np.append(starts[1:], end)
         gates = []
         for on in ons:          # period by period, on for its samples before the edge
-            before = -(-np.add(wraps, on) // dec) - starts
+            edges = np.clip(-(-np.add(wraps, on) // dec), starts, stops)
             gates.append(np.repeat(np.tile([True, False], len(wraps)),
-                                   np.column_stack([before, counts - before]).ravel()))
-            if not n_steps % dec:
+                                   np.column_stack([edges - starts, stops - edges]).ravel()))
+            if self.k == n_steps and not n_steps % dec:
                 gates[-1][-1] = (n_steps - 1) % self.n_period < on[-1]
+        counts = stops - starts
+        del self.record[:max(int(np.searchsorted(firsts, end, "right")) - 1, 0)]
+        self.base = end
         return Trace(v_batt_terminal=v_batt, i_batt=rows["i_l"],
                      mode=np.repeat(np.array(modes, np.int8), counts),
                      duty=np.repeat(np.array(duties), counts), s1=gates[0], s2=gates[1], **rows)
 
 
-def _drive(scenario: Scenario, batched: bool) -> Trace:
-    """The engine's one loop: a controller tick at every carrier wrap the
-    period kernel has not ticked, then the period kernel when `batched` and
-    a whole period is left, for as many periods as it takes; the scalar
-    kernel for a period it declines or a partial one.  The final instant is
-    recorded when it falls on the decimation grid."""
-    eng = _Engine(scenario)
-    n, n_steps = eng.n_period, eng.n_steps
-    # A batch run past a divergence may overflow; the scalar rerun reports it.
-    with np.errstate(all="ignore"):
-        while eng.k < n_steps:
-            if eng.ticked < eng.k:          # a batch may have ticked this wrap
-                eng.tick()
-            if not (batched and n_steps - eng.k >= n and eng.period()):
-                eng.euler(min(n, n_steps - eng.k))
-    eng.finish()
-    return eng.trace()
+def _drive(scenario: Scenario, batched: bool, rows: int | None = None):
+    """The engine's one loop, a generator of the trace in consecutive
+    blocks of at most `rows` samples, the whole trace for None (see
+    `_Engine`): :meth:`_Engine.advance` until `rec` is full or the run
+    ends, then the block.  A block's columns are reused once the next is
+    drawn."""
+    eng = _Engine(scenario, rows)
+    while True:
+        # A batch run past a divergence may overflow; the scalar rerun reports it.
+        with np.errstate(all="ignore"):
+            done = eng.advance(batched)
+        yield eng.trace()
+        if done:
+            return
 
 
 def _integrate(scenario: Scenario) -> Trace:
     """The scalar reference: the scenario from its initial state to t_end,
     one Euler step at a time; returns the decimated trace (first and, when
     it falls on the decimation grid, last instant included)."""
-    return _drive(scenario, batched=False)
+    trace, = _drive(scenario, batched=False)
+    return trace
 
 
 def run(scenario: Scenario) -> Trace:
@@ -1199,7 +1183,16 @@ def run(scenario: Scenario) -> Trace:
     fewer, every step is scalar.  Deterministic: identical scenarios
     produce bit-identical traces.
     """
-    return _drive(scenario, scenario.steps_per_period >= _MIN_BATCH_STEPS)
+    trace, = _drive(scenario, scenario.steps_per_period >= _MIN_BATCH_STEPS)
+    return trace
+
+
+def run_blocks(scenario: Scenario):
+    """`run`'s trace as a generator of consecutive blocks, each a Trace of
+    at most _READ_BLOCK samples, or of the most one kernel call records
+    where that is more, whose columns are reused once the next block is
+    drawn.  Its memory is a block's, whatever the horizon."""
+    return _drive(scenario, scenario.steps_per_period >= _MIN_BATCH_STEPS, _READ_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -1264,3 +1257,51 @@ def steady_window(trace: Trace, n_periods: int, f_s: float) -> WindowMetrics:
     return WindowMetrics(mean=mean, p2p=p2p, mode_occupancy=occupancy,
                          steady=steady, t_start=t0, t_end=t_end,
                          n_periods=n_periods)
+
+
+class _Window:
+    """The rows of a trace, added block by block, that `steady_window` reads
+    over its last `n_periods` at `f_s`, and the count of all rows.  It keeps
+    the first two rows, whose times give the spacing and the trace's start,
+    and from each block the rows the window would hold if the trace ended
+    at that block.  A trace's times never decrease (`read_blocks` raises
+    at the end of a file where they do), so a row outside that window is
+    outside the trace's, and :meth:`trace`, those rows in order, has the
+    trace's window metrics."""
+
+    def __init__(self, n_periods: int, f_s: float):
+        self.n_periods, self.f_s = n_periods, f_s
+        # An invalid window keeps no rows: steady_window rejects it first.
+        self.window = n_periods / f_s if n_periods >= 1 and f_s > 0.0 else None
+        self.rows = 0
+        self.head = {name: np.empty(0, dtype) for name, dtype, _ in _TRACE_FORMAT}
+        self.kept = []      # (first row, columns) per block, rows from the window on
+
+    def add(self, block: Trace) -> None:
+        """Count the block's rows and copy the ones the window may read."""
+        first, self.rows = self.rows, self.rows + len(block)
+        cols = {name: block.column(name) for name in TRACE_COLUMNS}
+        if first < 2:
+            for name, col in cols.items():
+                self.head[name] = np.concatenate([self.head[name], col[:2 - first]])
+        if self.window is None or not len(block):
+            return
+        t0 = -math.inf
+        if self.rows > 1:   # steady_window's bound on the times, from the block's end
+            spacing = float(self.head["time"][1]) - float(self.head["time"][0])
+            t0 = float(block.time[-1]) - self.window - 0.5 * spacing
+        self.kept = [(at, kept) for at, kept in self.kept if kept["time"][-1] >= t0]
+        i = int(np.searchsorted(block.time, t0))
+        if i < len(block):
+            self.kept.append((first + i, {name: col[i:].copy() for name, col in cols.items()}))
+
+    def trace(self) -> Trace:
+        """The first two rows, less those kept, then the kept ones."""
+        start = self.kept[0][0] if self.kept else self.rows
+        parts = [{name: col[:start] for name, col in self.head.items()},
+                 *(kept for _, kept in self.kept)]
+        return Trace(**{name: np.concatenate([part[name] for part in parts])
+                        for name in TRACE_COLUMNS})
+
+    def metrics(self) -> WindowMetrics:
+        return steady_window(self.trace(), self.n_periods, self.f_s)

@@ -218,12 +218,19 @@ class TestSimulateCommand:
         assert main(["simulate", str(path), "--output", str(tmp_path / "x.csv")]) == 2
         assert "diverged" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
+        # Rows already streamed to the temporary file go with it, and an
+        # existing trace stays as it was.
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"an earlier trace\r\n")
+        assert main(["simulate", str(path), "--output", str(old)]) == 2
+        assert old.read_bytes() == b"an earlier trace\r\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["blowup.scenario", "old.csv"]
 
     def test_unallocatable_trace_is_input_error(self, scenarios_dir, tmp_path, capsys):
-        """A horizon whose trace arrays no address space holds (853 PiB at
-        dt 2.5 us and every step recorded, yet under numpy's 2^63-byte
-        size check) fails at the allocation, before any memory is touched:
-        exit 1 with a message, no traceback and no trace file."""
+        """A horizon whose trace no file system holds (1.2e16 rows at dt
+        2.5 us and every step recorded, at least 39 bytes each) is refused
+        before the first step: exit 1 with a message, no traceback and no
+        trace file."""
         text = (scenarios_dir / "quick.scenario").read_text()
         path = tmp_path / "long.scenario"
         path.write_text(text.replace("t_end = 5m", "t_end = 3e10"))
@@ -299,6 +306,41 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "longer than trace" in err
         assert not (out_dir / "slow.trace.csv").exists()
+
+    def test_window_longer_than_trace_leaves_no_file(self, scenarios_dir, tmp_path, capsys):
+        """A steady window longer than the trace is found once the streamed
+        trace ends: exit 1, and neither the trace nor its temporary file is
+        left; an existing trace stays as it was."""
+        argv = ["simulate", str(scenarios_dir / "quick.scenario"), "--periods", "100000"]
+        assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "longer than trace" in err
+        assert not list(tmp_path.iterdir())
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"an earlier trace\r\n")
+        assert main(argv + ["--output", str(old)]) == 1
+        assert old.read_bytes() == b"an earlier trace\r\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+
+    def test_refused_or_unwritable_trace_leaves_no_file(self, scenarios_dir, tmp_path,
+                                                        capsys):
+        """A refused horizon leaves an existing trace as it was, and an
+        output that cannot be replaced (a directory) fails after the run
+        with exit 1 and no temporary file."""
+        text = (scenarios_dir / "quick.scenario").read_text()
+        path = tmp_path / "long.scenario"
+        path.write_text(text.replace("t_end = 5m", "t_end = 3e10"))
+        old = tmp_path / "old.csv"
+        old.write_bytes(b"an earlier trace\r\n")
+        assert main(["simulate", str(path), "--output", str(old)]) == 1
+        assert "allocate" in capsys.readouterr().err
+        assert old.read_bytes() == b"an earlier trace\r\n"
+        (tmp_path / "dir").mkdir()
+        assert main(["simulate", str(scenarios_dir / "quick.scenario"),
+                     "--output", str(tmp_path / "dir")]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "long.scenario", "old.csv"]
+        assert not list((tmp_path / "dir").iterdir())
 
     def test_summary_printed_before_a_later_failure(self, scenarios_dir, tmp_path, capsys):
         """A bad scenario after a good one: exit 1, and the good one's trace

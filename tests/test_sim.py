@@ -26,7 +26,7 @@ from bdcsim.sim import (
     steady_window,
     trace_from_csv,
 )
-from test_golden import FIELDS, GOLDEN, build
+from test_golden import FIELDS, GOLDEN, build, trace_digest
 
 PARAMS = ConverterParams(v_bus_nominal=24.0, l_p=1e-3, c_bus=1000e-6, c_o=250e-6,
                          f_s=20e3, r_load=10.0)
@@ -310,6 +310,24 @@ class TestRun:
         assert metrics.mean["i_batt"] < 0.0
         codes = set(trace.mode.tolist())
         assert len(codes) >= 2, "expected a mode transition in the trace"
+
+    @pytest.mark.parametrize("integrate", ["run", "scalar"])
+    @pytest.mark.parametrize("source", ["hold", "ramp"])
+    def test_numpy_float_source_voltages(self, integrate, source, scenarios_dir):
+        """Segment voltages given as numpy floats, as a profile built from
+        an array has them, run, and give the trace of their float twin bit
+        for bit: quick at 100 steps per period, so run() takes periods in
+        the period kernel, and a ramp, which the scalar kernel takes."""
+        base = replace(build("quick", scenarios_dir), dt=0.5e-6)
+        if source == "ramp":
+            base = replace(base, source=SourceProfile(segments=(
+                SourceSegment(until=1e-3, v_start=20.0, v_end=24.0),
+                SourceSegment(until=1.0, v_start=24.0, v_end=24.0))))
+        wrapped = replace(base, source=SourceProfile(segments=tuple(
+            replace(seg, v_start=np.float64(seg.v_start), v_end=np.float64(seg.v_end))
+            for seg in base.source.segments)))
+        integrate = run if integrate == "run" else sim._integrate
+        assert trace_digest(integrate(wrapped)) == trace_digest(integrate(base))
 
 
 class TestGating:
