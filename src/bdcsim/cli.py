@@ -171,7 +171,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             directory.mkdir(parents=True, exist_ok=True)
             out_path = directory / (path.stem + ".trace.csv")
         _check_room(scenario, out_path)
-        window = _Window(args.periods, scenario.params.f_s)
+        # No trace of this scenario holds a window longer than t_end and a sample.
+        window = _Window(args.periods, scenario.params.f_s,
+                         scenario.t_end + scenario.dt * scenario.record_decimation)
         metrics = []
 
         def blocks():

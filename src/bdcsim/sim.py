@@ -484,8 +484,8 @@ class _Engine:
     The kernels record into `rec`, one row per name of `_STEP_ROWS` and one
     column per sample, from the trace's sample `base` on; the tick records
     the controller into `record`, once per period that holds a sample.
-    :meth:`advance` runs the kernels until `rec` is full or the run ends,
-    and :meth:`trace` hands on the samples recorded since the last call.
+    :meth:`advance` runs the kernels until `rec` holds `rows` samples or the
+    run ends, and :meth:`trace` hands on the samples recorded since its last call.
 
     It carries `plant` = [i_l, v_bus, v_o, soc] and `meters` = [e_source,
     e_load, e_battery, e_link] in that row order, `avgs` = the averages of
@@ -505,10 +505,10 @@ class _Engine:
     there moved the gate counts.
     """
 
-    def __init__(self, scenario: Scenario, rows: int | None = None):
-        """`rows`, the width of `rec`, defaults to the whole trace; it is
-        raised to the most samples one kernel call records, and lowered to
-        the trace's."""
+    def __init__(self, scenario: Scenario, batched: bool = True, rows: int | None = None):
+        """`batched` runs the period kernel where a period has at least
+        _MIN_BATCH_STEPS steps; `rows`, at least 1, the samples a block
+        holds before it is handed on, defaults to the whole trace."""
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
         self.n_steps = round(scenario.t_end / scenario.dt)
@@ -532,11 +532,13 @@ class _Engine:
         self.ticked = -1
         self.held = False
         self.batch = 1
+        self.batched = batched and self.n_period >= _MIN_BATCH_STEPS
+        self.most = max(_BATCH_STEPS, self.n_period)    # the most steps one call takes
         self.n_rec = scenario.samples
-        if rows is not None:
-            most = max(_BATCH_STEPS, self.n_period) // scenario.record_decimation + 1
-            rows = min(max(rows, most), self.n_rec)
-        self.rec = np.empty((len(_STEP_ROWS), self.n_rec if rows is None else rows))
+        self.rows = self.n_rec if rows is None else rows
+        # A block is handed on at the wrap where it is full, so one call's samples more fit.
+        width = self.rows + self.most // scenario.record_decimation + 1
+        self.rec = np.empty((len(_STEP_ROWS), min(width, self.n_rec)))
         self.base = 0                       # the sample in rec's first column
         self.record = []                    # the controller of each period with a sample
         self.maps = None                    # batched-period buffers, made on first use
@@ -752,12 +754,11 @@ class _Engine:
         n = self.n_period
         dec = scn.record_decimation
         if self.maps is None:
-            size = max(_BATCH_STEPS, n)     # the most steps one call takes
-            self.max_batch = size // n
+            self.max_batch = self.most // n
             self.maps = {}                  # by step map: its tables (`_StepMap`)
             self.plan = None                # the spans of the period map in `powers`
-            self.counts = np.arange(size + 1.0)
-            self.time = np.empty(size + 1)  # the time before each step
+            self.counts = np.arange(self.most + 1.0)
+            self.time = np.empty(self.most + 1)     # the time before each step
             # The states the kernel computes: at each wrap and at the start
             # of each period's second span as (x, 1), and per state and
             # period, at its grid points, every g-th step from its wrap, and
@@ -1088,26 +1089,22 @@ class _Engine:
                           offsets).ravel()
         return at, weights.reshape(-1, len(spans) * 11), layout
 
-    def advance(self, batched: bool) -> bool:
+    def advance(self) -> bool:
         """Run the kernels on from step k: a controller tick at every carrier
         wrap the period kernel has not ticked, then the period kernel when
         `batched` and a whole period is left, for as many periods as it
         takes; the scalar kernel for a period it declines or a partial one.
-        Returns False, before the call, when the samples of a call, up to
-        and at the step it could end on, might not fit in `rec`.  Otherwise
-        it records the final instant when it falls on the decimation grid
-        and returns True."""
+        Returns False at a wrap where `rec` holds `rows` samples and more
+        are to come.  Otherwise it records the final instant when it falls
+        on the decimation grid and returns True."""
         n, n_steps = self.n_period, self.n_steps
         dec = self.scenario.record_decimation
-        most = max(_BATCH_STEPS, n)         # the most steps one call takes
-        room = self.base + self.rec.shape[1]    # the first sample past `rec`
         while self.k < n_steps:
+            if self.base + self.rows <= -(-self.k // dec) < self.n_rec:  # full, more to come
+                return False
             if self.ticked < self.k:        # a batch may have ticked this wrap
                 self.tick()
-            whole = batched and n_steps - self.k >= n
-            if (self.k + min(most if whole else n, n_steps - self.k)) // dec >= room:
-                return False
-            if not (whole and self.period()):
+            if not (self.batched and n_steps - self.k >= n and self.period()):
                 self.euler(min(n, n_steps - self.k))
         if not self.k % dec:
             self.rec[:, self.n_rec - 1 - self.base] = (self.t, *self.plant, *self.meters)
@@ -1151,15 +1148,15 @@ class _Engine:
 
 def _drive(scenario: Scenario, batched: bool, rows: int | None = None):
     """The engine's one loop, a generator of the trace in consecutive
-    blocks of at most `rows` samples, the whole trace for None (see
-    `_Engine`): :meth:`_Engine.advance` until `rec` is full or the run
-    ends, then the block.  A block's columns are reused once the next is
-    drawn."""
-    eng = _Engine(scenario, rows)
+    blocks of at least `rows` samples but the last, the whole trace for
+    None (see `_Engine`): :meth:`_Engine.advance` until a block is full or
+    the run ends, then the block.  A block's columns are reused once the
+    next is drawn."""
+    eng = _Engine(scenario, batched, rows)
     while True:
         # A batch run past a divergence may overflow; the scalar rerun reports it.
         with np.errstate(all="ignore"):
-            done = eng.advance(batched)
+            done = eng.advance()
         yield eng.trace()
         if done:
             return
@@ -1183,16 +1180,16 @@ def run(scenario: Scenario) -> Trace:
     fewer, every step is scalar.  Deterministic: identical scenarios
     produce bit-identical traces.
     """
-    trace, = _drive(scenario, scenario.steps_per_period >= _MIN_BATCH_STEPS)
+    trace, = _drive(scenario, batched=True)
     return trace
 
 
 def run_blocks(scenario: Scenario):
     """`run`'s trace as a generator of consecutive blocks, each a Trace of
-    at most _READ_BLOCK samples, or of the most one kernel call records
-    where that is more, whose columns are reused once the next block is
+    at least _READ_BLOCK samples but the last, and at most one kernel
+    call's samples more, whose columns are reused once the next block is
     drawn.  Its memory is a block's, whatever the horizon."""
-    return _drive(scenario, scenario.steps_per_period >= _MIN_BATCH_STEPS, _READ_BLOCK)
+    return _drive(scenario, True, _READ_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -1214,21 +1211,28 @@ _WINDOW_COLUMNS = ("i_l", "v_c_bus", "v_c_o", "v_batt_terminal", "i_batt",
                    "soc", "duty")
 
 
-def steady_window(trace: Trace, n_periods: int, f_s: float) -> WindowMetrics:
-    """Metrics over the last `n_periods` switching periods of the trace."""
+def _window_start(n_periods: int, f_s: float, t_end=math.inf, least=-math.inf) -> float:
+    """Where the last `n_periods` switching periods at `f_s` up to `t_end`
+    start; ValueError, in steady_window's words, for a window that is
+    invalid or starts before `least`."""
     if n_periods < 1:
         raise ValueError("n_periods must be >= 1")
     if not f_s > 0.0:
         raise ValueError(f"switching frequency must be positive, got {f_s}")
+    window = n_periods / f_s
+    if t_end - window < least:
+        raise ValueError(f"window of {n_periods} periods ({window:.3g} s) longer than trace")
+    return t_end - window
+
+
+def steady_window(trace: Trace, n_periods: int, f_s: float) -> WindowMetrics:
+    """Metrics over the last `n_periods` switching periods of the trace."""
+    _window_start(n_periods, f_s)
     if len(trace) < 2:
         raise ValueError("trace too short for a steady window")
     t_end = float(trace.time[-1])
-    window = n_periods / f_s
     spacing = float(trace.time[1] - trace.time[0])
-    t0 = t_end - window
-    if t0 < float(trace.time[0]) - 0.5 * spacing:
-        raise ValueError(
-            f"window of {n_periods} periods ({window:.3g} s) longer than trace")
+    t0 = _window_start(n_periods, f_s, t_end, float(trace.time[0]) - 0.5 * spacing)
     mask = trace.time >= t0 - 0.5 * spacing
     mean = {}
     p2p = {}
@@ -1267,12 +1271,12 @@ class _Window:
     at that block.  A trace's times never decrease (`read_blocks` raises
     at the end of a file where they do), so a row outside that window is
     outside the trace's, and :meth:`trace`, those rows in order, has the
-    trace's window metrics."""
+    trace's window metrics.  It refuses at once, with steady_window's
+    error, a window that is invalid or longer than `longest`."""
 
-    def __init__(self, n_periods: int, f_s: float):
+    def __init__(self, n_periods: int, f_s: float, longest: float = math.inf):
+        _window_start(n_periods, f_s, longest, 0.0)    # before any row
         self.n_periods, self.f_s = n_periods, f_s
-        # An invalid window keeps no rows: steady_window rejects it first.
-        self.window = n_periods / f_s if n_periods >= 1 and f_s > 0.0 else None
         self.rows = 0
         self.head = {name: np.empty(0, dtype) for name, dtype, _ in _TRACE_FORMAT}
         self.kept = []      # (first row, columns) per block, rows from the window on
@@ -1284,12 +1288,12 @@ class _Window:
         if first < 2:
             for name, col in cols.items():
                 self.head[name] = np.concatenate([self.head[name], col[:2 - first]])
-        if self.window is None or not len(block):
+        if not len(block):
             return
         t0 = -math.inf
         if self.rows > 1:   # steady_window's bound on the times, from the block's end
             spacing = float(self.head["time"][1]) - float(self.head["time"][0])
-            t0 = float(block.time[-1]) - self.window - 0.5 * spacing
+            t0 = _window_start(self.n_periods, self.f_s, float(block.time[-1])) - 0.5 * spacing
         self.kept = [(at, kept) for at, kept in self.kept if kept["time"][-1] >= t0]
         i = int(np.searchsorted(block.time, t0))
         if i < len(block):

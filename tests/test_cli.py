@@ -2,7 +2,7 @@
 
 import pytest
 
-from bdcsim import analysis
+from bdcsim import analysis, cli
 from bdcsim.cli import main
 from bdcsim.design import DesignSpec, design
 from bdcsim.sim import steady_window, trace_from_csv
@@ -308,19 +308,49 @@ class TestSimulateCommand:
         assert not (out_dir / "slow.trace.csv").exists()
 
     def test_window_longer_than_trace_leaves_no_file(self, scenarios_dir, tmp_path, capsys):
-        """A steady window longer than the trace is found once the streamed
-        trace ends: exit 1, and neither the trace nor its temporary file is
-        left; an existing trace stays as it was."""
-        argv = ["simulate", str(scenarios_dir / "quick.scenario"), "--periods", "100000"]
+        """A steady window longer than the trace but not than t_end and a
+        sample (100 periods of 50 us, 5 ms, over 1999 steps of 2.5 us) is
+        found once the streamed trace ends: exit 1, and neither the trace
+        nor its temporary file is left; an existing trace stays as it was."""
+        path = tmp_path / "short.scenario"
+        path.write_text((scenarios_dir / "quick.scenario").read_text().replace(
+            "t_end = 5m", "t_end = 4.998m"))
+        argv = ["simulate", str(path), "--periods", "100"]
         assert main(argv + ["--output", str(tmp_path / "x.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "longer than trace" in err
-        assert not list(tmp_path.iterdir())
+        assert [p.name for p in tmp_path.iterdir()] == ["short.scenario"]
         old = tmp_path / "old.csv"
         old.write_bytes(b"an earlier trace\r\n")
         assert main(argv + ["--output", str(old)]) == 1
         assert old.read_bytes() == b"an earlier trace\r\n"
-        assert [p.name for p in tmp_path.iterdir()] == ["old.csv"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["old.csv", "short.scenario"]
+
+    @pytest.mark.parametrize("command, flags, message", [
+        ("simulate", ["--periods", "0"], "n_periods must be >= 1"),
+        ("simulate", ["--periods", "2000"], "window of 2000 periods (0.1 s) longer than trace"),
+        ("analyze", ["--inductance", "1m", "--switching-frequency", "20k", "--periods", "0"],
+         "n_periods must be >= 1"),
+        ("analyze", ["--inductance", "1m", "--switching-frequency", "0"],
+         "switching frequency must be positive, got 0.0"),
+    ])
+    def test_bad_window_refused_before_any_work(self, command, flags, message, scenarios_dir,
+                                                tmp_path, monkeypatch, capsys):
+        """An invalid steady window, or one longer than t_end and a sample
+        (2000 periods of buck_charge's 50 ms), ends in exit 1 before the
+        first step or the first read, and leaves no output file and no
+        temporary file."""
+        def streamed(*args):
+            raise AssertionError("the trace was streamed")
+
+        monkeypatch.setattr(cli, "run_blocks", streamed)
+        monkeypatch.setattr(cli, "read_blocks", streamed)
+        trace = tmp_path / "t.csv"
+        trace.write_text("time,i_l,v_c_bus,v_c_o,v_batt_terminal,i_batt,soc,mode,duty,s1,s2\r\n")
+        source = scenarios_dir / "buck_charge.scenario" if command == "simulate" else trace
+        assert main([command, str(source), *flags, "--output", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["t.csv"]
 
     def test_refused_or_unwritable_trace_leaves_no_file(self, scenarios_dir, tmp_path,
                                                         capsys):

@@ -134,3 +134,11 @@ def test_unknown_mode_code_raises_key_error(code, tmp_path):
     with pytest.raises(KeyError):
         trace.to_csv(path)
     assert list(tmp_path.iterdir()) == []
+
+
+def test_min_row_bytes_is_the_shortest_row():
+    """The disk bound's row is the ROW format's shortest: every value 0
+    and the shortest mode name."""
+    rows = [ROW % tuple(mode if fmt == "%s" else 0 for _, _, fmt in _TRACE_FORMAT)
+            for mode in MODE_NAMES.values()]
+    assert _trace_csv.MIN_ROW_BYTES == min(len(row.encode()) for row in rows)

@@ -4,9 +4,9 @@ print and write what the whole-trace path (`run`, `Trace.to_csv`,
 `trace_from_csv`, `steady_window`) gives.
 
 The tests shrink `sim._READ_BLOCK`, the block width of both streams, so
-that a trace runs through many blocks: the engine raises it to the most
-samples one kernel call records, the reader parses that many rows per
-call."""
+that a trace runs through many blocks: the engine hands a block on at the
+first carrier wrap where it holds that many samples, the reader parses
+that many rows per call."""
 
 import tracemalloc
 from dataclasses import replace
@@ -73,17 +73,20 @@ def whole_trace_summary(path, trace, scenario, out_path, periods=20) -> str:
 
 def test_streamed_simulate_matches_the_whole_trace(case, tmp_path, monkeypatch, capsys):
     """At the least block width the CSV bytes and the summary equal those
-    of run(s).to_csv and steady_window over run(s), and every block but the
-    last is at least that width's."""
+    of run(s).to_csv and steady_window over run(s).  At that width and at
+    1000, every block but the last holds at least the width's samples and
+    at most one kernel call's samples more, and the last no more."""
     scenario = parse_scenario_file(case)
     trace = run(scenario)
     whole = tmp_path / "whole.csv"
     trace.to_csv(whole)
-    monkeypatch.setattr(sim, "_READ_BLOCK", 1)
-    most = max(sim._BATCH_STEPS, scenario.steps_per_period) // scenario.record_decimation + 1
-    sizes = [len(block) for block in sim.run_blocks(scenario)]
-    assert sum(sizes) == len(trace) and max(sizes) <= most
-    assert len(trace) <= most or len(sizes) > 1
+    call = sim._Engine(scenario).most // scenario.record_decimation + 1
+    for rows in (1000, 1):
+        monkeypatch.setattr(sim, "_READ_BLOCK", rows)
+        *full, last = [len(block) for block in sim.run_blocks(scenario)]
+        assert sum(full) + last == len(trace)
+        assert all(rows <= size <= rows + call for size in full) and last <= rows + call
+        assert len(trace) <= rows + call or full
     streamed = tmp_path / "streamed.csv"
     assert main(["simulate", str(case), "--output", str(streamed)]) == 0
     assert capsys.readouterr().out == whole_trace_summary(case, trace, scenario, streamed)
@@ -142,15 +145,22 @@ def test_window_metrics_equal_steady_window(name, scenarios_dir, tmp_path, monke
         monkeypatch.setattr(sim, "_READ_BLOCK", 1)
 
 
-def test_block_width_floor_and_one_block_run(scenarios_dir):
-    """A block holds at least the samples of one kernel call, and no more
-    than the trace; run() records into one block as wide as the trace."""
+def test_block_width_and_one_block_run(scenarios_dir):
+    """`rec` holds a block's `rows` samples and one kernel call's more, and
+    no more than the trace; run()'s engine records the whole trace as one
+    block."""
     scenario = parse_scenario_file(scenarios_dir / "buck_charge.scenario")
-    most = sim._BATCH_STEPS // scenario.record_decimation + 1
-    assert sim._Engine(scenario, 1).rec.shape == (len(sim._STEP_ROWS), most)
     short = replace(scenario, t_end=1e-3)
-    assert sim._Engine(short, 1 << 30).rec.shape[1] == short.samples == 10_001
-    assert sim._Engine(scenario).rec.shape[1] == scenario.samples == 500_001
+    for scn in (scenario, short):
+        call = sim._Engine(scn).most // scn.record_decimation + 1
+        assert call == sim._BATCH_STEPS // 2 + 1
+        for rows in (1, 1 << 30):
+            width = sim._Engine(scn, True, rows).rec.shape[1]
+            assert width == min(rows + call, scn.samples), (scn.samples, rows)
+    assert short.samples == 10_001 and scenario.samples == 500_001
+    eng = sim._Engine(scenario)
+    assert eng.rec.shape == (len(sim._STEP_ROWS), scenario.samples)
+    assert eng.advance() and len(eng.trace()) == scenario.samples
 
 
 def peak_bytes(argv) -> int:
