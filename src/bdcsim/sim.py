@@ -342,12 +342,24 @@ _OFF_PATHS = {law[3]: path for path, law in _PATHS.items() if law[3] is not None
 # 1.85, 1.31 and 1.20x slower; no count of steps is a break-even for all
 # three.  At 20 steps per period boost ran 3x faster, trickle 2.5-3x slower.
 _MIN_BATCH_STEPS = 64
-# The most steps one period-kernel call takes (one period at least).  The
-# batch buffers, made once at this size, hold 39 bytes per step at a sample
-# every 4 steps and 51 at every 2 (a line-regulation point, buck_charge);
-# 2^13 keeps them under 1% of a line-regulation point's peak memory, and
-# 2^14 ran those points at most 8% faster.
-_BATCH_STEPS = 1 << 13
+# The most grid states one period-kernel call computes, n // g + 1 per
+# period of n steps with a sample grid of every g-th step, each 8 floats
+# of its states and meters.  A period's other rows count as states too:
+# its check bound covers the g + 1 steps from a grid point, each at most
+# 22 margins (11 a span, `_Engine._bound`), which one sample a period
+# (g = n) makes the most; and its other rows (the period map's power, the
+# wrap, span and quadrature states, their monomials and sums, the
+# averages), some 3 KB, count as _PERIOD_POINTS states.  A call takes the
+# periods for which the most of the three fits the budget, one at least:
+# 32 periods at a line-regulation point (n 1000, g 4), 16 on buck_charge
+# (g 2), 81 at n 100 and g 100, 170 where n // g + 1 and g + 1 are under
+# 48.  Its buffers and temporaries scale with the budget, not with
+# the steps of a call.  The line-regulation benchmark (`benchmark/run.py
+# --workload line_sweep --seconds 8`, medians of paired runs, Python
+# 3.11, numpy 2.4, 2-core x86) ran 12%, 23% and 26% faster at 16, 32 and
+# 65 periods a call than at 8; this budget, with no per-step rows, 31%.
+_BATCH_POINTS = 1 << 13
+_PERIOD_POINTS = 48
 # The monomials of a state y = (y_0 .. y_3, 1) on which the quadrature
 # tables weigh (`_Engine._quadrature`) and the period kernel evaluates them:
 # y itself, then the ten products of its four states.
@@ -413,23 +425,37 @@ def _power_stack(m: np.ndarray, count: int, rows: slice = slice(None)) -> np.nda
     return p
 
 
-def _step_times(t: float, dt: float, counts: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The time before each of steps 0 .. len(out) - 1 from t, into `out`,
-    as the scalar kernel sums it, t + dt + dt + ... in order; `counts` holds
-    0, 1, 2 ... as floats.  While the sums stay in t's binade, each rounds
-    t_k + dt to t_k + r, r = (t + dt) - t, unless dt lies halfway between
-    two multiples of t's ulp, so they are t + k r exactly; otherwise they
-    are summed step by step."""
-    r = (t + dt) - t
-    ulp = math.ulp(t)
-    top = math.ldexp(1.0, math.frexp(t)[1])     # where t's binade ends
-    if t > 0.0 and math.fmod(dt, ulp) != ulp / 2 and t + (len(out) - 1) * r < top:
-        np.multiply(counts, r, out=out)
-        out += t
-    else:
-        out.fill(dt)
-        out[0] = t
-        np.add.accumulate(out, out=out)
+def _step_times(t: float, dt: float, start: int, stride: int, counts: np.ndarray,
+                out: np.ndarray) -> np.ndarray:
+    """The time before each of steps start, start + stride, ... (len(out)
+    of them) of a stretch that is at time t before its step 0, into `out`,
+    as the scalar kernel sums it, t + dt + dt + ... in order; `counts`
+    holds 0, 1, 2 ... as floats, at least len(out) of them.  Within the
+    binade of a sum t_b > 0, each next sum t_k + dt rounds to t_k + r,
+    r = (t_b + dt) - t_b, unless dt lies halfway between two multiples of
+    the binade's ulp; then it rounds to the even one, and from an even t_b
+    every next sum does.  So from such a t_b the times are t_b + j r
+    exactly, up to the binade's end; the sum at 0 or at an odd t_b, and the
+    first past the end, are taken one step at a time."""
+    i, k, t_k = 0, 0, t         # the next entry, and the step where a rule starts
+    while i < len(out):
+        ulp = math.ulp(t_k)
+        top = math.ldexp(1.0, math.frexp(t_k)[1])   # where t_k's binade ends
+        r = (t_k + dt) - t_k
+        if t_k > 0.0 and r > 0.0 and (math.fmod(dt, ulp) != ulp / 2
+                                      or math.fmod(t_k, 2 * ulp) == 0.0):
+            j = max(math.ceil((top - t_k) / r), 1)  # the first step past the binade
+            while j > 1 and t_k + (j - 1) * r >= top:
+                j -= 1
+            while t_k + j * r < top:
+                j += 1
+        else:
+            j, r = 1, 0.0
+        stop = min(max(-(-(k + j - start) // stride), i), len(out))
+        part = out[i:stop]
+        np.multiply(counts[:stop - i], stride * r, out=part)
+        part += t_k + (start + stride * i - k) * r
+        i, k, t_k = stop, k + j, t_k + (j - 1) * r + dt
     return out
 
 
@@ -484,8 +510,9 @@ class _Engine:
     The kernels record into `rec`, one row per name of `_STEP_ROWS` and one
     column per sample, from the trace's sample `base` on; the tick records
     the controller into `record`, once per period that holds a sample.
-    :meth:`advance` runs the kernels until `rec` holds `rows` samples or the
-    run ends, and :meth:`trace` hands on the samples recorded since its last call.
+    :meth:`advance` runs the kernels until the next call might record past
+    `rows` samples or the run ends, and :meth:`trace` hands on the samples
+    recorded since its last call.
 
     It carries `plant` = [i_l, v_bus, v_o, soc] and `meters` = [e_source,
     e_load, e_battery, e_link] in that row order, `avgs` = the averages of
@@ -507,8 +534,9 @@ class _Engine:
 
     def __init__(self, scenario: Scenario, batched: bool = True, rows: int | None = None):
         """`batched` runs the period kernel where a period has at least
-        _MIN_BATCH_STEPS steps; `rows`, at least 1, the samples a block
-        holds before it is handed on, defaults to the whole trace."""
+        _MIN_BATCH_STEPS steps; `rows`, at least 1, the most samples a
+        block holds (or one call's, where a call records more), defaults to
+        the whole trace."""
         self.scenario = scenario
         self.n_period = scenario.steps_per_period
         self.n_steps = round(scenario.t_end / scenario.dt)
@@ -533,12 +561,18 @@ class _Engine:
         self.held = False
         self.batch = 1
         self.batched = batched and self.n_period >= _MIN_BATCH_STEPS
-        self.most = max(_BATCH_STEPS, self.n_period)    # the most steps one call takes
+        # The most steps one call takes: the periods whose grid states,
+        # check margins and other rows each fit the budget, one at least.
+        points = max(self.n_period // self.g + 1, self.g + 1, _PERIOD_POINTS)
+        self.most = self.n_period * max(_BATCH_POINTS // points, 1)
         self.n_rec = scenario.samples
         self.rows = self.n_rec if rows is None else rows
-        # A block is handed on at the wrap where it is full, so one call's samples more fit.
-        width = self.rows + self.most // scenario.record_decimation + 1
-        self.rec = np.empty((len(_STEP_ROWS), min(width, self.n_rec)))
+        # A block is handed on before a call that might take it past `rows`
+        # samples, unless it holds none.  A call from k records at most
+        # `call` samples, and one that ends on the final instant, on the
+        # grid, one fewer, so it fits too.
+        self.call = self.most // scenario.record_decimation + 1
+        self.rec = np.empty((len(_STEP_ROWS), min(max(self.rows, self.call), self.n_rec)))
         self.base = 0                       # the sample in rec's first column
         self.record = []                    # the controller of each period with a sample
         self.maps = None                    # batched-period buffers, made on first use
@@ -738,47 +772,49 @@ class _Engine:
         column's magnitude.
 
         After a tick that kept them the kernel tries `batch` periods, else
-        one, but never past _BATCH_STEPS steps (one period at least), the
-        last whole period or the source's next change.  It takes the periods
-        before the first that fails a check (`_checks`) and ticks the
-        wraps between them in order, up to the first tick that moves the
-        mode or the gate counts: that tick stands for its wrap, whose period
-        the next call takes.  `batch` doubles when the kernel takes all it
-        tried and drops to 1 when a check or a tick stops it.
+        one, but never past `most` steps (the periods whose grid states,
+        check bound and other rows fit _BATCH_POINTS, one at least), the
+        last whole period or the source's next change.  It takes the
+        periods before the first that fails a check (`_checks`) and ticks
+        the wraps between them in order, up to the first tick that moves
+        the mode or the gate counts: that tick stands for its wrap, whose
+        period the next call takes.  `batch` doubles when the kernel takes
+        all it tried and drops to 1 when a check or a tick stops it.
 
         Returns 0, with the run's state unchanged, when the first period
         fails a check or the source changes within it; the scalar kernel
         then takes that period.
         """
         scn = self.scenario
-        n = self.n_period
+        n, g = self.n_period, self.g
         dec = scn.record_decimation
         if self.maps is None:
             self.max_batch = self.most // n
             self.maps = {}                  # by step map: its tables (`_StepMap`)
             self.plan = None                # the spans of the period map in `powers`
-            self.counts = np.arange(self.most + 1.0)
-            self.time = np.empty(self.most + 1)     # the time before each step
             # The states the kernel computes: at each wrap and at the start
-            # of each period's second span as (x, 1), and per state and
-            # period, at its grid points, every g-th step from its wrap, and
-            # at its second span's start (the last column).
+            # of each period's second span as (x, 1), and into `xs` at each
+            # period's grid points, every g-th step from its wrap, the four
+            # states and then the four meters, so that a row of `xs` holds a
+            # quantity on the grid of the whole stretch, step after step.
             self.wraps = np.ones((self.max_batch + 1, 5))
             self.starts = np.ones((self.max_batch, 5))
             self.firsts = np.ones((self.max_batch, 5))  # a span's first grid point
-            self.xs = np.empty((4, self.max_batch + 1, n // self.g + 1))
+            self.xs = np.empty((8, self.max_batch + 1, n // g))
             # Per period and span, its least and greatest states, then 1.
             self.box = np.ones((self.max_batch, 2, 9))
             self.steps = np.ones((n + 1, 5))    # one period's states, as (x, 1)
             self.ys = np.ones((6 * self.max_batch, 5))  # the spans' states, as (y, 1)
             self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
+            self.counts = np.arange(float(max(self.call, self.max_batch)))  # for _step_times
         m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
-        time = _step_times(self.t, scn.dt, self.counts[:m * n + 1], self.time[:m * n + 1])
-        if time[n - 1] >= self.v_s_until:  # on a ramp, every period
+        # The time before each period's last step.
+        lasts = _step_times(self.t, scn.dt, n - 1, n, self.counts, np.empty(m))
+        if lasts[0] >= self.v_s_until:      # on a ramp, every period
             return 0
-        if time[m * n - 1] >= self.v_s_until:
+        if lasts[-1] >= self.v_s_until:
             # The periods whose every step comes before the source changes.
-            m = int(np.searchsorted(time[n - 1::n], self.v_s_until))
+            m = int(np.searchsorted(lasts, self.v_s_until))
 
         # The spans, from the first period's states, and the powers of the
         # period map, kept while the spans stay the same.
@@ -802,16 +838,17 @@ class _Engine:
                 phi = phi @ span_map
             self.plan, self.powers = plan, _power_stack(phi, m)
             self.grid = self._grid(spans)   # its sample grid
-            # The spans' first columns in `xs`, and their checks' weights on
-            # the box, span by span.
-            self.cuts = [-(-a // self.g) for a, *_ in spans]
+            # The first grid column of each span that has one, and the
+            # spans' checks' weights on the box, span by span.
+            self.cuts = [c for c in (-(-a // g) for a, *_ in spans) if c < n // g]
             weights = [step_map.weights for *_, step_map in spans]
             self.weights = np.zeros((9 * len(spans), sum(w.shape[1] for w in weights)))
             self.weights[:9, :weights[0].shape[1]] = weights[0]
             if len(spans) > 1:
                 self.weights[9:, weights[0].shape[1]:] = weights[1]
-        elif len(self.powers) <= m:
-            self.powers = _power_stack(self.powers[1], m)
+        while len(self.powers) <= m:        # M^(c + j) = M^j M^c, c the powers known
+            c = len(self.powers) - 1
+            self.powers = np.concatenate([self.powers, self.powers[1:m - c + 1] @ self.powers[c]])
         fit = self._states(m, spans)
         if not fit:
             self.batch = 1
@@ -821,10 +858,14 @@ class _Engine:
         # of each span: its start, its first and its last grid point.
         at, weights, layout = self.grid
         ys = self.ys[:len(at) // self.max_batch * fit]
-        ys[:, :4] = np.take(self.xs.reshape(4, -1), at[:len(ys)], axis=1).T
+        ys[:, :4] = np.take(self.xs[:4].reshape(4, -1), at[:len(ys)], axis=1).T
+        if len(spans) > 1:
+            ys[3::6, :4] = self.starts[:fit, :4]
         ys[:, 1] -= ys[:, 2]                # to the quadrature basis
         ys[:, 2] -= self.v_s
-        monomials = (ys[:, _FEATURES[0]] * ys[:, _FEATURES[1]]).reshape(fit, len(spans), 3, -1)
+        monomials = ys[:, _FEATURES[0]]
+        monomials *= ys[:, _FEATURES[1]]
+        monomials = monomials.reshape(fit, len(spans), 3, -1)
         # Per span: its meters over the span, its sums and its meters up to
         # its first grid point.
         sums = (monomials.reshape(fit, -1) @ weights).reshape(fit, len(spans), -1)
@@ -832,12 +873,17 @@ class _Engine:
         meters[0] = self.meters
         meters[1:] = sums[:, :, :4].reshape(-1, 4)
         np.cumsum(meters, axis=0, out=meters)
+        # Per span, the monomials and the meters at its first grid point.
+        at_first = np.empty((fit, len(spans), 4 + monomials.shape[3]))
+        np.add(meters[:-1].reshape(fit, len(spans), 4), sums[:, :, 7:], out=at_first[:, :, -4:])
+        at_first[:, :, :-4] = monomials[:, :, 1]
         avgs = (sums[:, :, 4:7].sum(axis=1) / n).tolist()
-        times = time[n:fit * n + 1:n].tolist()
+        del monomials, sums                 # a stretch's worth each
+        times = (lasts[:fit] + scn.dt).tolist()     # each a step on from the last
         plants = self.wraps[1:fit + 1, :4].tolist()
 
         # Wrap by wrap to the end of the batch, ticking inside it.
-        k0 = self.k
+        k0, t0 = self.k, self.t
         for taken in range(1, fit + 1):
             self.t, self.plant, self.avgs = times[taken - 1], plants[taken - 1], avgs[taken - 1]
             self.k = k0 + taken * n
@@ -847,27 +893,18 @@ class _Engine:
                     break
         self.meters = meters[len(spans) * taken].tolist()
 
+        # The meters along each span's grid, from those at its first grid
+        # point, into `xs`; then the samples, every dec // g-th point of its
+        # rows from the first, into their columns of `rec`.
+        for i, (point, points, table) in enumerate(layout):
+            np.matmul(at_first[:taken, i], table[:, :, :points],
+                      out=self.xs[4:, :taken, point:point + points])
         col = -(-k0 // dec)                 # the next sample
         first = col * dec - k0              # its step, on the grid
         col -= self.base                    # its column
-        g = self.g
-        samples = slice(first // g, taken * n // g, dec // g)   # their grid points
-        stamps = time[first:taken * n:dec]
-        cols = slice(col, col + len(stamps))
-        rec = self.rec
-        rec[0, cols] = stamps
-        rec[1:5, cols] = self.xs[:, :taken, :n // g].reshape(4, -1)[:, samples]
-        # The meters at each span's first grid point, then along its grid;
-        # the grid's points, period after period, are every g-th step.
-        at_first = np.empty((taken, len(spans), 4 + monomials.shape[3]))
-        np.add(meters[:len(spans) * taken].reshape(taken, len(spans), 4), sums[:taken, :, 7:],
-               out=at_first[:, :, -4:])
-        at_first[:, :, :-4] = monomials[:taken, :, 1]
-        grid = np.empty((taken, 4 * (n // g)))
-        for i, (point, points, table) in enumerate(layout):
-            np.matmul(at_first[:, i], table[:, :4 * points],
-                      out=grid[:, 4 * point:4 * (point + points)])
-        rec[5:, cols] = grid.reshape(-1, 4)[samples].T
+        rec = self.rec[:, col:col + len(range(first, taken * n, dec))]
+        _step_times(t0, scn.dt, first, dec, self.counts, rec[0])
+        rec[1:] = self.xs.reshape(8, -1)[:, first // g:taken * (n // g):dec // g]
         self.batch = min(2 * m, self.max_batch) if taken == m else 1
         return taken
 
@@ -891,7 +928,7 @@ class _Engine:
         n, g = self.n_period, self.g
         wraps, starts, firsts = self.wraps[:m + 1], self.starts[:m], self.firsts[:m]
         np.matmul(self.x0, self.powers[:m + 1], out=wraps)
-        xs = self.xs[:, :m + 1]
+        xs = self.xs[:4, :m + 1]
         for a, b, _, step_map in spans:
             if a:                           # from its first grid point
                 first, last, origin = -(-a // g), n // g, firsts
@@ -902,11 +939,18 @@ class _Engine:
             np.matmul(origin, step_map.grid[:, :, :last - first], out=xs[:, :m, first:last])
             if b < n:                       # the next span's start
                 np.matmul(wraps[:m], step_map.stack[:, b], out=starts[:, :4])
-        xs[:, :m, -1] = (starts if len(spans) > 1 else wraps[:m])[:, :4].T
         xs[:, m, 0] = wraps[m, :4]
         box = self.box[:m, :len(spans)]
-        np.minimum.reduceat(xs[:, :m], self.cuts, axis=2, out=box[:, :, :4].transpose(2, 0, 1))
-        np.maximum.reduceat(xs[:, :m], self.cuts, axis=2, out=box[:, :, 4:8].transpose(2, 0, 1))
+        grids = box[:, :len(self.cuts)].transpose(2, 0, 1)     # the spans with grid points
+        np.minimum.reduceat(xs[:, :m], self.cuts, axis=2, out=grids[:4])
+        np.maximum.reduceat(xs[:, :m], self.cuts, axis=2, out=grids[4:8])
+        if len(spans) > 1 and spans[1][0] % g:     # the second span's start, off the grid
+            lo, hi, start = box[:, 1, :4], box[:, 1, 4:8], starts[:, :4]
+            if len(self.cuts) > 1:
+                np.minimum(lo, start, out=lo)
+                np.maximum(hi, start, out=hi)
+            else:
+                lo[:] = hi[:] = start
         ok = (box.reshape(m, -1) @ self.weights).min(axis=1) >= 0.0
         if ok.all():
             return m
@@ -1022,10 +1066,10 @@ class _Engine:
         functions of y: a monomial of M y, a meter plus its factors'
         product (`_meter_forms`), a sum plus its row times 1.  The tables
         are rows of L^r and of (L^g)^j.  Returns the weights of the four
-        meters and the three sums over r steps, (r, 15, 7); a table whose
-        columns give, point by point and meter by meter, the meters over
-        j g steps from its first rows and the meters at y from its last
-        four; and the sums over j g steps, on y's first five monomials."""
+        meters and the three sums over r steps, (r, 15, 7); per meter, a
+        table whose column j gives the meter after j g steps from its first
+        rows, on y's monomials, and its last four, on the meters at y; and
+        the sums over j g steps, on y's first five monomials."""
         scn = self.scenario
         b = scn.battery
         t = np.eye(5)                       # x = T y
@@ -1049,7 +1093,7 @@ class _Engine:
         out = slice(len(i), None)           # the meters' and the sums' rows
         small = _power_stack(lifted, self.g, out)
         grid = _power_stack(np.linalg.matrix_power(lifted, self.g), self.n_period // self.g, out)
-        table = grid[:, :4, :len(i) + 4].transpose(2, 0, 1).reshape(len(i) + 4, -1)
+        table = np.ascontiguousarray(grid[:, :4, :len(i) + 4].transpose(1, 2, 0))
         return (small[:, :, :len(i)].transpose(0, 2, 1), table,
                 grid[:, 4:, :5].transpose(0, 2, 1).copy())
 
@@ -1078,15 +1122,14 @@ class _Engine:
             head[:, 7:] = small[c, :, :4]
             if points:                      # to the last one
                 body[:5, 4:7] = step_map.sums[points - 1]
-                body[:, :4] = table[:-4, 4 * points - 4:4 * points]
+                body[:, :4] = table[:, :-4, points - 1].T
             tail[:, :7] = small[length - last]  # to the span's end
-            # As columns of a state's row of `xs`; a point at step n is the
-            # next period's wrap.
-            offsets += (n // g if a else 0, *(j // n * (n // g + 1) + j % n // g
-                                              for j in (a + c, a + last)))
+            # As columns of a state's row of `xs`, where a point at step n is
+            # the next period's wrap; the second span's start is not in
+            # `xs`, and `period` writes it over the wrap's.
+            offsets += (0, *(j // n * (n // g) + j % n // g for j in (a + c, a + last)))
             layout.append(((a + c) // g, points, table))
-        at = np.add.outer(np.arange(0, self.max_batch * (n // g + 1), n // g + 1),
-                          offsets).ravel()
+        at = np.add.outer(np.arange(0, self.max_batch * (n // g), n // g), offsets).ravel()
         return at, weights.reshape(-1, len(spans) * 11), layout
 
     def advance(self) -> bool:
@@ -1094,13 +1137,16 @@ class _Engine:
         wrap the period kernel has not ticked, then the period kernel when
         `batched` and a whole period is left, for as many periods as it
         takes; the scalar kernel for a period it declines or a partial one.
-        Returns False at a wrap where `rec` holds `rows` samples and more
-        are to come.  Otherwise it records the final instant when it falls
-        on the decimation grid and returns True."""
+        Returns False at a wrap where `rec` holds samples, more are to
+        come and the next call might record past `rows` of them.  Otherwise
+        it records the final instant when it falls on the decimation grid
+        and returns True."""
         n, n_steps = self.n_period, self.n_steps
         dec = self.scenario.record_decimation
         while self.k < n_steps:
-            if self.base + self.rows <= -(-self.k // dec) < self.n_rec:  # full, more to come
+            recorded = -(-self.k // dec)
+            if (self.base < recorded < self.n_rec
+                    and min(recorded + self.call, self.n_rec) > self.base + self.rows):
                 return False
             if self.ticked < self.k:        # a batch may have ticked this wrap
                 self.tick()
@@ -1148,10 +1194,10 @@ class _Engine:
 
 def _drive(scenario: Scenario, batched: bool, rows: int | None = None):
     """The engine's one loop, a generator of the trace in consecutive
-    blocks of at least `rows` samples but the last, the whole trace for
-    None (see `_Engine`): :meth:`_Engine.advance` until a block is full or
-    the run ends, then the block.  A block's columns are reused once the
-    next is drawn."""
+    blocks of at most `rows` samples, or one kernel call's where a call
+    records more, the whole trace for None (see `_Engine`):
+    :meth:`_Engine.advance` until a block is full or the run ends, then the
+    block.  A block's columns are reused once the next is drawn."""
     eng = _Engine(scenario, batched, rows)
     while True:
         # A batch run past a divergence may overflow; the scalar rerun reports it.
@@ -1186,9 +1232,9 @@ def run(scenario: Scenario) -> Trace:
 
 def run_blocks(scenario: Scenario):
     """`run`'s trace as a generator of consecutive blocks, each a Trace of
-    at least _READ_BLOCK samples but the last, and at most one kernel
-    call's samples more, whose columns are reused once the next block is
-    drawn.  Its memory is a block's, whatever the horizon."""
+    at most _READ_BLOCK samples (or one kernel call's, where a call records
+    more), whose columns are reused once the next block is drawn.  Its
+    memory is a block's, whatever the horizon."""
     return _drive(scenario, True, _READ_BLOCK)
 
 

@@ -220,7 +220,7 @@ def test_grid_tables_match_steps(path, source):
         now, v_bus, v_o, _ = eng.plant      # still on the path, in the regime
         assert np.sign(now) == np.sign(i_l), j
         assert (sim._source_margin(scn, v_s, now, v_bus, v_o, path) >= 0.0) == source_on, j
-        got = [*(at_y @ table[:, 4 * j:4 * j + 4]), *(y @ sums[j])]
+        got = [*(table[:, :, j] @ at_y), *(y @ sums[j])]
         want = [*eng.meters, *step_sums]
         names = CLOSE[6:] + ("i_l", "v_c_o", "v_batt")
         for name, a, w in zip(names, got, want):
@@ -301,19 +301,52 @@ def test_check_bound_is_sound(path, source):
 
 @pytest.mark.parametrize("t, dt", [
     (0.0, 50e-9), (0.0123, 50e-9), (0.125 - 3000 * 50e-9, 50e-9), (0.9, 1e-7),
-    (1.0 + 2.0 ** -52, 1.5 * 2.0 ** -52), (1.0, 1.5 * 2.0 ** -52)],
-    ids=["zero", "within", "across", "lower-bits", "tie-odd", "tie-even"])
+    (1.0 + 2.0 ** -52, 1.5 * 2.0 ** -52), (1.0, 1.5 * 2.0 ** -52), (1.0, 2.0 ** -54)],
+    ids=["zero", "within", "across", "lower-bits", "tie-odd", "tie-even", "stalled"])
 def test_step_times_are_the_scalar_sums(t, dt):
     """The period kernel's times before each step, t + k r within t's
     binade, against the scalar kernel's sums t + dt + dt + ... in order,
-    from 0, inside one binade, across a binade edge, and with dt halfway
-    between two multiples of t's ulp."""
+    from 0, inside one binade, across a binade edge, with dt halfway
+    between two multiples of t's ulp, and with dt under half of it, where
+    the sum stays at t."""
     count = 8000
     want = [t]
     for _ in range(count):
         want.append(want[-1] + dt)
-    got = sim._step_times(t, dt, np.arange(count + 1.0), np.empty(count + 1))
+    counts = np.arange(count + 1.0)
+    got = sim._step_times(t, dt, 0, 1, counts, np.empty(count + 1))
     assert got.tolist() == want
+    for start, stride in ((999, 1000), (7, 13), (0, 4000)):
+        got = sim._step_times(t, dt, start, stride, counts, np.empty(len(want[start::stride])))
+        assert got.tolist() == want[start::stride], (start, stride)
+
+
+def test_batch_across_a_binade_edge_keeps_the_scalar_times(monkeypatch, scenarios_dir):
+    """One period-kernel call spans t = 2^-5 s, where the ulp of the time
+    doubles: on quick's plant at 100 steps per period and a fixed duty, in
+    CCM, every 8 steps sampled, the times of its samples and of each wrap
+    it ticks equal the scalar kernel's sums t + dt + dt + ... exactly."""
+    scn = replace(parse_scenario_file(scenarios_dir / "quick.scenario"), t_end=42e-3,
+                  dt=0.5e-6, record_decimation=8, fixed_duty=0.55,
+                  initial_mode=Mode.CHARGING, initial_duty=None)
+    spans, wraps = [], {True: [], False: []}
+    kernel, tick = sim._Engine.period, sim._Engine.tick
+
+    def logged(eng):
+        start = eng.t
+        taken = kernel(eng)
+        spans.append((start, eng.t))
+        return taken
+
+    def logged_tick(eng):
+        wraps[eng.batched].append((eng.k, eng.t))
+        tick(eng)
+
+    monkeypatch.setattr(sim._Engine, "period", logged)
+    monkeypatch.setattr(sim._Engine, "tick", logged_tick)
+    assert_matches_scalar(scn)
+    assert any(start < 2.0 ** -5 < end for start, end in spans)
+    assert wraps[True] == wraps[False] and len(wraps[True]) == 840
 
 
 @pytest.mark.parametrize("dec", [3, 5])
@@ -414,14 +447,16 @@ def test_divergence_matches_scalar():
 
 
 def test_line_sweep_point_batches_most_periods(monkeypatch):
-    """A weak-source point as the line-regulation sweep runs it takes
-    most of its periods in batches of eight (the step cap at 1000 steps
-    per period) and still matches the scalar kernel."""
+    """A weak-source point as the line-regulation sweep runs it takes its
+    200 periods in fewer period-kernel calls than the 41 it takes at eight
+    periods a call, no call trying more periods than _BATCH_POINTS grid
+    states allow (32, of 1000 // 4 + 1 each), and still matches the scalar
+    kernel."""
     calls = log_batches(monkeypatch)
     assert_matches_scalar(weak_point_scenario(25.0))
     assert sum(taken for _, taken, *_ in calls) == 200
-    assert sum(taken for _, taken, *_ in calls if taken == 8) >= 100
-    assert max(offered for offered, *_ in calls) == sim._BATCH_STEPS // 1000 == 8
+    assert len(calls) < 41
+    assert max(offered for offered, *_ in calls) == sim._BATCH_POINTS // 251 == 32
 
 
 @pytest.mark.parametrize("name", ["weak_point", "buck_charge"])
@@ -473,7 +508,7 @@ def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
     assert_matches_scalar(weak_point_scenario(20.0))
     stopped = [(offered, taken) for offered, taken, ticked in calls
                if ticked and 0 < taken < offered]
-    assert stopped and all(offered == 8 for offered, _ in stopped)
+    assert stopped
 
 
 def test_open_loop_batches_double(monkeypatch):

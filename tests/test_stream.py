@@ -5,12 +5,14 @@ print and write what the whole-trace path (`run`, `Trace.to_csv`,
 
 The tests shrink `sim._READ_BLOCK`, the block width of both streams, so
 that a trace runs through many blocks: the engine hands a block on at the
-first carrier wrap where it holds that many samples, the reader parses
-that many rows per call."""
+first carrier wrap where the next kernel call might take it past that many
+samples, the reader parses that many rows per call."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from bdcsim import _trace_csv, sim
@@ -26,9 +28,8 @@ SPECIAL = {  # n, steps, dec
     "dec 7, partial period, final instant off the grid": (100, 20_037, 7),
     "dec 3, partial period, final instant on the grid": (100, 20_037, 3),
     "dec 130 above n, final instant on the grid": (100, 26_000, 130),
-    # At the least block width the final instant, which the last call
-    # records, is the first sample past the block's last column, so the
-    # block must be handed on before that call.
+    # At the least block width the last call, a partial period, starts a
+    # block of its own and records the final instant after its samples.
     "dec 3, final instant just past a block": (100, 16_095, 3),
 }
 PLANT_FLAGS = ["--inductance", "1m", "--switching-frequency", "20k"]
@@ -74,19 +75,22 @@ def whole_trace_summary(path, trace, scenario, out_path, periods=20) -> str:
 def test_streamed_simulate_matches_the_whole_trace(case, tmp_path, monkeypatch, capsys):
     """At the least block width the CSV bytes and the summary equal those
     of run(s).to_csv and steady_window over run(s).  At that width and at
-    1000, every block but the last holds at least the width's samples and
-    at most one kernel call's samples more, and the last no more."""
+    1000, every block holds at most the width's samples, or one kernel
+    call's where a call records more, and every block but the last so many
+    that one more call might take it past the width."""
     scenario = parse_scenario_file(case)
     trace = run(scenario)
     whole = tmp_path / "whole.csv"
     trace.to_csv(whole)
-    call = sim._Engine(scenario).most // scenario.record_decimation + 1
+    call = sim._Engine(scenario).call
+    assert call == sim._Engine(scenario).most // scenario.record_decimation + 1
     for rows in (1000, 1):
         monkeypatch.setattr(sim, "_READ_BLOCK", rows)
         *full, last = [len(block) for block in sim.run_blocks(scenario)]
         assert sum(full) + last == len(trace)
-        assert all(rows <= size <= rows + call for size in full) and last <= rows + call
-        assert len(trace) <= rows + call or full
+        assert all(0 < size <= max(rows, call) for size in (*full, last))
+        assert all(size + call > rows for size in full)
+        assert len(trace) <= max(rows, call) or full
     streamed = tmp_path / "streamed.csv"
     assert main(["simulate", str(case), "--output", str(streamed)]) == 0
     assert capsys.readouterr().out == whole_trace_summary(case, trace, scenario, streamed)
@@ -146,21 +150,57 @@ def test_window_metrics_equal_steady_window(name, scenarios_dir, tmp_path, monke
 
 
 def test_block_width_and_one_block_run(scenarios_dir):
-    """`rec` holds a block's `rows` samples and one kernel call's more, and
-    no more than the trace; run()'s engine records the whole trace as one
-    block."""
+    """`rec` holds a block's `rows` samples, or one kernel call's where a
+    call records more, and no more than the trace; a call on buck_charge
+    takes the 16 periods whose 501 grid states each fit _BATCH_POINTS, and
+    records every second step of them.  run()'s engine records the whole
+    trace as one block."""
     scenario = parse_scenario_file(scenarios_dir / "buck_charge.scenario")
     short = replace(scenario, t_end=1e-3)
     for scn in (scenario, short):
-        call = sim._Engine(scn).most // scn.record_decimation + 1
-        assert call == sim._BATCH_STEPS // 2 + 1
+        eng = sim._Engine(scn)
+        assert (eng.n_period, eng.g) == (1000, 2)
+        assert eng.most == sim._BATCH_POINTS // 501 * 1000 == 16_000
+        assert eng.call == eng.most // 2 + 1
         for rows in (1, 1 << 30):
             width = sim._Engine(scn, True, rows).rec.shape[1]
-            assert width == min(rows + call, scn.samples), (scn.samples, rows)
+            assert width == min(max(rows, eng.call), scn.samples), (scn.samples, rows)
     assert short.samples == 10_001 and scenario.samples == 500_001
     eng = sim._Engine(scenario)
     assert eng.rec.shape == (len(sim._STEP_ROWS), scenario.samples)
     assert eng.advance() and len(eng.trace()) == scenario.samples
+
+
+def test_final_instant_in_the_last_column(scenarios_dir, tmp_path, monkeypatch):
+    """Blocks as wide as one kernel call's samples, on quick's plant at 100
+    steps per period, sampled every 3 steps, over 20 802 steps: the final
+    instant, which the last call records after its samples, takes the last
+    column of `rec`, and the blocks are run()'s trace."""
+    dt = 1.0 / (20e3 * 100)
+    text = (scenarios_dir / "quick.scenario").read_text()
+    path = tmp_path / "quick.scenario"
+    path.write_text(text.replace("t_end = 5m", f"t_end = {20_802 * dt!r}").replace(
+        "dt = 2.5u", f"dt = {dt!r}").replace("record_decimation = 1", "record_decimation = 3"))
+    scenario = parse_scenario_file(path)
+    whole = run(scenario)
+    call = sim._Engine(scenario).call
+    monkeypatch.setattr(sim, "_READ_BLOCK", call)
+    finals = []
+    advance = sim._Engine.advance
+
+    def watched(eng):
+        done = advance(eng)
+        if done:
+            finals.append((eng.n_rec - 1 - eng.base, eng.rec.shape[1]))
+        return done
+
+    monkeypatch.setattr(sim._Engine, "advance", watched)
+    blocks = [{name: block.column(name).copy() for name in TRACE_COLUMNS}
+              for block in sim.run_blocks(scenario)]
+    assert finals == [(call - 1, call)] and len(blocks) > 1
+    for name in TRACE_COLUMNS:
+        assert np.array_equal(np.concatenate([block[name] for block in blocks]),
+                              whole.column(name)), name
 
 
 def peak_bytes(argv) -> int:
@@ -197,6 +237,50 @@ def test_memory_does_not_grow_with_the_trace(scenarios_dir, tmp_path, monkeypatc
     extra = (40_001 - 10_001) * ROW_BYTES
     for command, small, large in zip(("simulate", "analyze"), *peaks.values()):
         assert large - small < 0.25 * extra, (command, small, large)
+
+
+@pytest.mark.parametrize("dec, periods, limit", [(8, 170, 6), (130, 170, 6), (100, 81, 22)])
+def test_kernel_call_memory_is_bounded_by_the_budget(dec, periods, limit, scenarios_dir,
+                                                     tmp_path, monkeypatch):
+    """The memory test's plant, quick's at 100 steps per period and a fixed
+    duty of 0.55, in CCM, over 200 ms, sampled every 8 steps, or, as in the
+    SPECIAL case "dec 130 above n", every 130, or once a period (g = n).
+    A period-kernel call takes `periods` periods: as many as _BATCH_POINTS
+    holds of the most of a period's grid states (n // g + 1), its check
+    bound's steps (g + 1) and _PERIOD_POINTS.  No call's traced peak, the
+    buffers the first makes included, passes 22 times the budget's bytes
+    (8 bytes a grid state), and no later call's passes `limit` times: at g = n
+    the check margins, 22 (g + 1) floats a period, take the most.  A row
+    of a stretch's per-step times, 17 001 floats at dec 8 and 130, would
+    take those past 6 times."""
+    text = (scenarios_dir / "quick.scenario").read_text().replace(
+        "dt = 2.5u", "dt = 0.5u").replace("record_decimation = 1", f"record_decimation = {dec}")
+    text = text.replace("initial_duty = 0.5", "fixed_duty = 0.55\ninitial_mode = charging")
+    path = tmp_path / "quick.scenario"
+    path.write_text(text.replace("t_end = 5m", "t_end = 200m"))
+    scenario = parse_scenario_file(path)
+    g = math.gcd(100, dec)
+    assert sim._BATCH_POINTS // max(100 // g + 1, g + 1, sim._PERIOD_POINTS) == periods
+    peaks, taken = [], []
+    kernel = sim._Engine.period
+
+    def measured(eng):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        taken.append(kernel(eng))
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        return taken[-1]
+
+    monkeypatch.setattr(sim._Engine, "period", measured)
+    tracemalloc.start()
+    try:
+        run(scenario)
+    finally:
+        tracemalloc.stop()
+    budget = 8 * sim._BATCH_POINTS
+    assert max(taken) == periods
+    assert max(peaks) < 22 * budget, (max(peaks), peaks.index(max(peaks)))
+    assert max(peaks[1:]) < limit * budget, max(peaks[1:])
 
 
 def rows_csv(path, *rows):
