@@ -522,8 +522,9 @@ class _Engine:
     and the time until which it holds, and k, the steps taken, from which
     it derives the next sample.  For the period kernel it keeps `ticked`,
     the k of the last tick, `held`, whether that tick kept the mode and the
-    gate counts, and `batch`, the periods the next call tries after such a
-    tick.
+    gate counts, `moved`, the k of the last tick that moved them, `hold`,
+    the periods of the hold that tick ended, `expect`, the k at which the
+    next move is expected, and `batch`, the periods a call tries past it.
 
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
     :meth:`period` the batched one; :meth:`advance` calls them, and every
@@ -559,6 +560,8 @@ class _Engine:
         self.k = 0                          # steps taken
         self.ticked = -1
         self.held = False
+        self.moved, self.hold = 0, math.inf     # no hold has ended yet
+        self.expect = 0
         self.batch = 1
         self.batched = batched and self.n_period >= _MIN_BATCH_STEPS
         # The most steps one call takes: the periods whose grid states,
@@ -581,7 +584,9 @@ class _Engine:
         """The controller at a carrier wrap: mode and duty from the last
         period's averages, unless the duty is fixed; then the gate counts
         of the period that starts, and whether they and the mode held.  A
-        period that holds a recorded sample, the final instant included,
+        tick after the first that moves them ends a hold, and expects the
+        next move after the shorter of the last two holds.  A period that
+        holds a recorded sample, the final instant included,
         adds its wrap step, mode code, duty and gate counts (at most the
         steps left, so int64 holds them) to `record`."""
         if self.t >= self.v_s_until:
@@ -599,6 +604,9 @@ class _Engine:
         self.held = (ctrl.mode, self.on1, self.on2) == before
         self.ticked = k = self.k
         left, n = self.n_steps - k, self.n_period
+        if k and not self.held:
+            hold = (k - self.moved) // n
+            self.expect, self.moved, self.hold = k + n * min(hold, self.hold), k, hold
         if -k % self.scenario.record_decimation <= (n - 1 if n < left else left):
             self.record.append((k, MODE_CODES[ctrl.mode], ctrl.duty,
                                 min(self.on1, left), min(self.on2, left)))
@@ -771,15 +779,18 @@ class _Engine:
         agree with the scalar kernel's per-step sums to within 1e-9 of each
         column's magnitude.
 
-        After a tick that kept them the kernel tries `batch` periods, else
-        one, but never past `most` steps (the periods whose grid states,
-        check bound and other rows fit _BATCH_POINTS, one at least), the
-        last whole period or the source's next change.  It takes the
-        periods before the first that fails a check (`_checks`) and ticks
-        the wraps between them in order, up to the first tick that moves
-        the mode or the gate counts: that tick stands for its wrap, whose
-        period the next call takes.  `batch` doubles when the kernel takes
-        all it tried and drops to 1 when a check or a tick stops it.
+        A call tries the periods up to `expect`, the wrap at which the
+        controller's last two holds put its next move (`tick`), and past
+        it `batch` periods: twice the last try when the kernel took it
+        whole, one when a check or a tick stopped it.  A check that fails
+        drops the expectation, so the call after it tries one period.  No
+        call tries past `most` steps (the periods whose grid states, check
+        bound and other rows fit _BATCH_POINTS, one at least), the last
+        whole period or the source's next change.  It takes the periods
+        before the first that fails a check (`_checks`) and ticks the wraps
+        between them in order, up to the first tick that moves the mode or
+        the gate counts: that tick stands for its wrap, whose period the
+        next call takes.
 
         Returns 0, with the run's state unchanged, when the first period
         fails a check or the source changes within it; the scalar kernel
@@ -807,7 +818,8 @@ class _Engine:
             self.ys = np.ones((6 * self.max_batch, 5))  # the spans' states, as (y, 1)
             self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
             self.counts = np.arange(float(max(self.call, self.max_batch)))  # for _step_times
-        m = min(self.batch if self.held else 1, (self.n_steps - self.k) // n)
+        ahead = (self.expect - self.k) // n
+        m = min(ahead if ahead > 0 else self.batch, self.max_batch, (self.n_steps - self.k) // n)
         # The time before each period's last step.
         lasts = _step_times(self.t, scn.dt, n - 1, n, self.counts, np.empty(m))
         if lasts[0] >= self.v_s_until:      # on a ramp, every period
@@ -850,9 +862,10 @@ class _Engine:
             c = len(self.powers) - 1
             self.powers = np.concatenate([self.powers, self.powers[1:m - c + 1] @ self.powers[c]])
         fit = self._states(m, spans)
-        if not fit:
-            self.batch = 1
-            return 0
+        if fit < m:                         # a check fails: no move expected, one period next
+            self.batch, self.expect = 1, self.k
+            if not fit:
+                return 0
 
         # The meters and each period's sums by quadrature, from three states
         # of each span: its start, its first and its last grid point.
@@ -905,7 +918,7 @@ class _Engine:
         rec = self.rec[:, col:col + len(range(first, taken * n, dec))]
         _step_times(t0, scn.dt, first, dec, self.counts, rec[0])
         rec[1:] = self.xs.reshape(8, -1)[:, first // g:taken * (n // g):dec // g]
-        self.batch = min(2 * m, self.max_batch) if taken == m else 1
+        self.batch = 2 * m if taken == m else 1
         return taken
 
     def _states(self, m: int, spans: list) -> int:

@@ -124,21 +124,58 @@ def open_loop_buck(**changes) -> sim.Scenario:
 
 
 def log_batches(monkeypatch) -> list:
-    """Patches the period kernel to log, per call, the periods a batch
-    could try (`batch`, or 1 after a tick that moved the gate counts), the
-    periods it took, and whether the wrap it stopped at was ticked (a tick
-    that moved the gate counts stopped it, or it declined)."""
-    calls = []
-    kernel = sim._Engine.period
+    """Patches the period kernel to log, per call, the periods it tried
+    (those its checks received, or for a call that declined before them,
+    those whose times it computed), the periods it took, and whether the
+    wrap it stopped at was ticked (a tick that moved the gate counts
+    stopped it, or it declined)."""
+    calls, tries = [], []
+    kernel, states, step_times = sim._Engine.period, sim._Engine._states, sim._step_times
 
     def logged(eng):
-        offered = eng.batch if eng.held else 1
+        tries.clear()
         taken = kernel(eng)
-        calls.append((offered, taken, eng.ticked == eng.k))
+        calls.append((tries[-1], taken, eng.ticked == eng.k))
         return taken
 
+    def logged_states(eng, m, spans):
+        tries.append(m)
+        return states(eng, m, spans)
+
+    def logged_times(t, dt, start, stride, counts, out):
+        if not tries:                   # the call's first: the times of its tries
+            tries.append(len(out))
+        return step_times(t, dt, start, stride, counts, out)
+
     monkeypatch.setattr(sim._Engine, "period", logged)
+    monkeypatch.setattr(sim._Engine, "_states", logged_states)
+    monkeypatch.setattr(sim, "_step_times", logged_times)
     return calls
+
+
+def log_failed_checks(monkeypatch, calls: list):
+    """Patches the period kernel's checks and the tick to log each call
+    that a failed check stopped (at the failing period, not at a move
+    before it) and after which no tick moved the gate counts before the
+    next call; returns a function that gives, from `calls` (`log_batches`),
+    the periods that the call after each tried."""
+    stops, states, tick = [], sim._Engine._states, sim._Engine.tick
+
+    def logged(eng, m, spans):
+        fit = states(eng, m, spans)
+        if fit < m:
+            stops.append((len(calls), fit))
+        return fit
+
+    def logged_tick(eng):
+        tick(eng)
+        if not eng.held and stops and stops[-1][0] == len(calls) - 1:
+            stops.pop()                 # new gate counts, which no check has failed
+
+    monkeypatch.setattr(sim._Engine, "_states", logged)
+    monkeypatch.setattr(sim._Engine, "tick", logged_tick)
+    return lambda: [calls[i + 1][0] for i, fit in stops
+                    if calls[i][1] == fit and i + 1 < len(calls)]
 
 
 @pytest.mark.parametrize("source", ["conducts", "blocks", "stiff"])
@@ -362,9 +399,16 @@ def test_sample_grid_off_the_period_matches_scalar(dec, monkeypatch):
 
 
 @pytest.mark.parametrize("name", BUNDLED)
-def test_bundled_scenarios_match_scalar(name, scenarios_dir):
+def test_bundled_scenarios_match_scalar(name, scenarios_dir, monkeypatch):
+    """Each bundled scenario matches the scalar kernel.  mode_transition,
+    whose gates move every few periods, takes its periods in at most 250
+    period-kernel calls (672 when every move restarted the tries at one
+    period)."""
+    calls = log_batches(monkeypatch)
     _, ref = assert_matches_scalar(parse_scenario_file(scenarios_dir / f"{name}.scenario"))
     assert trace_digest(ref) == SCALAR_DIGESTS[name]
+    if name == "mode_transition":
+        assert len(calls) <= 250
 
 
 @pytest.mark.parametrize("steps", [20, 64])
@@ -448,15 +492,61 @@ def test_divergence_matches_scalar():
 
 def test_line_sweep_point_batches_most_periods(monkeypatch):
     """A weak-source point as the line-regulation sweep runs it takes its
-    200 periods in fewer period-kernel calls than the 41 it takes at eight
-    periods a call, no call trying more periods than _BATCH_POINTS grid
-    states allow (32, of 1000 // 4 + 1 each), and still matches the scalar
-    kernel."""
+    200 periods in at most 16 period-kernel calls (31 when every move
+    restarted the tries at one period, 41 at eight periods a call), no
+    call trying more periods than _BATCH_POINTS grid states allow (32, of
+    1000 // 4 + 1 each), and still matches the scalar kernel."""
     calls = log_batches(monkeypatch)
     assert_matches_scalar(weak_point_scenario(25.0))
     assert sum(taken for _, taken, *_ in calls) == 200
-    assert len(calls) < 41
+    assert len(calls) <= 16
     assert max(offered for offered, *_ in calls) == sim._BATCH_POINTS // 251 == 32
+
+
+@pytest.mark.parametrize("volts", [20.0, 25.0, 30.0])
+def test_call_after_a_move_tries_the_shorter_of_two_holds(volts, monkeypatch):
+    """A tick that moves the gate counts ends a hold; the call from its
+    wrap tries the periods up to the next move's expected wrap, after the
+    shorter of the last two holds (the first alone, where only one has
+    ended), but not past 32 periods or the whole periods left.  The
+    weak-source points hold for 24, then about 50 periods."""
+    calls = log_batches(monkeypatch)
+    starts, moves = [], [0]
+    kernel, tick = sim._Engine.period, sim._Engine.tick
+
+    def logged(eng):
+        starts.append(eng.k)
+        return kernel(eng)
+
+    def logged_tick(eng):
+        tick(eng)
+        if eng.k and not eng.held:
+            moves.append(eng.k)
+
+    monkeypatch.setattr(sim._Engine, "period", logged)
+    monkeypatch.setattr(sim._Engine, "tick", logged_tick)
+    scn = weak_point_scenario(volts)
+    sim.run(scn)
+    n, n_steps = scn.steps_per_period, round(scn.t_end / scn.dt)
+    holds = (np.diff(moves) // n).tolist()
+    assert holds[:2] == [24, 50]
+    after = [(k, tried) for k, (tried, *_) in zip(starts, calls) if k in moves[1:]]
+    assert len(after) >= len(moves) - 2
+    for k, tried in after:
+        i = moves.index(k)
+        assert tried == min(*holds[max(i - 2, 0):i], 32, (n_steps - k) // n), k
+
+
+def test_call_after_a_failed_check_tries_one_period(monkeypatch, scenarios_dir):
+    """On boost_discharge, where checks stop some 100 calls, many of them
+    while the controller's holds expect a move further on, the call after
+    each tries a single period: a failed check drops the expectation, so
+    no call tries a stretch that then fails on its first period again."""
+    calls = log_batches(monkeypatch)
+    after_failed_checks = log_failed_checks(monkeypatch, calls)
+    sim.run(parse_scenario_file(scenarios_dir / "boost_discharge.scenario"))
+    tries = after_failed_checks()
+    assert len(tries) >= 50 and set(tries) == {1}
 
 
 @pytest.mark.parametrize("name", ["weak_point", "buck_charge"])
@@ -548,7 +638,8 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
     small for continuous conduction, the SoC clamp of a battery filling
     up, or a weak source that starts to conduct as a boost-held bus sags
     below it.  The batch keeps the periods before it and the scalar
-    kernel takes that period."""
+    kernel takes that period, and each call after one that a check
+    stopped tries a single period."""
     if case == "dcm":
         scn = open_loop_buck(fixed_duty=0.45, initial_state=CircuitState(
             i_l=3.0, v_c_bus=24.0, v_c_o=23.95, soc=0.5, t=0.0))
@@ -564,10 +655,12 @@ def test_check_failing_mid_batch_matches_scalar(case, monkeypatch):
                       battery=replace(base.battery, soc=0.975),
                       initial_state=replace(base.initial_state, soc=0.975))
     calls = log_batches(monkeypatch)
+    after_failed_checks = log_failed_checks(monkeypatch, calls)
     trace, _ = assert_matches_scalar(scn)
     takes = [taken for _, taken, *_ in calls]
     cut = next(i for i, (offered, taken, *_) in enumerate(calls) if 0 < taken < offered)
     assert takes[cut + 1] == 0, "the failing period goes to the scalar kernel"
+    assert set(after_failed_checks()) == {1}
     if case == "dcm":
         assert (trace.i_l == 0.0).any()
     elif case == "source":

@@ -173,13 +173,13 @@ def test_block_width_and_one_block_run(scenarios_dir):
 
 def test_final_instant_in_the_last_column(scenarios_dir, tmp_path, monkeypatch):
     """Blocks as wide as one kernel call's samples, on quick's plant at 100
-    steps per period, sampled every 3 steps, over 20 802 steps: the final
+    steps per period, sampled every 3 steps, over 20 901 steps: the final
     instant, which the last call records after its samples, takes the last
     column of `rec`, and the blocks are run()'s trace."""
     dt = 1.0 / (20e3 * 100)
     text = (scenarios_dir / "quick.scenario").read_text()
     path = tmp_path / "quick.scenario"
-    path.write_text(text.replace("t_end = 5m", f"t_end = {20_802 * dt!r}").replace(
+    path.write_text(text.replace("t_end = 5m", f"t_end = {20_901 * dt!r}").replace(
         "dt = 2.5u", f"dt = {dt!r}").replace("record_decimation = 1", "record_decimation = 3"))
     scenario = parse_scenario_file(path)
     whole = run(scenario)
