@@ -10,7 +10,8 @@ nine significant digits), which splits into an integer part and groups of
 four decimals.  The rounding is float64 `rint` of the scaled value, taken
 only where that value lies farther from a .5 tie than the scaling's
 rounding error; any other element, and every value outside the ranges
-these paths cover, is formatted by printf into its field.
+these paths cover, is formatted by printf into its field.  A %.9g column
+that repeats values bit for bit is formatted once per run of them.
 
 The reader parses blocks of `sim._READ_BLOCK` rows with `np.loadtxt` and
 checks every row, in the order a reader of the whole file would.
@@ -30,11 +31,31 @@ import numpy as np
 from . import sim
 from .sim import _CSV_BLOCK, _MODE_CODE, _TRACE_FORMAT, MODE_NAMES, TRACE_COLUMNS, Trace
 
-# Reading: the mode column as bytes one wider than the longest mode name,
-# so that a longer name cannot match a mode once cut to that width.
-_READ_DTYPE = np.dtype([
-    (name, f"S{max(map(len, _MODE_CODE)) + 1}" if name == "mode" else dtype)
-    for name, dtype, _ in _TRACE_FORMAT])
+# Reading: a parsed row holds the float columns first, in TRACE_COLUMNS
+# order, so that one strided view (`_FLOAT_VIEW`) holds them all; then the
+# mode as bytes one wider than the longest mode name (discharging), so that
+# a longer name cannot match a mode once cut to that width: 12 bytes, which
+# `_MODE_VIEW` reads as an 8-byte head and a 4-byte tail; then the gates.
+_FLOATS = [name for name, dtype, _ in _TRACE_FORMAT if dtype == np.float64]
+_MODE_AT = 8 * len(_FLOATS)
+_FIELDS = {**{name: (np.float64, 8 * i) for i, name in enumerate(_FLOATS)},
+           "mode": (f"S{max(map(len, _MODE_CODE)) + 1}", _MODE_AT),
+           "s1": (np.bool_, _MODE_AT + 12), "s2": (np.bool_, _MODE_AT + 13)}
+
+
+def _row_view(**fields) -> np.dtype:
+    """A dtype of a parsed row's size, 8-aligned, with these (format,
+    offset) fields."""
+    return np.dtype({"names": list(fields), "formats": [f for f, _ in fields.values()],
+                     "offsets": [at for _, at in fields.values()], "itemsize": _MODE_AT + 16})
+
+
+_READ_DTYPE = _row_view(**{name: _FIELDS[name] for name in TRACE_COLUMNS})
+_FLOAT_VIEW = _row_view(floats=((np.float64, len(_FLOATS)), 0))
+_MODE_VIEW = _row_view(head=("<u8", _MODE_AT), tail=("<u4", _MODE_AT + 8))
+# Each mode name's code, head and tail.
+_MODE_WORDS = list(zip(_MODE_CODE.values(), np.array(list(_MODE_CODE), _FIELDS["mode"][0])
+                       .view([("head", "<u8"), ("tail", "<u4")]).tolist()))
 # The fewest bytes a row takes: every value 0, the shortest mode name.
 MIN_ROW_BYTES = len("0.000000000,0,0,0,0,0,0,,0,0,0\r\n") + min(map(len, _MODE_CODE))
 
@@ -123,12 +144,28 @@ def _general9(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
                               group[g2 + 10 ** 4 * (g3 != 0)], group[g3]]
 
 
+def _general9_runs(x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """`_general9` of x, formatting each run of bit-identical values once
+    where fewer than a quarter of the values start a run (a column that
+    changes once a period, or never): at a quarter both ways took the same
+    time on 8192 values, at half the runs took 40% longer.  Through the
+    int64 view, 0.0 and -0.0 differ, and so do NaNs of different bits."""
+    bits = x.view(np.int64)
+    change = bits[1:] != bits[:-1]
+    if 4 * np.count_nonzero(change) >= len(x):
+        return _general9(x)
+    starts = np.flatnonzero(change) + 1
+    counts = np.diff(starts, prepend=0, append=len(x))
+    ok, cells = _general9(x[np.append(0, starts)])
+    return np.repeat(ok, counts), [np.repeat(c, counts) for c in cells]
+
+
 def csv_block(trace: Trace, a: int, b: int) -> bytes:
     """Rows a:b of the trace CSV.  An unknown mode code raises KeyError."""
     tab = _csv_tables()
     col = {name: trace.column(name)[a:b] for name in TRACE_COLUMNS}
     mode = col["mode"]
-    known = np.isin(mode, list(MODE_NAMES))
+    known = (mode >= 0) & (mode < len(MODE_NAMES))     # the codes are 0, 1, ...
     if not known.all():
         raise KeyError(mode[~known][0].item())
     s1, s2 = col["s1"], col["s2"]
@@ -143,7 +180,7 @@ def csv_block(trace: Trace, a: int, b: int) -> bytes:
             fields.append((*_fixed9(x), b"%.9f", (name,)))
         elif fmt == "%.9g":
             key = id(trace.column(name))
-            general[key] = general.get(key) or _general9(np.asarray(col[name], np.float64))
+            general[key] = general.get(key) or _general9_runs(np.asarray(col[name], np.float64))
             fields.append((*general[key], b",%.9g", (name,)))
         elif name == "mode":
             code = mode.astype(np.intp)
@@ -221,25 +258,43 @@ def read_blocks(path):
                     message = re.sub(r"at row (\d+)",
                                      lambda m: f"at row {int(m[1]) + n}", str(exc))
                     raise ValueError(f"{path}: {message}") from exc
-            codes = np.full(len(rows), -1, np.int8)
-            for name, code in _MODE_CODE.items():
-                codes[rows["mode"] == name.encode()] = code
-            if (codes < 0).any():
-                i = int(np.argmax(codes < 0))
+            # One pass per check: the mode's head and tail, as integers,
+            # against the row before, and each run of them against each
+            # name's; one sum of the float columns; each time against the
+            # one before.
+            words = rows.view(_MODE_VIEW)
+            head, tail = words["head"], words["tail"]
+            change = np.ones(len(rows), bool)
+            np.not_equal(head[1:], head[:-1], out=change[1:])
+            change[1:] |= tail[1:] != tail[:-1]
+            starts = np.flatnonzero(change)
+            runs = np.full(len(starts), -1, np.int8)
+            for code, (name_head, name_tail) in _MODE_WORDS:
+                runs[(head[starts] == name_head) & (tail[starts] == name_tail)] = code
+            if (runs < 0).any():
+                i = int(starts[np.argmax(runs < 0)])
                 raise ValueError(f"{path}: line {_file_line(path, n + i)}: "
                                  f"mode {rows['mode'][i].decode(errors='replace')!r} is not "
                                  f"one of {', '.join(_MODE_CODE)}")
-            for name, dtype, _ in _TRACE_FORMAT:
-                if dtype == np.float64 and name not in bad:
-                    finite = np.isfinite(rows[name])
-                    if not finite.all():
-                        i = int(np.argmin(finite))
-                        bad[name] = (n + i, rows[name][i])
+            # A non-finite value makes the sum non-finite (inf - inf is nan);
+            # a sum that only overflows sends the block to the loop, which
+            # then finds nothing.
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = rows.view(_FLOAT_VIEW)["floats"].sum()
+            if not math.isfinite(total):
+                for name in _FLOATS:        # name each column's first, once
+                    if name not in bad:
+                        finite = np.isfinite(rows[name])
+                        if not finite.all():
+                            i = int(np.argmin(finite))
+                            bad[name] = (n + i, rows[name][i])
             time = rows["time"]
             if back is None and len(rows):
-                down = np.flatnonzero(time < np.append(last, time[:-1]))
-                back = n + int(down[0]) if len(down) else None
+                down = np.flatnonzero(time[1:] < time[:-1])
+                back = (n if time[0] < last else n + 1 + int(down[0]) if len(down)
+                        else None)
                 last = time[-1]
+            codes = np.repeat(runs, np.diff(starts, append=len(rows)))
             yield Trace(**{name: codes if name == "mode" else rows[name]
                            for name in TRACE_COLUMNS})
             n += len(rows)

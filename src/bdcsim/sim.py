@@ -369,6 +369,16 @@ _FEATURES = np.array([(i, 4) for i in range(5)]
 # steps only by more than this share of the checked functional's terms at
 # the state bounds (`_Engine._bound`).
 _BOUND_SLACK = 1e-9
+# The most plans whose tables a run keeps (`_Engine.plans`), dropping the
+# one used longest ago: some 20 kB each at buck_charge's 1000 steps per
+# period.  Its current loop changes plan 395 times among 84 plans, mostly
+# back to a recent one; keeping 48 rebuilds 120 of them, 64 rebuild 98.  In
+# the benchmark's charge_cli round trip (Python 3.11, numpy 2.4, 2-core
+# x86) peak RSS read 52.4 MB keeping one plan, 53.3 MB keeping 48 and
+# 53.7 MB keeping 64.
+_PLANS = 48
+# Elements per chunk of a trace column computed in pieces: 32 kB of float64.
+_CHUNK = 1 << 12
 
 
 def _off_path(i_l: float) -> str:
@@ -501,6 +511,10 @@ def _meter_forms(scenario: Scenario, path: str, source_on: bool, v_s: float) -> 
 # 0 .. k steps in turn; the check bound's `grid`, `weights` and `checks`
 # (`_Engine._bound`); the quadrature's `small`, `table` and `sums`.
 _StepMap = collections.namedtuple("_StepMap", "stack grid weights checks small table sums")
+# A plan, the gate count of a period and the step maps of its spans, and
+# its tables in the period kernel, built when a period meets a plan that
+# the run does not keep (`_Engine._plan`) and dropped with its step maps.
+_Plan = collections.namedtuple("_Plan", "powers grid cuts weights")
 
 
 class _Engine:
@@ -756,7 +770,10 @@ class _Engine:
         samples, every g-th step, g = gcd(n, dec), for every period
         (`_states`).  Nothing reads the states between grid points: the
         checks bound them from the grid, and only a period the bound leaves
-        open is stepped through, one product per span (`_exact`).
+        open is stepped through, one product per span (`_exact`).  A plan,
+        the gate count and the step maps of the spans, has its tables built
+        when a call meets it, and the run keeps those of the last _PLANS
+        plans used (`_plan`).
 
         The meters and the periods' averages come from span quadrature, not
         from the steps.  Within a span each step is the affine map M, and a
@@ -802,7 +819,8 @@ class _Engine:
         if self.maps is None:
             self.max_batch = self.most // n
             self.maps = {}                  # by step map: its tables (`_StepMap`)
-            self.plan = None                # the spans of the period map in `powers`
+            self.plans = {}                 # by plan: its tables (`_Plan`), the last used last
+            self.bounds = {}                # by the spans' step maps: their checks' weights
             # The states the kernel computes: at each wrap and at the start
             # of each period's second span as (x, 1), and into `xs` at each
             # period's grid points, every g-th step from its wrap, the four
@@ -828,8 +846,7 @@ class _Engine:
             # The periods whose every step comes before the source changes.
             m = int(np.searchsorted(lasts, self.v_s_until))
 
-        # The spans, from the first period's states, and the powers of the
-        # period map, kept while the spans stay the same.
+        # The spans, from the first period's states, and their plan's tables.
         on = self.on1 + self.on2  # one of them is zero
         x0 = self.x0
         x0[:4] = self.plant
@@ -842,25 +859,12 @@ class _Engine:
         if on < n:
             spans.append(self._span(on, n, _off_path(float(x[0])), x))
         plan = (on, *(key for _, _, key, _ in spans))
-        if plan != self.plan:
-            phi = np.eye(5)                 # the period map on (x, 1) as a row vector
-            for a, b, _, step_map in spans:
-                span_map = np.eye(5)
-                span_map[:, :4] = step_map.stack[:, b - a]
-                phi = phi @ span_map
-            self.plan, self.powers = plan, _power_stack(phi, m)
-            self.grid = self._grid(spans)   # its sample grid
-            # The first grid column of each span that has one, and the
-            # spans' checks' weights on the box, span by span.
-            self.cuts = [c for c in (-(-a // g) for a, *_ in spans) if c < n // g]
-            weights = [step_map.weights for *_, step_map in spans]
-            self.weights = np.zeros((9 * len(spans), sum(w.shape[1] for w in weights)))
-            self.weights[:9, :weights[0].shape[1]] = weights[0]
-            if len(spans) > 1:
-                self.weights[9:, weights[0].shape[1]:] = weights[1]
-        while len(self.powers) <= m:        # M^(c + j) = M^j M^c, c the powers known
-            c = len(self.powers) - 1
-            self.powers = np.concatenate([self.powers, self.powers[1:m - c + 1] @ self.powers[c]])
+        self.plan = self.plans.pop(plan, None)
+        if self.plan is None:
+            if len(self.plans) >= _PLANS:   # the plan used longest ago goes
+                del self.plans[next(iter(self.plans))]
+            self.plan = self._plan(spans)
+        self.plans[plan] = self.plan
         fit = self._states(m, spans)
         if fit < m:                         # a check fails: no move expected, one period next
             self.batch, self.expect = 1, self.k
@@ -869,7 +873,7 @@ class _Engine:
 
         # The meters and each period's sums by quadrature, from three states
         # of each span: its start, its first and its last grid point.
-        at, weights, layout = self.grid
+        at, weights, layout = self.plan.grid
         ys = self.ys[:len(at) // self.max_batch * fit]
         ys[:, :4] = np.take(self.xs[:4].reshape(4, -1), at[:len(ys)], axis=1).T
         if len(spans) > 1:
@@ -940,7 +944,7 @@ class _Engine:
         fails."""
         n, g = self.n_period, self.g
         wraps, starts, firsts = self.wraps[:m + 1], self.starts[:m], self.firsts[:m]
-        np.matmul(self.x0, self.powers[:m + 1], out=wraps)
+        np.matmul(self.x0, self.plan.powers[:m + 1], out=wraps)
         xs = self.xs[:4, :m + 1]
         for a, b, _, step_map in spans:
             if a:                           # from its first grid point
@@ -953,18 +957,19 @@ class _Engine:
             if b < n:                       # the next span's start
                 np.matmul(wraps[:m], step_map.stack[:, b], out=starts[:, :4])
         xs[:, m, 0] = wraps[m, :4]
+        cuts = self.plan.cuts
         box = self.box[:m, :len(spans)]
-        grids = box[:, :len(self.cuts)].transpose(2, 0, 1)     # the spans with grid points
-        np.minimum.reduceat(xs[:, :m], self.cuts, axis=2, out=grids[:4])
-        np.maximum.reduceat(xs[:, :m], self.cuts, axis=2, out=grids[4:8])
+        grids = box[:, :len(cuts)].transpose(2, 0, 1)     # the spans with grid points
+        np.minimum.reduceat(xs[:, :m], cuts, axis=2, out=grids[:4])
+        np.maximum.reduceat(xs[:, :m], cuts, axis=2, out=grids[4:8])
         if len(spans) > 1 and spans[1][0] % g:     # the second span's start, off the grid
             lo, hi, start = box[:, 1, :4], box[:, 1, 4:8], starts[:, :4]
-            if len(self.cuts) > 1:
+            if len(cuts) > 1:
                 np.minimum(lo, start, out=lo)
                 np.maximum(hi, start, out=hi)
             else:
                 lo[:] = hi[:] = start
-        ok = (box.reshape(m, -1) @ self.weights).min(axis=1) >= 0.0
+        ok = (box.reshape(m, -1) @ self.plan.weights).min(axis=1) >= 0.0
         if ok.all():
             return m
         for p in np.flatnonzero(~ok).tolist():
@@ -1008,6 +1013,8 @@ class _Engine:
             # source seldom returns to a voltage.
             if self.maps and next(iter(self.maps))[2] != self.v_s:
                 self.maps.clear()
+                self.plans.clear()
+                self.bounds.clear()
             stack = np.ascontiguousarray(_power_stack(
                 _step_map(self.scenario, *key), self.n_period, slice(4)).transpose(2, 0, 1))
             step_map = self.maps[key] = _StepMap(stack, *self._bound(key, stack),
@@ -1110,6 +1117,29 @@ class _Engine:
         return (small[:, :, :len(i)].transpose(0, 2, 1), table,
                 grid[:, 4:, :5].transpose(0, 2, 1).copy())
 
+    def _plan(self, spans: list) -> _Plan:
+        """The tables of a plan, the gate count and the step maps of its
+        spans: the period map's powers up to `max_batch`, the sample grid
+        (`_grid`), the first grid column of each span that has one, and the
+        spans' checks' weights on the box, span by span."""
+        n, g = self.n_period, self.g
+        phi = np.eye(5)                     # the period map on (x, 1) as a row vector
+        for a, b, _, step_map in spans:
+            span_map = np.eye(5)
+            span_map[:, :4] = step_map.stack[:, b - a]
+            phi = phi @ span_map
+        cuts = [c for c in (-(-a // g) for a, *_ in spans) if c < n // g]
+        keys = tuple(key for _, _, key, _ in spans)
+        weights = self.bounds.get(keys)
+        if weights is None:
+            blocks = [step_map.weights for *_, step_map in spans]
+            weights = np.zeros((9 * len(spans), sum(w.shape[1] for w in blocks)))
+            weights[:9, :blocks[0].shape[1]] = blocks[0]
+            if len(spans) > 1:
+                weights[9:, blocks[0].shape[1]:] = blocks[1]
+            self.bounds[keys] = weights
+        return _Plan(_power_stack(phi, self.max_batch), self._grid(spans), cuts, weights)
+
     def _grid(self, spans: list) -> tuple:
         """The grid of the samples for the plan's spans: every g-th step of
         a period from its wrap, g = gcd(n, dec), which holds the samples of
@@ -1183,8 +1213,11 @@ class _Engine:
         base = self.base
         end = self.n_rec if self.k == n_steps else -(-self.k // dec)
         rows = dict(zip(_STEP_ROWS, self.rec[:, :end - base]))
-        v_batt = self.emf(rows["soc"])
-        v_batt += self.scenario.battery.r_int * rows["i_l"]
+        v_batt = np.empty(end - base)
+        r_int = self.scenario.battery.r_int
+        for a in range(0, end - base, _CHUNK):  # temporaries of a chunk, not of the block
+            at = slice(a, a + _CHUNK)
+            np.add(self.emf(rows["soc"][at]), r_int * rows["i_l"][at], out=v_batt[at])
         wraps, modes, duties, *ons = zip(
             *self.record or [(0, MODE_CODES[self.ctrl.mode], self.ctrl.duty, 0, 0)])
         firsts = -(-np.array(wraps) // dec)     # each period's first sample

@@ -590,6 +590,77 @@ def test_step_map_tables_built_once(name, monkeypatch, scenarios_dir):
     assert built["_quadrature"] == keys
 
 
+def log_plans(monkeypatch) -> list:
+    """Patches the period kernel's checks to log, per call that reaches
+    them, the call's plan (its gate count and its spans' step maps) and
+    the plans and check weights the engine holds."""
+    log, states = [], sim._Engine._states
+
+    def logged(eng, m, spans):
+        log.append(((eng.on1 + eng.on2, *(key for _, _, key, _ in spans)),
+                    list(eng.plans), list(eng.bounds)))
+        return states(eng, m, spans)
+
+    monkeypatch.setattr(sim._Engine, "_states", logged)
+    return log
+
+
+def count_grids(monkeypatch) -> list:
+    """Patches `_grid` to log each call."""
+    grids, grid = [], sim._Engine._grid
+
+    def counted(eng, spans):
+        grids.append(len(spans))
+        return grid(eng, spans)
+
+    monkeypatch.setattr(sim._Engine, "_grid", counted)
+    return grids
+
+
+def test_plan_tables_built_once(monkeypatch, scenarios_dir):
+    """With room for every plan, one run() of buck_charge builds each
+    plan's tables once: its current loop changes the plan 395 times (the
+    first included) among 84 plans, and `_grid` runs once per plan."""
+    monkeypatch.setattr(sim, "_PLANS", 84)
+    log, grids = log_plans(monkeypatch), count_grids(monkeypatch)
+    sim.run(parse_scenario_file(scenarios_dir / "buck_charge.scenario"))
+    plans = [plan for plan, *_ in log]
+    assert 1 + sum(a != b for a, b in zip(plans, plans[1:])) == 395
+    assert len(set(plans)) == len(grids) == 84
+
+
+def test_plan_tables_held_at_most_the_cap(monkeypatch, scenarios_dir):
+    """A run that meets more plans than it may keep holds at most that
+    many, dropping the one used longest ago, rebuilds a dropped plan that
+    comes back, and records the same bits as with room for every plan."""
+    scn = parse_scenario_file(scenarios_dir / "buck_charge.scenario")
+    monkeypatch.setattr(sim, "_PLANS", 84)
+    whole = sim.run(scn)
+    monkeypatch.setattr(sim, "_PLANS", 10)
+    log, grids = log_plans(monkeypatch), count_grids(monkeypatch)
+    capped = sim.run(scn)
+    assert max(len(held) for _, held, _ in log) == 10
+    assert len(grids) > len({plan for plan, *_ in log}) == 84
+    for name in (*sim.TRACE_COLUMNS, "e_source", "e_load", "e_battery", "e_link"):
+        assert getattr(capped, name).tobytes() == getattr(whole, name).tobytes(), name
+
+
+def test_plan_tables_dropped_with_the_source_voltage(monkeypatch):
+    """A plan's tables hold the source's voltage: when it steps, the run
+    drops every plan and check weight of the old voltage."""
+    f_s = STAGE["f_s"]
+    log = log_plans(monkeypatch)
+    assert_matches_scalar(open_loop_buck(source=sim.SourceProfile(segments=(
+        sim.SourceSegment(until=10.5 / f_s, v_start=24.0, v_end=24.0),
+        sim.SourceSegment(until=1.0, v_start=24.5, v_end=24.5)))))
+    volts = []
+    for (_, *keys), plans, bounds in log:
+        held = {key[2] for _, *held in plans for key in held}
+        assert held == {key[2] for keys in bounds for key in keys} == {keys[0][2]}
+        volts += held
+    assert volts[0] == 24.0 and volts[-1] == 24.5
+
+
 def test_hold_broken_mid_batch_matches_scalar(monkeypatch):
     """A duty step that moves the gate counts stops a batch at the wrap
     it lands on: the batch keeps the periods before it, and that tick

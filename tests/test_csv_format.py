@@ -7,7 +7,7 @@ tables; these tests hold its bytes to the per-row printf format built from
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from bdcsim import _trace_csv
 from bdcsim._trace_csv import csv_block
@@ -77,9 +77,22 @@ ties = st.builds(lambda k, j: float(f"{k}5e-{j + 1}"), st.integers(10 ** 8, 10 *
 time_ties = st.builds(lambda k: float(f"{k}5e-10"), st.integers(0, 10 ** 12))
 
 
-@given(st.lists(st.one_of(finite, scaled, ties), min_size=1, max_size=64))
-def test_general_format_matches_printf(values):
-    assert_rows_match(make_trace(values))
+# Values the writer tells apart by their bits, not by ==, and values
+# outside its integer paths, which printf formats.
+SPECIALS = [0.0, -0.0, float("nan"), float("inf"), float("-inf"), 1e-300]
+
+
+@given(st.lists(st.tuples(st.one_of(finite, scaled, ties, st.sampled_from(SPECIALS)),
+                          st.integers(1, 5)), min_size=1, max_size=64))
+@example([(value, 3) for value in SPECIALS * 2])
+def test_general_format_matches_printf(runs):
+    """Values in runs of 1 to 5 repeats; i_l keeps the runs (the other
+    columns draw a sign per value).  Stretched fourfold, fewer than a
+    quarter of the values start a run, so the writer formats each run's
+    value once."""
+    for stretch in (1, 4):
+        assert_rows_match(make_trace([value for value, count in runs
+                                      for _ in range(count * stretch)]))
 
 
 @given(st.lists(st.one_of(time_ties, st.floats(0.0, 1e3), finite), min_size=1, max_size=64))

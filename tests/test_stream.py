@@ -314,6 +314,18 @@ ERRORS = {
     "a non-finite value after a time below the row before it": (
         [(3, {"time": "0.000001000"}), (6, {"soc": "nan"})],
         "line 8: soc is nan, not finite"),
+    "a non-finite duty, the field after the mode": (
+        [(2, {"duty": "nan"})],
+        "line 4: duty is nan, not finite"),
+    "a non-finite duty before a later non-finite i_l": (
+        [(1, {"duty": "inf"}), (5, {"i_l": "-inf"})],
+        "line 7: i_l is -inf, not finite"),
+    "a mode that a valid name begins": (
+        [(3, {"mode": "chargingX"})],
+        "line 5: mode 'chargingX' is not one of"),
+    "a mode that begins a valid name": (
+        [(2, {"mode": "chargin"})],
+        "line 4: mode 'chargin' is not one of"),
 }
 
 
@@ -333,3 +345,12 @@ def test_block_reader_errors(case, block, tmp_path, monkeypatch, capsys):
     assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
     assert main(["analyze", str(path), *PLANT_FLAGS]) == 1
     assert capsys.readouterr().err == f"error: {info.value}\n"
+
+
+def test_block_reader_takes_finite_values_whose_sum_overflows(tmp_path):
+    """The reader finds non-finite values through each block's sum; finite
+    values whose sum overflows read back as they are, with no error."""
+    path = rows_csv(tmp_path / "big.csv", (1, {"v_c_bus": "1e308", "v_c_o": "1.5e308"}))
+    trace = trace_from_csv(path)
+    assert trace.v_c_bus[1] == 1e308 and trace.v_c_o[1] == 1.5e308
+    assert np.isfinite(trace.v_c_o).all()
