@@ -10,8 +10,11 @@ discharging regulates the load-rail voltage through the boost leg.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+
+import numpy as np
 
 from .circuit import GateCommand
 
@@ -83,19 +86,31 @@ def select_mode(v_bus: float, v_batt: float, soc: float, prev: Mode,
     float threshold.  Between the thresholds the previous mode is retained,
     except that a full battery still drops into rest and a rested battery
     that has relaxed by TRICKLE_EXIT_DROP resumes charging.  soc is accepted
-    for charge-based cutoffs but the rule is purely voltage driven.
+    for charge-based cutoffs but the rule is purely voltage driven.  The
+    battery voltages that keep `prev` are `mode_band`'s; a NaN one keeps it
+    wherever some voltage would.
     """
+    lo, hi = mode_band(v_bus, prev, cfg)
+    if not (lo > hi or v_batt < lo or v_batt > hi):
+        return prev
     if v_bus <= cfg.v_bus_low:
         return Mode.DISCHARGING
-    if v_bus < cfg.v_bus_high and prev is Mode.DISCHARGING:
-        return Mode.DISCHARGING
+    return Mode.TRICKLE if prev is Mode.CHARGING else Mode.CHARGING
+
+
+def mode_band(v_bus: float, prev: Mode, cfg: ControllerConfig) -> tuple[float, float]:
+    """The battery voltages [lo, hi] at which `select_mode` keeps `prev`
+    with the source at v_bus, empty (lo > hi) where it keeps it at none.
+    The source fixes the band, so one band answers for every period of a
+    stretch at one source voltage."""
+    inf = math.inf
+    if prev is Mode.DISCHARGING:
+        return (-inf, inf) if v_bus < cfg.v_bus_high else (inf, -inf)
+    if v_bus <= cfg.v_bus_low:
+        return inf, -inf
     if prev is Mode.TRICKLE:
-        if v_batt < cfg.v_float - TRICKLE_EXIT_DROP:
-            return Mode.CHARGING
-        return Mode.TRICKLE
-    if prev is Mode.CHARGING and v_batt >= cfg.v_float:
-        return Mode.TRICKLE
-    return Mode.CHARGING
+        return cfg.v_float - TRICKLE_EXIT_DROP, inf
+    return -inf, math.nextafter(cfg.v_float, -inf)   # charging rests at v_float
 
 
 # The leg each mode drives, as (S1, S2): the buck leg charges, the boost leg
@@ -124,13 +139,20 @@ def pwm_gate(carrier_phase: float, duty: float, mode: Mode) -> GateCommand:
 
 
 def gate_steps(duty: float, mode: Mode, n: int) -> tuple[int, int]:
-    """The on-step counts (S1, S2) of a period of n steps: the duty
-    quantised to the step grid, round(duty * n) (half to even), on the
-    mode's leg and zero on the other, so that at phase j / n and duty
+    """The on-step counts (S1, S2) of a period of n steps: `on_steps` on
+    the mode's leg and zero on the other, so that at phase j / n and duty
     on / n `pwm_gate` gives the same gates."""
-    on = round(duty * n)
+    on = on_steps(duty, n)
     s1, s2 = _LEGS[mode]
     return (on if s1 else 0), (on if s2 else 0)
+
+
+def on_steps(duty, n: int):
+    """The duty quantised to a period of n steps, round(duty * n) (half to
+    even): an int for a float duty, floats for an array of them."""
+    if isinstance(duty, np.ndarray):
+        return np.rint(duty * n)
+    return round(duty * n)
 
 
 def regulate(meas_v_load: float, meas_i_batt: float, meas_v_batt: float,
@@ -140,39 +162,87 @@ def regulate(meas_v_load: float, meas_i_batt: float, meas_v_batt: float,
     Discharging: raise duty while the load rail is under the reference,
     lower it while over (boost gain is monotone in duty).  Charging:
     constant-current increments on battery current until the battery
-    voltage reaches the float threshold, then the same increment rule holds
-    the battery at the float voltage.  Errors within the comparator
-    deadband leave the duty untouched: a finite-resolution sense chain
-    cannot act on them, and the hold is what lets the increment law settle
-    instead of hunting around the setpoint.  Duty saturates to
-    [duty_min, duty_max] after every update.  Trickle leaves the state
-    untouched, and so does an update that keeps the duty and the phase:
-    `st` itself is returned.
+    voltage reaches the float threshold (`hands_over`), then the same
+    increment rule holds the battery at the float voltage (`_error`).
+    Errors within the comparator deadband leave the duty untouched: a
+    finite-resolution sense chain cannot act on them, and the hold is what
+    lets the increment law settle instead of hunting around the setpoint.
+    Duty saturates to [duty_min, duty_max] after every update
+    (`saturates`).  Trickle leaves the state untouched, and so does an
+    update that keeps the duty and the phase: `st` itself is returned.
     """
     if st.mode is Mode.TRICKLE:
         return st
-    duty = st.duty
     phase = st.cc_cv_phase
-    if st.mode is Mode.DISCHARGING:
-        duty += _increment(cfg.v_ref_load - meas_v_load, cfg.v_deadband, cfg.duty_step)
-    else:  # CHARGING
-        if phase is CcCvPhase.CONSTANT_CURRENT and meas_v_batt >= cfg.v_float:
-            phase = CcCvPhase.CONSTANT_VOLTAGE
-        if phase is CcCvPhase.CONSTANT_CURRENT:
-            duty += _increment(cfg.i_charge_ref - meas_i_batt, cfg.i_deadband,
-                               cfg.duty_step)
-        else:
-            duty += _increment(cfg.v_float - meas_v_batt, cfg.v_deadband,
-                               cfg.duty_step)
-    duty = min(max(duty, cfg.duty_min), cfg.duty_max)
+    if hands_over(st.mode, phase, meas_v_batt, cfg):
+        phase = CcCvPhase.CONSTANT_VOLTAGE
+    error, deadband = _error(meas_v_load, meas_i_batt, meas_v_batt, st.mode, phase, cfg)
+    duty = st.duty + _increment(error, deadband, cfg.duty_step)
+    if saturates(duty, cfg):
+        duty = min(max(duty, cfg.duty_min), cfg.duty_max)
     if duty == st.duty and phase is st.cc_cv_phase:
         return st
     return ControllerState(mode=st.mode, duty=duty, cc_cv_phase=phase)
 
 
-def _increment(error: float, deadband: float, step: float) -> float:
-    if error > deadband:
-        return step
-    if error < -deadband:
-        return -step
-    return 0.0
+def held_ticks(v_bus: float, meas_v_load: np.ndarray, meas_i_batt: np.ndarray,
+               meas_v_batt: np.ndarray, st: ControllerState, cfg: ControllerConfig,
+               n: int) -> tuple[int, np.ndarray]:
+    """The controller over a stretch of periods at one source voltage v_bus,
+    from arrays of each period's averages: how many of its leading ticks
+    keep the mode (`mode_band`) and the CC/CV phase, leave the duty clamp
+    idle and keep the on-steps of a period of n steps; and the duty after
+    each tick.  Over those ticks `select_mode` and `regulate`, tick by
+    tick from `st`, give these duties bit for bit: the increments are
+    summed in order.  The tick after them may do any of those things."""
+    lo, hi = mode_band(v_bus, st.mode, cfg)
+    if lo > hi:
+        return 0, np.empty(0)
+    moves = (meas_v_batt < lo) | (meas_v_batt > hi)
+    if st.mode is Mode.TRICKLE:
+        duties = np.full(len(moves), st.duty)
+    else:
+        phase = st.cc_cv_phase
+        moves |= hands_over(st.mode, phase, meas_v_batt, cfg)
+        error, deadband = _error(meas_v_load, meas_i_batt, meas_v_batt, st.mode, phase, cfg)
+        duties = np.empty(len(moves) + 1)
+        duties[0] = st.duty
+        duties[1:] = _increment(error, deadband, cfg.duty_step)
+        duties = np.add.accumulate(duties, out=duties)[1:]
+        moves |= saturates(duties, cfg)
+        moves |= on_steps(duties, n) != on_steps(st.duty, n)
+        moves |= math.copysign(1.0, st.duty) < 0.0  # regulate keeps -0.0, the sum 0.0
+    first = int(moves.argmax())
+    return (first if moves[first] else len(moves)), duties
+
+
+def hands_over(mode: Mode, phase: CcCvPhase, meas_v_batt, cfg: ControllerConfig):
+    """Whether `regulate` hands constant current over to constant voltage:
+    in charging, from CC, once the battery reaches the float voltage (per
+    entry, for an array of v_batt)."""
+    if mode is not Mode.CHARGING or phase is not CcCvPhase.CONSTANT_CURRENT:
+        return False
+    return meas_v_batt >= cfg.v_float
+
+
+def saturates(duty, cfg: ControllerConfig):
+    """Whether the duty clamp acts on a duty (per entry, for an array)."""
+    return (duty < cfg.duty_min) | (duty > cfg.duty_max)
+
+
+def _error(meas_v_load, meas_i_batt, meas_v_batt, mode: Mode, phase: CcCvPhase,
+           cfg: ControllerConfig) -> tuple:
+    """The error the comparator acts on in a regulated mode and phase, and
+    its deadband: the load rail discharging, battery current in CC,
+    battery voltage in CV (floats or arrays)."""
+    if mode is Mode.DISCHARGING:
+        return cfg.v_ref_load - meas_v_load, cfg.v_deadband
+    if phase is CcCvPhase.CONSTANT_CURRENT:
+        return cfg.i_charge_ref - meas_i_batt, cfg.i_deadband
+    return cfg.v_float - meas_v_batt, cfg.v_deadband
+
+
+def _increment(error, deadband: float, step: float):
+    """One comparator step on the error: +step above the deadband, -step
+    below it, 0.0 inside it or for NaN.  Exact on floats and arrays."""
+    return step * (error > deadband) - step * (error < -deadband)

@@ -13,32 +13,35 @@ period kernel's checks once, in a table of functionals of the state
 check is one row.
 
 Two kernels take the steps and one driver (`_Engine.advance`) calls them:
-a controller tick at every carrier wrap, then one kernel call from there, so
-every kernel call starts at a wrap and every wrap ticks once.  The scalar
-kernel (`_Engine.euler`, used alone by `_integrate`, the reference) takes
-one Euler step at a time.  The period kernel (`_Engine.period`) serves
-`run()`: within one path and one source regime an Euler step is a fixed
-affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc), so stacked powers
-of the maps give the states of a period, and of a stretch of periods
-while the controller keeps the mode and the gate counts, from a few
-products.  It computes them at the wraps, the gate edges and on the grid
-of the recorded samples only, and checks the steps between grid points by
-a bound on what each check reads there.  It takes the energy meters and
-the period averages by span quadrature: a meter's step adds the product of
-two affine functions of the state (`_meter_forms`), so lifted to the
-state's second-order monomials, the meters and the sums, a step is one
-linear map, whose powers give them over k steps of a span from its start
-y.  They are evaluated on the grid of the recorded samples from three
-states of each gate interval.  It declines a period, which the scalar
-kernel then takes from its start, when the source voltage changes within
-it (a ramp or a segment end), or the DCM clamp, a change of source regime
-(the stiff-source clamp, or i_src >= 0 for r_source > 0), the SoC clamp or
-a divergence bound would act.  It also leaves a partial period at the end
-of the horizon, and every period shorter than _MIN_BATCH_STEPS steps, to
-the scalar kernel.  Its float columns, the meters and the averages that
-the controller reads included, agree with the scalar kernel's to within
-1e-9 of each column's magnitude; the time base, the controller's
-decisions and the gates are identical.
+a controller tick at a carrier wrap, then one kernel call from there, so
+every kernel call starts at a wrap.  The controller acts once at every
+wrap: a tick each, except inside a stretch of periods, where the ticks
+that hold the mode and the gate counts take one array pass on the
+stretch's averages (`control.held_ticks`), with the same results.  The
+scalar kernel (`_Engine.euler`, used alone by `_integrate`, the reference)
+takes one Euler step at a time.  The period kernel (`_Engine.period`)
+serves `run()`: within one path and one source regime an Euler step is a
+fixed affine map x <- A x + b on (i_l, v_c_bus, v_c_o, soc), so stacked
+powers of the maps give the states of a period, and of a stretch of
+periods while the controller keeps the mode and the gate counts, from a
+few products.  It computes them at the wraps, the gate edges and on the
+grid of the recorded samples only, and checks the steps between grid
+points by a bound on what each check reads there.  It takes the energy
+meters and the period averages by span quadrature: a meter's step adds the
+product of two affine functions of the state (`_meter_forms`), so lifted
+to the state's second-order monomials, the meters and the sums, a step is
+one linear map, whose powers give them over k steps of a span from its
+start y.  They are evaluated on the grid of the recorded samples from
+three states of each gate interval.  It declines a period, which the
+scalar kernel then takes from its start, when the source voltage changes
+within it (a ramp or a segment end), or the DCM clamp, a change of source
+regime (the stiff-source clamp, or i_src >= 0 for r_source > 0), the SoC
+clamp or a divergence bound would act.  It also leaves a partial period at
+the end of the horizon, and every period shorter than _MIN_BATCH_STEPS
+steps, to the scalar kernel.  Its float columns, the meters and the
+averages that the controller reads included, agree with the scalar
+kernel's to within 1e-9 of each column's magnitude; the time base, the
+controller's decisions and the gates are identical.
 
 The PV source only ever sources current, like a diode-isolated panel: with
 r_source = 0 the bus is clamped to the profile voltage whenever that voltage
@@ -50,6 +53,7 @@ profile voltage (panel-side sensing), not the converter-held bus.
 from __future__ import annotations
 
 import collections
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -61,6 +65,7 @@ from .control import (
     ControllerState,
     Mode,
     gate_steps,
+    held_ticks,
     initial_controller_state,
     regulate,
     select_mode,
@@ -351,14 +356,19 @@ _MIN_BATCH_STEPS = 64
 # wrap, span and quadrature states, their monomials and sums, the
 # averages), some 3 KB, count as _PERIOD_POINTS states.  A call takes the
 # periods for which the most of the three fits the budget, one at least:
-# 32 periods at a line-regulation point (n 1000, g 4), 16 on buck_charge
-# (g 2), 81 at n 100 and g 100, 170 where n // g + 1 and g + 1 are under
-# 48.  Its buffers and temporaries scale with the budget, not with
-# the steps of a call.  The line-regulation benchmark (`benchmark/run.py
-# --workload line_sweep --seconds 8`, medians of paired runs, Python
-# 3.11, numpy 2.4, 2-core x86) ran 12%, 23% and 26% faster at 16, 32 and
-# 65 periods a call than at 8; this budget, with no per-step rows, 31%.
-_BATCH_POINTS = 1 << 13
+# 65 periods at a line-regulation point (n 1000, g 4), 32 on buck_charge
+# (g 2), 162 at n 100 and g 100, 341 where n // g + 1 and g + 1 are under
+# 48.  Its buffers and temporaries scale with the budget, not with the
+# steps of a call.  With a batch's held ticks taken in one pass
+# (`_Engine._wraps`), a call no longer costs a tick per period, and
+# run() on the line-regulation benchmark's three points (seed 0, 60
+# rounds interleaved in one process, Python 3.11, numpy 2.4, 2-core x86)
+# took 0.89, 0.82 and 0.82 of the time that ticking every wrap at 1 << 13
+# took, at budgets of 1 << 13, 1 << 14 and 1 << 15 (65, 40 and 34 calls
+# at the lowest point).  The benchmark's peak RSS read 74.7, 75.3 and
+# 76.6 MB on line_sweep (74.6 before) and 53.3, 53.5 and 54.6 MB on
+# charge_cli (53.9 before): 1 << 15 buys no time for its memory.
+_BATCH_POINTS = 1 << 14
 _PERIOD_POINTS = 48
 # The monomials of a state y = (y_0 .. y_3, 1) on which the quadrature
 # tables weigh (`_Engine._quadrature`) and the period kernel evaluates them:
@@ -543,7 +553,8 @@ class _Engine:
     :meth:`tick` is the controller, :meth:`euler` the scalar kernel and
     :meth:`period` the batched one; :meth:`advance` calls them, and every
     kernel call starts at a carrier wrap, right after its tick.  A batch
-    ticks the wraps inside it itself, and the wrap it stops at when a tick
+    acts for the controller at the wraps inside it itself (:meth:`_wraps`),
+    its held ticks in one pass, and ticks the wrap it stops at when a tick
     there moved the gate counts.
     """
 
@@ -602,7 +613,9 @@ class _Engine:
         next move after the shorter of the last two holds.  A period that
         holds a recorded sample, the final instant included,
         adds its wrap step, mode code, duty and gate counts (at most the
-        steps left, so int64 holds them) to `record`."""
+        steps left, so int64 holds them) to `record`.  Inside a batch,
+        `_wraps` gives the ticks that hold everything the same results in
+        one pass."""
         if self.t >= self.v_s_until:
             self.v_s, self.v_s_until = self.scenario.source.evaluate(self.t)
         ctrl = self.ctrl
@@ -621,9 +634,15 @@ class _Engine:
         if k and not self.held:
             hold = (k - self.moved) // n
             self.expect, self.moved, self.hold = k + n * min(hold, self.hold), k, hold
-        if -k % self.scenario.record_decimation <= (n - 1 if n < left else left):
+        if self._sampled(k):
             self.record.append((k, MODE_CODES[ctrl.mode], ctrl.duty,
                                 min(self.on1, left), min(self.on2, left)))
+
+    def _sampled(self, k: int) -> bool:
+        """Whether the period from wrap k holds a recorded sample, the final
+        instant included."""
+        left, n = self.n_steps - k, self.n_period
+        return -k % self.scenario.record_decimation <= (n - 1 if n < left else left)
 
     def emf(self, soc):
         """Battery EMF at a state of charge (a float or an array)."""
@@ -804,10 +823,12 @@ class _Engine:
         call tries past `most` steps (the periods whose grid states, check
         bound and other rows fit _BATCH_POINTS, one at least), the last
         whole period or the source's next change.  It takes the periods
-        before the first that fails a check (`_checks`) and ticks the wraps
-        between them in order, up to the first tick that moves the mode or
-        the gate counts: that tick stands for its wrap, whose period the
-        next call takes.
+        before the first that fails a check (`_checks`) and acts for the
+        controller at the wraps between them in order (`_wraps`): one array
+        pass over the ticks that hold the mode, the CC/CV phase and the
+        gate counts and leave the duty clamp idle, then a tick at a time,
+        up to the first tick that moves the mode or the gate counts: that
+        tick stands for its wrap, whose period the next call takes.
 
         Returns 0, with the run's state unchanged, when the first period
         fails a check or the source changes within it; the scalar kernel
@@ -894,20 +915,13 @@ class _Engine:
         at_first = np.empty((fit, len(spans), 4 + monomials.shape[3]))
         np.add(meters[:-1].reshape(fit, len(spans), 4), sums[:, :, 7:], out=at_first[:, :, -4:])
         at_first[:, :, :-4] = monomials[:, :, 1]
-        avgs = (sums[:, :, 4:7].sum(axis=1) / n).tolist()
+        avgs = sums[:, :, 4:7].sum(axis=1) / n
         del monomials, sums                 # a stretch's worth each
         times = (lasts[:fit] + scn.dt).tolist()     # each a step on from the last
         plants = self.wraps[1:fit + 1, :4].tolist()
 
-        # Wrap by wrap to the end of the batch, ticking inside it.
         k0, t0 = self.k, self.t
-        for taken in range(1, fit + 1):
-            self.t, self.plant, self.avgs = times[taken - 1], plants[taken - 1], avgs[taken - 1]
-            self.k = k0 + taken * n
-            if taken < fit:
-                self.tick()
-                if not self.held:
-                    break
+        taken = self._wraps(times, plants, avgs)
         self.meters = meters[len(spans) * taken].tolist()
 
         # The meters along each span's grid, from those at its first grid
@@ -923,6 +937,47 @@ class _Engine:
         _step_times(t0, scn.dt, first, dec, self.counts, rec[0])
         rec[1:] = self.xs.reshape(8, -1)[:, first // g:taken * (n // g):dec // g]
         self.batch = 2 * m if taken == m else 1
+        return taken
+
+    def _wraps(self, times: list, plants: list, avgs: np.ndarray) -> int:
+        """The run's state through the wraps that end a batch's periods,
+        given each period's end time, plant state and averages (a row of
+        `avgs`: i_l, v_c_o, v_batt): ticks each wrap but the last on the
+        averages of the period it ends, up to the first tick that moves
+        the mode or the gate counts, and returns the periods taken, up to
+        that wrap.  The leading ticks that keep the mode, the CC/CV phase
+        and the gate counts and leave the duty clamp idle (`held_ticks`;
+        all of them at a fixed duty) take one pass, which adds to `record`
+        and sets `ctrl` as `tick` would there, the source holding over a
+        batch; the rest tick one at a time."""
+        n, k0, ctrl, last = self.n_period, self.k, self.ctrl, len(avgs)
+        held = 0
+        if last > 1:
+            if self.scenario.fixed_duty is None:
+                quiet = avgs[:-1]
+                held, duties = held_ticks(self.v_s, quiet[:, 1], quiet[:, 0], quiet[:, 2],
+                                          ctrl, self.scenario.controller, n)
+            else:
+                held, duties = last - 1, np.full(last - 1, ctrl.duty)
+        if held:     # a batch's periods are whole, so no gate count passes the steps left
+            entries = zip(range(k0 + n, k0 + n * held + 1, n),
+                          itertools.repeat(MODE_CODES[ctrl.mode]), duties[:held].tolist(),
+                          itertools.repeat(self.on1), itertools.repeat(self.on2))
+            if self.scenario.record_decimation > n:     # some periods hold no sample
+                entries = (entry for entry in entries if self._sampled(entry[0]))
+            self.record.extend(entries)
+            if duties[held - 1] != ctrl.duty:
+                self.ctrl = ControllerState(mode=ctrl.mode, duty=float(duties[held - 1]),
+                                            cc_cv_phase=ctrl.cc_cv_phase)
+            self.held, self.ticked = True, k0 + n * held
+        for taken in range(held + 1, last + 1):
+            self.t, self.plant = times[taken - 1], plants[taken - 1]
+            self.avgs = avgs[taken - 1].tolist()
+            self.k = k0 + taken * n
+            if taken < last:
+                self.tick()
+                if not self.held:
+                    break
         return taken
 
     def _states(self, m: int, spans: list) -> int:

@@ -1,5 +1,7 @@
 """Controller: mode supervisor, PWM gating, incremental regulation."""
 
+import math
+
 import pytest
 
 from bdcsim.analysis import current_envelope
@@ -61,12 +63,15 @@ class TestSelectMode:
         assert select_mode(24.0, CFG.v_float - 0.1, 0.5, Mode.TRICKLE, CFG) is Mode.TRICKLE
 
     def test_matches_reference_enumeration(self):
-        """Sweep a grid of (v_bus, v_batt, prev) against the independently
-        written region table."""
+        """Sweep a grid of (v_bus, v_batt, prev), the edges of the bands,
+        infinities and NaN among the battery voltages, against the
+        independently written region table."""
         v_bus_grid = [0.0, 5.0, CFG.v_bus_low, 13.0, 16.0, 20.0, CFG.v_bus_high,
                       24.0, 30.0]
+        resume = CFG.v_float - TRICKLE_EXIT_DROP
         v_batt_grid = [11.0, 12.0, CFG.v_float - 0.3, CFG.v_float - 0.1,
-                       CFG.v_float, 14.5]
+                       CFG.v_float, 14.5, resume, math.nextafter(resume, 0.0),
+                       math.nextafter(CFG.v_float, 0.0), -math.inf, math.inf, math.nan]
         for v_bus in v_bus_grid:
             for v_batt in v_batt_grid:
                 for prev in Mode:

@@ -152,7 +152,7 @@ def test_window_metrics_equal_steady_window(name, scenarios_dir, tmp_path, monke
 def test_block_width_and_one_block_run(scenarios_dir):
     """`rec` holds a block's `rows` samples, or one kernel call's where a
     call records more, and no more than the trace; a call on buck_charge
-    takes the 16 periods whose 501 grid states each fit _BATCH_POINTS, and
+    takes the 32 periods whose 501 grid states each fit _BATCH_POINTS, and
     records every second step of them.  run()'s engine records the whole
     trace as one block."""
     scenario = parse_scenario_file(scenarios_dir / "buck_charge.scenario")
@@ -160,7 +160,7 @@ def test_block_width_and_one_block_run(scenarios_dir):
     for scn in (scenario, short):
         eng = sim._Engine(scn)
         assert (eng.n_period, eng.g) == (1000, 2)
-        assert eng.most == sim._BATCH_POINTS // 501 * 1000 == 16_000
+        assert eng.most == sim._BATCH_POINTS // 501 * 1000 == 32_000
         assert eng.call == eng.most // 2 + 1
         for rows in (1, 1 << 30):
             width = sim._Engine(scn, True, rows).rec.shape[1]
@@ -239,7 +239,7 @@ def test_memory_does_not_grow_with_the_trace(scenarios_dir, tmp_path, monkeypatc
         assert large - small < 0.25 * extra, (command, small, large)
 
 
-@pytest.mark.parametrize("dec, periods, limit", [(8, 170, 6), (130, 170, 6), (100, 81, 22)])
+@pytest.mark.parametrize("dec, periods, limit", [(8, 341, 6), (130, 341, 6), (100, 162, 22)])
 def test_kernel_call_memory_is_bounded_by_the_budget(dec, periods, limit, scenarios_dir,
                                                      tmp_path, monkeypatch):
     """The memory test's plant, quick's at 100 steps per period and a fixed
@@ -251,7 +251,7 @@ def test_kernel_call_memory_is_bounded_by_the_budget(dec, periods, limit, scenar
     buffers the first makes included, passes 22 times the budget's bytes
     (8 bytes a grid state), and no later call's passes `limit` times: at g = n
     the check margins, 22 (g + 1) floats a period, take the most.  A row
-    of a stretch's per-step times, 17 001 floats at dec 8 and 130, would
+    of a stretch's per-step times, 34 101 floats at dec 8 and 130, would
     take those past 6 times."""
     text = (scenarios_dir / "quick.scenario").read_text().replace(
         "dt = 2.5u", "dt = 0.5u").replace("record_decimation = 1", f"record_decimation = {dec}")
