@@ -10,8 +10,10 @@ steady-state duty of the respective mode.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
+from pathlib import Path
 
 
 @dataclass(frozen=True)
@@ -87,6 +89,16 @@ def current_envelope(i_star: float, delta_i: float) -> tuple[float, float]:
     return (i_star - 0.5 * delta_i, i_star + 0.5 * delta_i)
 
 
+def _ordered(rows: list[RegulationRow], sweep: str) -> list[RegulationRow]:
+    """A sweep's rows by setting: at least 2, no setting repeated."""
+    if len(rows) < 2:
+        raise ValueError(f"{sweep} regulation needs at least 2 rows")
+    ordered = sorted(rows, key=lambda r: r.setting)
+    if any(a.setting == b.setting for a, b in zip(ordered, ordered[1:])):
+        raise ValueError("rows must have distinct settings")
+    return ordered
+
+
 def line_regulation(rows: list[RegulationRow]) -> LineRegulationResult:
     """Line regulation over an input-voltage sweep.
 
@@ -94,11 +106,7 @@ def line_regulation(rows: list[RegulationRow]) -> LineRegulationResult:
     as |delta v_out| * 100 / |delta v_in|; the maximum over pairs is the
     figure of merit and the full-span ratio is reported alongside.
     """
-    if len(rows) < 2:
-        raise ValueError("line regulation needs at least 2 rows")
-    ordered = sorted(rows, key=lambda r: r.setting)
-    if any(a.setting == b.setting for a, b in zip(ordered, ordered[1:])):
-        raise ValueError("rows must have distinct settings")
+    ordered = _ordered(rows, "line")
     pairs = []
     for a, b in zip(ordered, ordered[1:]):
         pct = abs(b.v_out - a.v_out) * 100.0 / abs(b.setting - a.setting)
@@ -118,13 +126,9 @@ def load_regulation(rows: list[RegulationRow], v_nominal: float) -> float:
     Full load is the smallest resistance (largest current), minimum load the
     largest; returns (v_min_load - v_full_load) * 100 / v_nominal.
     """
-    if len(rows) < 2:
-        raise ValueError("load regulation needs at least 2 rows")
+    ordered = _ordered(rows, "load")
     if v_nominal <= 0.0:
         raise ValueError("v_nominal must be positive")
-    ordered = sorted(rows, key=lambda r: r.setting)
-    if any(a.setting == b.setting for a, b in zip(ordered, ordered[1:])):
-        raise ValueError("rows must have distinct settings")
     v_full_load = ordered[0].v_out
     v_min_load = ordered[-1].v_out
     return (v_min_load - v_full_load) * 100.0 / v_nominal
@@ -134,23 +138,34 @@ def read_regulation_csv(path) -> list[RegulationRow]:
     """Read a regulation CSV (header `setting,v_out,i_out`, one row per
     operating point); malformed rows are reported with their row number."""
     rows: list[RegulationRow] = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        if [h.strip() for h in header] != ["setting", "v_out", "i_out"]:
-            raise ValueError(
-                f"{path}: expected header 'setting,v_out,i_out', got {','.join(header)}")
-        for row_no, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}: row {row_no}: expected 3 fields, got {len(row)}")
-            try:
-                rows.append(RegulationRow(setting=float(row[0]),
-                                          v_out=float(row[1]),
-                                          i_out=float(row[2])))
-            except ValueError as exc:
-                raise ValueError(f"{path}: row {row_no}: {exc}") from exc
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    header = next(reader, None)
+    if header is None:
+        raise ValueError(f"{path}: empty file")
+    if [h.strip() for h in header] != ["setting", "v_out", "i_out"]:
+        raise ValueError(
+            f"{path}: expected header 'setting,v_out,i_out', got {','.join(header)}")
+    for row_no, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != 3:
+            raise ValueError(f"{path}: row {row_no}: expected 3 fields, got {len(row)}")
+        try:
+            rows.append(RegulationRow(setting=float(row[0]),
+                                      v_out=float(row[1]),
+                                      i_out=float(row[2])))
+        except ValueError as exc:
+            raise ValueError(f"{path}: row {row_no}: {exc}") from exc
     return rows
+
+
+def read_text(path) -> str:
+    """The text of an input file, which must be UTF-8: a byte that is not
+    raises ValueError with the path and the byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ValueError(f"{path}: line {line}: byte 0x{data[exc.start]:02x} "
+                         "is not UTF-8") from None

@@ -255,8 +255,8 @@ def _analyze_trace(path: Path, args: argparse.Namespace) -> list[str]:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    with open(args.csv, newline="") as fh:
-        header = fh.readline().strip()
+    with open(args.csv, "rb") as fh:       # a byte that is not UTF-8 is the reader's to report
+        header = fh.readline().decode(errors="replace").strip()
     if header.replace(" ", "") == "setting,v_out,i_out":
         lines = _analyze_regulation(args.csv, args)
     elif header.startswith("time,"):

@@ -40,6 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, fields, replace
 
+from .analysis import read_text
 from .circuit import BatteryModel, CircuitState, ConverterParams
 from .control import ControllerConfig, Mode
 from .design import DesignSpec
@@ -69,10 +70,10 @@ _DESIGN_SECTIONS = {"design": _keys(DesignSpec)}
 
 
 class ScenarioParseError(ValueError):
-    """Scenario file rejected; carries the offending line number."""
+    """Scenario or design file rejected; carries the offending line number."""
 
-    def __init__(self, message: str, line: int | None = None):
-        super().__init__(message if line is None else f"line {line}: {message}")
+    def __init__(self, message: str, line: int | None = None, name: str = "<scenario>"):
+        super().__init__(message if line is None else f"{name}: line {line}: {message}")
         self.line = line
 
 
@@ -94,7 +95,7 @@ def parse_quantity(token: str) -> float:
 
 
 def _tokenize(text: str):
-    """Yield (line_no, section, payload) for every meaningful line."""
+    """Yield (line_no, section or None before any, payload) per meaningful line."""
     section = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -104,48 +105,41 @@ def _tokenize(text: str):
             section = line[1:-1].strip().lower()
             yield line_no, section, None
             continue
-        if section is None:
-            raise ScenarioParseError(f"content before any [section]: {raw.strip()!r}",
-                                     line=line_no)
         yield line_no, section, line
 
 
-def _parse_value(key: str, text: str, line_no: int) -> float | int | Mode:
+def _parse_value(key: str, text: str) -> float | int | Mode:
     try:
         if key == "initial_mode":
             return Mode(text.lower())
         value = parse_quantity(text)
     except ValueError as exc:
-        raise ScenarioParseError(f"bad value for {key}: {exc}", line=line_no)
+        raise ValueError(f"bad value for {key}: {exc}")
     if key == "record_decimation":
         if value != int(value):
-            raise ScenarioParseError(
-                f"record_decimation must be a whole number, got {value}", line=line_no)
+            raise ValueError(f"record_decimation must be a whole number, got {value}")
         return int(value)
     return value
 
 
-def _parse_segment(payload: str, line_no: int) -> SourceSegment:
+def _parse_segment(payload: str) -> SourceSegment:
     values = {}
     for token in payload.split():
         if "=" not in token:
-            raise ScenarioParseError(
-                f"source segment token {token!r} is not key=value", line=line_no)
+            raise ValueError(f"source segment token {token!r} is not key=value")
         key, value = token.split("=", 1)
         try:
             values[key.strip()] = parse_quantity(value)
         except ValueError as exc:
-            raise ScenarioParseError(f"bad value in segment: {exc}", line=line_no)
+            raise ValueError(f"bad value in segment: {exc}")
     if "until" not in values:
-        raise ScenarioParseError("source segment needs an `until` time", line=line_no)
+        raise ValueError("source segment needs an `until` time")
     until = values.pop("until")
     if set(values) == {"volts"}:
         return SourceSegment(until=until, v_start=values["volts"], v_end=values["volts"])
     if set(values) == {"from", "to"}:
         return SourceSegment(until=until, v_start=values["from"], v_end=values["to"])
-    raise ScenarioParseError(
-        "source segment must be `until=.. volts=..` or `until=.. from=.. to=..`",
-        line=line_no)
+    raise ValueError("source segment must be `until=.. volts=..` or `until=.. from=.. to=..`")
 
 
 def _read(text: str, name: str, sections: dict) -> tuple[dict, list[SourceSegment]]:
@@ -155,22 +149,27 @@ def _read(text: str, name: str, sections: dict) -> tuple[dict, list[SourceSegmen
     segments: list[SourceSegment] = []
     seen: set[str] = set()
     for line_no, section, payload in _tokenize(text):
-        if section not in sections:
-            raise ScenarioParseError(f"unknown section [{section}]", line=line_no)
-        seen.add(section)
-        if payload is None:
-            continue
-        if sections[section] is None:
-            segments.append(_parse_segment(payload, line_no))
-            continue
-        if "=" not in payload:
-            raise ScenarioParseError(f"expected key = value, got {payload!r}", line=line_no)
-        key, value = (part.strip() for part in payload.split("=", 1))
-        if key not in sections[section]:
-            raise ScenarioParseError(f"unknown key {key!r} in [{section}]", line=line_no)
-        if key in given[section]:
-            raise ScenarioParseError(f"duplicate key {key!r} in [{section}]", line=line_no)
-        given[section][key] = _parse_value(key, value, line_no)
+        try:
+            if section is None:
+                raise ValueError(f"content before any [section]: {payload!r}")
+            if section not in sections:
+                raise ValueError(f"unknown section [{section}]")
+            seen.add(section)
+            if payload is None:
+                continue
+            if sections[section] is None:
+                segments.append(_parse_segment(payload))
+                continue
+            if "=" not in payload:
+                raise ValueError(f"expected key = value, got {payload!r}")
+            key, value = (part.strip() for part in payload.split("=", 1))
+            if key not in sections[section]:
+                raise ValueError(f"unknown key {key!r} in [{section}]")
+            if key in given[section]:
+                raise ValueError(f"duplicate key {key!r} in [{section}]")
+            given[section][key] = _parse_value(key, value)
+        except ValueError as exc:
+            raise ScenarioParseError(str(exc), line_no, name) from None
     missing = [section for section in sections if section not in seen]
     if missing:
         raise ScenarioParseError(
@@ -211,8 +210,7 @@ def parse_scenario_text(text: str, name: str = "<scenario>") -> Scenario:
 
 
 def parse_scenario_file(path) -> Scenario:
-    with open(path) as fh:
-        return parse_scenario_text(fh.read(), name=str(path))
+    return parse_scenario_text(read_text(path), name=str(path))
 
 
 def parse_design_text(text: str, name: str = "<design>") -> DesignSpec:
@@ -226,5 +224,4 @@ def parse_design_text(text: str, name: str = "<design>") -> DesignSpec:
 
 
 def parse_design_file(path) -> DesignSpec:
-    with open(path) as fh:
-        return parse_design_text(fh.read(), name=str(path))
+    return parse_design_text(read_text(path), name=str(path))

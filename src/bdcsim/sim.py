@@ -518,13 +518,14 @@ def _meter_forms(scenario: Scenario, path: str, source_on: bool, v_s: float) -> 
 # built once, when a span first meets M (`_Engine._span`): `stack`, M^k for
 # k = 0 .. n over the state rows, step-major as stack[j, k, i] = (M^k)[i, j]
 # so that one product of (x, 1) with stack[:, :k + 1] gives the states after
-# 0 .. k steps in turn; the check bound's `grid`, `weights` and `checks`
-# (`_Engine._bound`); the quadrature's `small`, `table` and `sums`.
+# 0 .. k steps in turn; `grid`, `weights` and `checks`, which bound every
+# span along M (`_Engine._bound`); the quadrature's `small`, `table`, `sums`.
 _StepMap = collections.namedtuple("_StepMap", "stack grid weights checks small table sums")
 # A plan, the gate count of a period and the step maps of its spans, and
-# its tables in the period kernel, built when a period meets a plan that
-# the run does not keep (`_Engine._plan`) and dropped with its step maps.
-_Plan = collections.namedtuple("_Plan", "powers grid cuts weights")
+# the tables that the gate count decides: the period map's `powers` and the
+# sample `grid`, built when a period meets a plan that the run does not
+# keep (`_Engine._plan`) and dropped with its step maps.
+_Plan = collections.namedtuple("_Plan", "powers grid")
 
 
 class _Engine:
@@ -787,12 +788,12 @@ class _Engine:
         powers give the state at each wrap, and products of the span starts
         with a span's stacked powers give its states on the grid of the
         samples, every g-th step, g = gcd(n, dec), for every period
-        (`_states`).  Nothing reads the states between grid points: the
-        checks bound them from the grid, and only a period the bound leaves
-        open is stepped through, one product per span (`_exact`).  A plan,
-        the gate count and the step maps of the spans, has its tables built
-        when a call meets it, and the run keeps those of the last _PLANS
-        plans used (`_plan`).
+        (`_states`).  Nothing reads the states between grid points: each
+        span's checks bound them from its grid with its step map's weights,
+        and only a period the bound leaves open is stepped through, one
+        product per span (`_exact`).  A plan, the gate count and the step
+        maps of the spans, has the tables its gate count decides built when
+        a call meets it; the run keeps those of the last _PLANS (`_plan`).
 
         The meters and the periods' averages come from span quadrature, not
         from the steps.  Within a span each step is the affine map M, and a
@@ -841,7 +842,6 @@ class _Engine:
             self.max_batch = self.most // n
             self.maps = {}                  # by step map: its tables (`_StepMap`)
             self.plans = {}                 # by plan: its tables (`_Plan`), the last used last
-            self.bounds = {}                # by the spans' step maps: their checks' weights
             # The states the kernel computes: at each wrap and at the start
             # of each period's second span as (x, 1), and into `xs` at each
             # period's grid points, every g-th step from its wrap, the four
@@ -853,9 +853,7 @@ class _Engine:
             self.xs = np.empty((8, self.max_batch + 1, n // g))
             # Per period and span, its least and greatest states, then 1.
             self.box = np.ones((self.max_batch, 2, 9))
-            self.steps = np.ones((n + 1, 5))    # one period's states, as (x, 1)
             self.ys = np.ones((6 * self.max_batch, 5))  # the spans' states, as (y, 1)
-            self.x0 = np.ones(5)                # the state at the first wrap, as (x, 1)
             self.counts = np.arange(float(max(self.call, self.max_batch)))  # for _step_times
         ahead = (self.expect - self.k) // n
         m = min(ahead if ahead > 0 else self.batch, self.max_batch, (self.n_steps - self.k) // n)
@@ -869,9 +867,7 @@ class _Engine:
 
         # The spans, from the first period's states, and their plan's tables.
         on = self.on1 + self.on2  # one of them is zero
-        x0 = self.x0
-        x0[:4] = self.plant
-        x = x0
+        x = x0 = np.array([*self.plant, 1.0])   # the state at the first wrap, as (x, 1)
         spans = []
         if on:
             spans.append(self._span(0, on, "S1" if self.on1 else "S2", x0))
@@ -880,13 +876,13 @@ class _Engine:
         if on < n:
             spans.append(self._span(on, n, _off_path(float(x[0])), x))
         plan = (on, *(key for _, _, key, _ in spans))
-        self.plan = self.plans.pop(plan, None)
-        if self.plan is None:
+        tables = self.plans.pop(plan, None)
+        if tables is None:
             if len(self.plans) >= _PLANS:   # the plan used longest ago goes
                 del self.plans[next(iter(self.plans))]
-            self.plan = self._plan(spans)
-        self.plans[plan] = self.plan
-        fit = self._states(m, spans)
+            tables = self._plan(spans)
+        self.plans[plan] = tables
+        fit = self._states(m, spans, x0, tables.powers)
         if fit < m:                         # a check fails: no move expected, one period next
             self.batch, self.expect = 1, self.k
             if not fit:
@@ -894,7 +890,7 @@ class _Engine:
 
         # The meters and each period's sums by quadrature, from three states
         # of each span: its start, its first and its last grid point.
-        at, weights, layout = self.plan.grid
+        at, weights, layout = tables.grid
         ys = self.ys[:len(at) // self.max_batch * fit]
         ys[:, :4] = np.take(self.xs[:4].reshape(4, -1), at[:len(ys)], axis=1).T
         if len(spans) > 1:
@@ -980,12 +976,13 @@ class _Engine:
                     break
         return taken
 
-    def _states(self, m: int, spans: list) -> int:
-        """The states of m periods from the wrap state `x0` that the kernel
-        reads: each wrap from the period map's powers, each span's start,
-        and into `xs` the grid points, every g-th step, from one product
-        per span of its first state with its grid powers (`_bound`).
-        Returns how many periods come before the first that fails a check.
+    def _states(self, m: int, spans: list, x0: np.ndarray, powers: np.ndarray) -> int:
+        """The states of m periods from the wrap state x0, as (x, 1), that
+        the kernel reads: each wrap from the period map's `powers`, each
+        span's start, and into `xs` the grid points, every g-th step, from
+        one product per span of its first state with its grid powers
+        (`_bound`).  Returns how many periods come before the first that
+        fails a check.
 
         The checks read the grid, not the steps.  Within a span of the step
         map M, the state j steps after a grid point or the span's start x
@@ -993,13 +990,14 @@ class _Engine:
         l M^j x there.  Over the box of the span's grid states and start, the
         least and greatest of each state in each period, interval
         arithmetic bounds l M^j x for every j <= g, so for every step of
-        the span.  A period passes without its steps when each bound clears
-        its threshold by a rounding slack; the periods it leaves open take
-        the per-step check (`_exact`), in order, up to the first that
-        fails."""
+        the span, in one product of the box with the span's step map's
+        weights (`_bound`).  A period passes without its steps when every
+        bound of its spans clears its threshold by a rounding slack; the
+        periods it leaves open take the per-step check (`_exact`), in
+        order, up to the first that fails."""
         n, g = self.n_period, self.g
         wraps, starts, firsts = self.wraps[:m + 1], self.starts[:m], self.firsts[:m]
-        np.matmul(self.x0, self.plan.powers[:m + 1], out=wraps)
+        np.matmul(x0, powers[:m + 1], out=wraps)
         xs = self.xs[:4, :m + 1]
         for a, b, _, step_map in spans:
             if a:                           # from its first grid point
@@ -1012,7 +1010,7 @@ class _Engine:
             if b < n:                       # the next span's start
                 np.matmul(wraps[:m], step_map.stack[:, b], out=starts[:, :4])
         xs[:, m, 0] = wraps[m, :4]
-        cuts = self.plan.cuts
+        cuts = [c for c in (-(-a // g) for a, *_ in spans) if c < n // g]
         box = self.box[:m, :len(spans)]
         grids = box[:, :len(cuts)].transpose(2, 0, 1)     # the spans with grid points
         np.minimum.reduceat(xs[:, :m], cuts, axis=2, out=grids[:4])
@@ -1024,7 +1022,9 @@ class _Engine:
                 np.maximum(hi, start, out=hi)
             else:
                 lo[:] = hi[:] = start
-        ok = (box.reshape(m, -1) @ self.plan.weights).min(axis=1) >= 0.0
+        ok = np.ones(m, bool)
+        for i, (*_, step_map) in enumerate(spans):     # each span against its own weights
+            ok &= (box[:, i] @ step_map.weights).min(axis=1) >= 0.0
         if ok.all():
             return m
         for p in np.flatnonzero(~ok).tolist():
@@ -1036,7 +1036,7 @@ class _Engine:
         """Whether period p of the call passes every check of its spans'
         tables (`_checks`) step by step, from its wrap and span starts."""
         n = self.n_period
-        xs = self.steps
+        xs = np.ones((n + 1, 5))            # the period's states, as (x, 1)
         xs[0] = self.wraps[p]
         xs[n] = self.wraps[p + 1]
         for a, b, _, step_map in spans:
@@ -1069,7 +1069,6 @@ class _Engine:
             if self.maps and next(iter(self.maps))[2] != self.v_s:
                 self.maps.clear()
                 self.plans.clear()
-                self.bounds.clear()
             stack = np.ascontiguousarray(_power_stack(
                 _step_map(self.scenario, *key), self.n_period, slice(4)).transpose(2, 0, 1))
             step_map = self.maps[key] = _StepMap(stack, *self._bound(key, stack),
@@ -1100,7 +1099,7 @@ class _Engine:
         return tuple(map(np.array, zip(*checks)))
 
     def _bound(self, key: tuple, stack: np.ndarray) -> tuple:
-        """The sample grid and the check bound of a step map M (`_states`).
+        """The sample grid and the check bound of a step map M's spans (`_states`).
         Returns its grid powers, grid[i, j, k] = (M^(k g))[i, j] over the
         four state rows, so that one product of (x, 1) with grid[:, :, :k]
         gives each state at every g-th step, state after state; the weights
@@ -1174,26 +1173,14 @@ class _Engine:
 
     def _plan(self, spans: list) -> _Plan:
         """The tables of a plan, the gate count and the step maps of its
-        spans: the period map's powers up to `max_batch`, the sample grid
-        (`_grid`), the first grid column of each span that has one, and the
-        spans' checks' weights on the box, span by span."""
-        n, g = self.n_period, self.g
+        spans, that its gate count decides: the period map's powers up to
+        `max_batch` and the sample grid (`_grid`)."""
         phi = np.eye(5)                     # the period map on (x, 1) as a row vector
         for a, b, _, step_map in spans:
             span_map = np.eye(5)
             span_map[:, :4] = step_map.stack[:, b - a]
             phi = phi @ span_map
-        cuts = [c for c in (-(-a // g) for a, *_ in spans) if c < n // g]
-        keys = tuple(key for _, _, key, _ in spans)
-        weights = self.bounds.get(keys)
-        if weights is None:
-            blocks = [step_map.weights for *_, step_map in spans]
-            weights = np.zeros((9 * len(spans), sum(w.shape[1] for w in blocks)))
-            weights[:9, :blocks[0].shape[1]] = blocks[0]
-            if len(spans) > 1:
-                weights[9:, blocks[0].shape[1]:] = blocks[1]
-            self.bounds[keys] = weights
-        return _Plan(_power_stack(phi, self.max_batch), self._grid(spans), cuts, weights)
+        return _Plan(_power_stack(phi, self.max_batch), self._grid(spans))
 
     def _grid(self, spans: list) -> tuple:
         """The grid of the samples for the plan's spans: every g-th step of

@@ -140,9 +140,9 @@ def log_batches(monkeypatch) -> list:
         calls.append((tries[-1], taken, eng.ticked == eng.k))
         return taken
 
-    def logged_states(eng, m, spans):
+    def logged_states(eng, m, spans, *args):
         tries.append(m)
-        return states(eng, m, spans)
+        return states(eng, m, spans, *args)
 
     def logged_times(t, dt, start, stride, counts, out):
         if not tries:                   # the call's first: the times of its tries
@@ -163,8 +163,8 @@ def log_failed_checks(monkeypatch, calls: list):
     the periods that the call after each tried."""
     stops, states, tick = [], sim._Engine._states, sim._Engine.tick
 
-    def logged(eng, m, spans):
-        fit = states(eng, m, spans)
+    def logged(eng, m, spans, *args):
+        fit = states(eng, m, spans, *args)
         if fit < m:
             stops.append((len(calls), fit))
         return fit
@@ -655,13 +655,13 @@ def test_step_map_tables_built_once(name, monkeypatch, scenarios_dir):
 def log_plans(monkeypatch) -> list:
     """Patches the period kernel's checks to log, per call that reaches
     them, the call's plan (its gate count and its spans' step maps) and
-    the plans and check weights the engine holds."""
+    the plans and step maps the engine holds."""
     log, states = [], sim._Engine._states
 
-    def logged(eng, m, spans):
+    def logged(eng, m, spans, *args):
         log.append(((eng.on1 + eng.on2, *(key for _, _, key, _ in spans)),
-                    list(eng.plans), list(eng.bounds)))
-        return states(eng, m, spans)
+                    list(eng.plans), list(eng.maps)))
+        return states(eng, m, spans, *args)
 
     monkeypatch.setattr(sim._Engine, "_states", logged)
     return log
@@ -709,16 +709,16 @@ def test_plan_tables_held_at_most_the_cap(monkeypatch, scenarios_dir):
 
 def test_plan_tables_dropped_with_the_source_voltage(monkeypatch):
     """A plan's tables hold the source's voltage: when it steps, the run
-    drops every plan and check weight of the old voltage."""
+    drops every plan and step map of the old voltage."""
     f_s = STAGE["f_s"]
     log = log_plans(monkeypatch)
     assert_matches_scalar(open_loop_buck(source=sim.SourceProfile(segments=(
         sim.SourceSegment(until=10.5 / f_s, v_start=24.0, v_end=24.0),
         sim.SourceSegment(until=1.0, v_start=24.5, v_end=24.5)))))
     volts = []
-    for (_, *keys), plans, bounds in log:
+    for (_, *keys), plans, maps in log:
         held = {key[2] for _, *held in plans for key in held}
-        assert held == {key[2] for keys in bounds for key in keys} == {keys[0][2]}
+        assert held == {key[2] for key in maps} == {keys[0][2]}
         volts += held
     assert volts[0] == 24.0 and volts[-1] == 24.5
 

@@ -52,6 +52,14 @@ class TestDesignCommand:
         from_file = capsys.readouterr().out
         assert from_flags == from_file
 
+    def test_spec_file_error_names_its_file(self, tmp_path, capsys):
+        spec = tmp_path / "bad.design"
+        spec.write_text("[design]\npv_voltage = twenty-four\n")
+        assert main(["design", "--spec-file", str(spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: line 2: bad value for pv_voltage")
+        assert err.count("\n") == 1
+
     def test_invalid_spec_is_input_error(self, capsys):
         bad = DESIGN_FLAGS.copy()
         bad[bad.index("--battery-voltage") + 1] = "30"  # battery above the bus
@@ -388,10 +396,49 @@ class TestSimulateCommand:
         assert lines[-1] == f"  trace written: {trace}"
         assert "bad.scenario" not in captured.out
 
+    def test_error_in_a_later_scenario_names_its_file(self, scenarios_dir, tmp_path, capsys):
+        bad = tmp_path / "bad.scenario"
+        bad.write_text("[converter]\nv_bus_nominal = twenty\n")
+        assert main(["simulate", str(scenarios_dir / "quick.scenario"), str(bad),
+                     "--output-dir", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: line 2: bad value for v_bus_nominal")
+        assert err.count("\n") == 1
+
     def test_output_with_multiple_scenarios_rejected(self, scenarios_dir, tmp_path, capsys):
         q = str(scenarios_dir / "quick.scenario")
         assert main(["simulate", q, q, "--output", str(tmp_path / "x.csv")]) == 1
         assert "--output-dir" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["scenario", "design", "regulation", "trace"])
+def test_byte_not_utf8_names_its_file(kind, scenarios_dir, tmp_path, capsys):
+    """A byte that is not UTF-8 in any of the four input kinds: exit 1 and
+    one error line that names the file and the byte's line, or for a trace
+    the row, from the first data row, that the trace reader reports."""
+    path = tmp_path / f"bad.{kind}"
+    if kind == "scenario":
+        head, rest = (scenarios_dir / "quick.scenario").read_bytes().split(b"\n", 1)
+        path.write_bytes(head + b"\n# caf\xe9\n" + rest)
+        argv, where = ["simulate", str(path), "--output", str(tmp_path / "x.csv")], "line 2"
+    elif kind == "design":
+        path.write_bytes(b"[design]\n# caf\xe9\npv_voltage = 24\n")
+        argv, where = ["design", "--spec-file", str(path)], "line 2"
+    elif kind == "regulation":
+        path.write_bytes(b"setting,v_out,i_out\n10,24.0,2.4\n2\xff,24.1,2.4\n")
+        argv, where = ["analyze", str(path)], "line 3"
+    else:
+        main(["simulate", str(scenarios_dir / "quick.scenario"), "--output", str(path)])
+        capsys.readouterr()
+        lines = path.read_bytes().split(b"\n")
+        lines[3] = b"\xff" + lines[3][1:]  # file line 4, data row 2
+        path.write_bytes(b"\n".join(lines))
+        argv = ["analyze", str(path), "--inductance", "1m", "--switching-frequency", "20k"]
+        where = "at row 2"
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ") and where in err
+    assert err.count("\n") == 1
 
 
 def test_usage_error_exit_code():
